@@ -222,7 +222,6 @@ def _sturmian_prefix_violation(word: FiniteWord, kmax: int) -> str | None:
     return None
 
 
-@lru_cache(maxsize=1024)
 def check_3iet_preservation(
     eta: Morphism,
     transform: ThreeIET,

@@ -20,7 +20,7 @@ from .amicability import (
     ternarization_membership,
     ternarize_morphisms,
 )
-from .errors import IetWordsError, NotAmicableError
+from .errors import DomainError, IetWordsError, NotAmicableError
 from .iet import ThreeIET, TwoIET, is_nondegenerate_params, three_iet_code, two_iet_code
 from .matrices import (
     brute_force_pairs,
@@ -61,6 +61,13 @@ def _parse_ternary_morphism(text: str, role: str) -> Morphism:
     if not morphism.is_nonerasing:
         raise IetWordsError(f"{role} must be non-erasing")
     return morphism
+
+
+def _require_at_least(value: int | None, minimum: int, flag: str) -> None:
+    """Reject a sweep bound below its smallest meaningful value, so that a
+    sweep that checks nothing cannot report ``ok``."""
+    if value is not None and value < minimum:
+        raise DomainError(f"{flag} must be at least {minimum}, got {value}")
 
 
 def _pair_record(pair) -> dict:
@@ -115,6 +122,7 @@ def _cmd_pairs(args) -> tuple[str, list[dict], dict]:
 
 
 def _cmd_count(args) -> tuple[str, list[dict], dict]:
+    _require_at_least(args.max_norm, 2, "--max-norm")
     records = []
     all_match = True
     total = 0
@@ -242,6 +250,9 @@ def _cmd_probe(args) -> tuple[str, list[dict], dict]:
 
 
 def _cmd_verify(args) -> tuple[str, list[dict], dict]:
+    _require_at_least(args.max_norm, 2, "--max-norm")
+    _require_at_least(args.samples, 1, "--samples")
+    _require_at_least(args.kmax, 1, "--kmax")
     suite = verification.SUITES[args.suite]
     kwargs = {}
     if args.max_norm is not None:

@@ -45,7 +45,7 @@ class QuadNumber:
 
     def __init__(self, a: int, b: int = 0, d: int = 0, c: int = 1) -> None:
         for name, value in (("a", a), ("b", b), ("d", d), ("c", c)):
-            if not isinstance(value, int):
+            if type(value) is not int:
                 raise TypeError(f"coefficient {name} must be an int, got {value!r}")
         if c == 0:
             raise DomainError("denominator of a quadratic number cannot be zero")
@@ -134,7 +134,7 @@ class QuadNumber:
     def _coerce(value: "QuadNumber | int") -> "QuadNumber | None":
         if isinstance(value, QuadNumber):
             return value
-        if isinstance(value, int):
+        if type(value) is int:
             return QuadNumber(value)
         return None
 

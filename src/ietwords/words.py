@@ -16,8 +16,6 @@ from enum import Enum
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-import numpy as np
-
 from .errors import AlphabetError, DomainError, ParseError
 
 
@@ -133,56 +131,52 @@ def parikh(word: FiniteWord) -> ParikhVector:
     return tuple(word.letters.count(i) for i in range(word.alphabet.size))
 
 
-def _balanced_small(letters: bytes) -> bool:
-    n = len(letters)
-    prefix = [0] * (n + 1)
-    acc = 0
-    for i, v in enumerate(letters):
-        acc += v
-        prefix[i + 1] = acc
-    for length in range(1, n):
-        lo = hi = prefix[length]
-        for i in range(1, n - length + 1):
-            x = prefix[i + length] - prefix[i]
-            if x < lo:
-                lo = x
-            elif x > hi:
-                hi = x
-        if hi - lo > 1:
-            return False
-    return True
-
-
-def _balanced_vectorised(letters: bytes) -> bool:
-    n = len(letters)
-    ones = np.frombuffer(letters, dtype=np.uint8)
-    prefix = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(ones, out=prefix[1:])
-    buf = np.empty(n, dtype=np.int64)
-    for length in range(1, n):
-        m = n - length + 1
-        window = buf[:m]
-        np.subtract(prefix[length:], prefix[:m], out=window)
-        if window.max() - window.min() > 1:
-            return False
-    return True
-
-
 @lru_cache(maxsize=8192)
 def _is_balanced_letters(letters: bytes) -> bool:
-    if len(letters) < 2:
-        return True
-    if len(letters) <= 192:
-        return _balanced_small(letters)
-    return _balanced_vectorised(letters)
+    # Arithmetic DSS recognition over the prefix-sum path (i, ones in
+    # letters[:i]).  Invariant: mu <= a*x - b*y < mu + b on every point
+    # read so far.  Upper leaning points have remainder mu, lower ones
+    # mu + b - 1; (ux, uy)/(lx, ly) are the first of each kind and
+    # (vx, vy)/(wx, wy) the last.
+    a, b, mu = 0, 1, 0
+    ux = uy = lx = ly = vx = vy = wx = wy = 0
+    y = 0
+    for x, v in enumerate(letters, 1):
+        y += v
+        r = a * x - b * y
+        if mu <= r < mu + b:
+            if r == mu:
+                vx, vy = x, y
+            if r == mu + b - 1:
+                wx, wy = x, y
+        elif r == mu - 1:
+            # just above the strip: steeper slope through the first upper point
+            lx, ly = wx, wy
+            vx, vy = x, y
+            a, b = y - uy, x - ux
+            mu = a * x - b * y
+        elif r == mu + b:
+            # just below the strip: flatter slope through the first lower point
+            ux, uy = vx, vy
+            wx, wy = x, y
+            a, b = y - ly, x - lx
+            mu = a * x - b * y - b + 1
+        else:
+            return False
+    return True
 
 
 def is_balanced(word: FiniteWord) -> bool:
     """Whether every pair of equal-length factors differs by at most one
     in their number of ones.
 
-    Checked per factor length with prefix-sum window extrema: quadratic
-    time, linear space.  Binary words only.
+    A finite binary word is balanced exactly when it is a factor of a
+    mechanical word, that is, when its prefix-sum path is a digital
+    straight segment (Lothaire, *Algebraic Combinatorics on Words*,
+    ch. 2).  That is decided by incremental arithmetic recognition of
+    the segment (Debled-Rennesson & Reveilles 1995): linear time,
+    integers only, and an early exit at the first letter that leaves
+    the segment.  Binary words only.
     """
     if word.alphabet is not Alphabet.BINARY:
         raise AlphabetError("balance is defined for binary words only")

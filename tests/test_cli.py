@@ -218,6 +218,10 @@ class TestInvalidInput:
             ["word2", "--slope", "(1+2*root(5))/3", "-n", "4"],
             ["word2", "--slope", "3/2", "-n", "4"],
             ["word3", "--alpha", "1/2", "--beta", "2/3", "-n", "4"],
+            ["count", "--max-norm", "-5"],
+            ["verify", "--suite", "counting", "--max-norm", "1"],
+            ["verify", "--suite", "monoid", "--samples", "-3"],
+            ["verify", "--suite", "preserve", "--kmax", "0"],
         ],
     )
     def test_exit_code_2_with_message(self, capsys, argv):

@@ -57,6 +57,13 @@ class TestNormalisation:
         with pytest.raises(DomainError):
             QuadNumber(1, 1, -2)
 
+    def test_rejects_bool_coefficients(self):
+        for args in ((True, 1, 5), (1, False, 5), (1, 1, 5, True)):
+            with pytest.raises(TypeError):
+                QuadNumber(*args)
+        with pytest.raises(TypeError):
+            golden + True
+
 
 class TestOrderAndFloor:
     def test_floor_golden_ratio(self):

@@ -1,8 +1,13 @@
 import itertools
+import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import ietwords
 from ietwords import (
     Alphabet,
     AlphabetError,
@@ -15,7 +20,7 @@ from ietwords import (
     parikh,
     ternary_word,
 )
-from ietwords.words import _balanced_small, _balanced_vectorised
+from ietwords.iet import coding_word_k
 
 binary_texts = st.text(alphabet="01", max_size=48)
 ternary_texts = st.text(alphabet="ABC", max_size=48)
@@ -29,6 +34,40 @@ def brute_balanced(text: str) -> bool:
         if max(ones) - min(ones) > 1:
             return False
     return True
+
+
+@st.composite
+def rotation_factors(draw):
+    """A factor, at least half a period long, of a rational rotation coding
+    of period at most 400, with zero to two letters flipped.  Shorter
+    words are covered exhaustively."""
+    n_total = draw(st.integers(min_value=2, max_value=400))
+    p = draw(st.integers(min_value=1, max_value=n_total - 1))
+    while math.gcd(p, n_total) != 1:
+        p -= 1
+    k = draw(st.integers(min_value=0, max_value=n_total - 1))
+    text = str(coding_word_k(p, n_total, k))
+    start = draw(st.integers(min_value=0, max_value=n_total // 2))
+    end = draw(st.integers(min_value=start + n_total // 2, max_value=n_total))
+    letters = list(text[start:end])
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        if letters:
+            i = draw(st.integers(min_value=0, max_value=len(letters) - 1))
+            letters[i] = "1" if letters[i] == "0" else "0"
+    return "".join(letters)
+
+
+def test_import_leaves_numpy_unloaded():
+    src = str(Path(ietwords.__file__).resolve().parents[1])
+    code = "import sys; import ietwords; print('numpy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=src,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "False"
 
 
 class TestParikh:
@@ -75,13 +114,17 @@ class TestBalance:
     def test_invariant_under_reversal(self, s):
         assert is_balanced(binary_word(s)) == is_balanced(binary_word(s[::-1]))
 
-    @given(binary_texts)
-    def test_small_and_vectorised_paths_agree(self, s):
-        letters = binary_word(s).letters
-        if len(letters) >= 2:
-            assert _balanced_small(letters) == _balanced_vectorised(letters)
+    def test_exhaustive_against_window_oracle(self):
+        for n in range(15):
+            for bits in itertools.product("01", repeat=n):
+                s = "".join(bits)
+                assert is_balanced(binary_word(s)) == brute_balanced(s), s
 
-    def test_vectorised_path_on_long_words(self):
+    @given(rotation_factors())
+    def test_perturbed_rotation_factors_against_window_oracle(self, s):
+        assert is_balanced(binary_word(s)) == brute_balanced(s)
+
+    def test_long_fibonacci_word(self):
         # golden-ratio mechanical word, balanced by construction
         fib = "0"
         prev = "1"
