@@ -18,6 +18,7 @@ from .words import (
     Alphabet,
     FiniteWord,
     binary_word,
+    factor_complexities,
     factor_complexity,
     is_balanced,
     is_conjugate_word,
@@ -53,6 +54,7 @@ from .amicability import (
     TernarizationMembership,
     amicable_morphisms,
     amicable_words_b,
+    b_counts,
     check_3iet_preservation,
     is_ternarization,
     sigma,

@@ -16,13 +16,17 @@ Sturmian behaviour additionally demands factor complexity m+1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .errors import AlphabetError, DegenerateParametersError, NotAmicableError
+from .errors import (
+    AlphabetError,
+    DegenerateParametersError,
+    DomainError,
+    NotAmicableError,
+)
 from .iet import ThreeIET, is_nondegenerate_params, three_iet_code
 from .morphisms import Morphism, is_sturmian_morphism
 from .quadratic import QuadNumber
-from .words import Alphabet, FiniteWord, factor_complexity, is_balanced
+from .words import Alphabet, FiniteWord, factor_complexities, is_balanced
 
 _SIGMA_TABLES = {
     "01": (b"\x00", b"\x00\x01", b"\x01"),
@@ -112,12 +116,9 @@ def amicable_morphisms(
     ``phi(0) ~ psi(0)``, ``phi(01) ~ psi(10)`` and ``phi(1) ~ psi(1)``.
     """
     try:
-        w0 = ternarize_words(phi.images[0], psi.images[0])
-        w1 = ternarize_words(phi.images[1], psi.images[1])
-        wb = ternarize_words(phi(_W01), psi(_W10))
+        return b_counts(ternarize_morphisms(phi, psi))
     except NotAmicableError:
         return None
-    return w0.b, w1.b, wb.b
 
 
 def ternarize_morphisms(phi: Morphism, psi: Morphism) -> Morphism:
@@ -125,11 +126,20 @@ def ternarize_morphisms(phi: Morphism, psi: Morphism) -> Morphism:
     ``ter(phi(01), psi(10))`` and ``ter(phi(1), psi(1))``.
 
     Raises :class:`NotAmicableError` when any of the three scans fails.
+    The image of B is scanned last, so a pair rejected on A or C never
+    builds ``phi(01)`` and ``psi(10)``.
     """
     image_a = ternarize_words(phi.images[0], psi.images[0]).v
-    image_b = ternarize_words(phi(_W01), psi(_W10)).v
     image_c = ternarize_words(phi.images[1], psi.images[1]).v
+    image_b = ternarize_words(phi(_W01), psi(_W10)).v
     return Morphism(Alphabet.TERNARY, (image_a, image_b, image_c))
+
+
+def b_counts(eta: Morphism) -> tuple[int, int, int]:
+    """``(b0, b1, b)`` of a ternarization ``eta``: the number of B
+    letters in ``eta(A)``, ``eta(C)`` and ``eta(B)``."""
+    image_a, image_b, image_c = eta.images
+    return image_a.count(1), image_c.count(1), image_b.count(1)
 
 
 @dataclass(frozen=True)
@@ -209,14 +219,12 @@ class PreservationResult:
     detail: str | None
 
 
-@lru_cache(maxsize=None)
 def _sturmian_prefix_violation(word: FiniteWord, kmax: int) -> str | None:
     """First reason ``word`` fails the finite Sturmian test, if any:
     balance plus factor complexity m+1 for 1 <= m <= kmax."""
     if not is_balanced(word):
         return "projection is not balanced"
-    for m in range(1, kmax + 1):
-        c = factor_complexity(word, m)
+    for m, c in enumerate(factor_complexities(word, kmax)[1:], 1):
         if c != m + 1:
             return f"complexity {c} at factor length {m}, expected {m + 1}"
     return None
@@ -234,9 +242,11 @@ def check_3iet_preservation(
 
     Codes the length-``n`` orbit prefix, applies ``eta``, and requires
     both binary projections of the image to be balanced with factor
-    complexity m+1 up to ``kmax``.  Degenerate parameters are rejected
-    outright.
+    complexity m+1 up to ``kmax``.  Degenerate parameters and a negative
+    ``kmax`` are rejected outright.
     """
+    if kmax < 0:
+        raise DomainError(f"kmax must be non-negative, got {kmax}")
     if not is_nondegenerate_params(transform):
         raise DegenerateParametersError(
             "parameters are degenerate: (1-alpha)/(1+beta) is rational"

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Callable
 
 from . import verification
 from .amicability import (
-    amicable_morphisms,
+    b_counts,
     check_3iet_preservation,
     ternarization_membership,
     ternarize_morphisms,
@@ -155,7 +156,7 @@ def _cmd_ternarize(args) -> tuple[str, list[dict], dict]:
         eta = ternarize_morphisms(phi, psi)
     except NotAmicableError as exc:
         return "property-false", [{"amicable": False, "reason": str(exc)}], {}
-    b0, b1, b = amicable_morphisms(phi, psi)
+    b0, b1, b = b_counts(eta)
     record = {"eta": str(eta), "b0": b0, "b1": b1, "b": b, "amicable": True}
     return "ok", [record], {}
 
@@ -403,4 +404,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        # flush here, so that a reader gone before the last buffered
+        # records surfaces below rather than at interpreter exit
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (``ietwords ... | head``): drop the
+        # rest of the output quietly, but do not report success
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)

@@ -25,12 +25,17 @@ from typing import Iterator
 
 from .amicability import (
     AmicablePair,
-    amicable_morphisms,
+    b_counts,
     ternarization_membership,
     ternarize_morphisms,
     TernarizationMembership,
 )
-from .errors import DomainError, InfeasibleMatrixError, NotUnimodularError
+from .errors import (
+    DomainError,
+    InfeasibleMatrixError,
+    NotAmicableError,
+    NotUnimodularError,
+)
 from .morphisms import (
     IntMatrix2,
     IntMatrix3,
@@ -130,15 +135,16 @@ def brute_force_pairs(matrix: IntMatrix2) -> tuple[AmicablePair, ...]:
     pairs = []
     for phi in morphisms:
         for psi in morphisms:
-            counts = amicable_morphisms(phi, psi)
-            if counts is None:
+            try:
+                eta = ternarize_morphisms(phi, psi)
+            except NotAmicableError:
                 continue
-            b0, b1, b = counts
+            b0, b1, b = b_counts(eta)
             pairs.append(
                 AmicablePair(
                     phi=phi,
                     psi=psi,
-                    eta=ternarize_morphisms(phi, psi),
+                    eta=eta,
                     b0=b0,
                     b1=b1,
                     b=b,

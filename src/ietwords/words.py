@@ -23,13 +23,11 @@ class Alphabet(Enum):
     BINARY = "01"
     TERNARY = "ABC"
 
-    @property
-    def chars(self) -> str:
-        return self.value
-
-    @property
-    def size(self) -> int:
-        return len(self.value)
+    # plain attributes, not properties: every FiniteWord construction
+    # reads ``size``, and a property would go through ``Enum.value``
+    def __init__(self, chars: str) -> None:
+        self.chars = chars
+        self.size = len(chars)
 
 
 ParikhVector = tuple[int, ...]
@@ -198,6 +196,33 @@ def factor_complexity(word: FiniteWord, n: int) -> int:
         return 0
     letters = word.letters
     return len({letters[i : i + n] for i in range(length - n + 1)})
+
+
+def factor_complexities(word: FiniteWord, kmax: int) -> tuple[int, ...]:
+    """The complexity spectrum ``(p(0), ..., p(kmax))`` of ``word``, where
+    ``p(m) == factor_complexity(word, m)``.
+
+    One pass over the word collects the distinct factors of length
+    ``t = min(kmax, len(word))``.  Every factor of length ``m <= t`` is
+    then the ``m``-prefix of one of them or one of the ``t - m`` factors
+    starting after the last length-``t`` factor, so the rest costs
+    ``O(t * (D + t))`` for ``D`` distinct length-``t`` factors
+    (``D <= t + 1`` on a balanced word).
+    """
+    if kmax < 0:
+        raise DomainError("factor length must be non-negative")
+    letters = word.letters
+    length = len(letters)
+    t = min(kmax, length)
+    tail = length - t + 1  # first start with no length-t factor
+    longest = {letters[i : i + t] for i in range(tail)}
+    spectrum = [1]
+    for m in range(1, t + 1):
+        factors = {factor[:m] for factor in longest}
+        factors.update(letters[i : i + m] for i in range(tail, length - m + 1))
+        spectrum.append(len(factors))
+    spectrum.extend([0] * (kmax - t))
+    return tuple(spectrum)
 
 
 def is_conjugate_word(word: FiniteWord, other: FiniteWord) -> bool:

@@ -8,6 +8,7 @@ from ietwords import (
     Morphism,
     NotAmicableError,
     PRESERVING_NONMEMBER,
+    PreservationResult,
     QuadNumber,
     ThreeIET,
     ZERO,
@@ -144,6 +145,14 @@ class TestTernarizeMorphisms:
         with pytest.raises(NotAmicableError):
             ternarize_morphisms(PSI, PHI)
 
+    def test_image_of_b_is_scanned_last(self):
+        # images of A agree; those of C and of B both fail, and the
+        # reported reason is the C scan's
+        phi = Morphism.parse("0->010,1->10010")
+        psi = Morphism.parse("0->010,1->01001")
+        with pytest.raises(NotAmicableError, match="mismatch 1 against 0 at position 0$"):
+            ternarize_morphisms(phi, psi)
+
     def test_intertwining_on_generators(self):
         letters = [ternary_word(ch) for ch in "ABC"]
         for matrix in unimodular_matrices(8):
@@ -225,6 +234,17 @@ class TestPreservation:
         )
         assert not result.ok
         assert "complexity 2 at factor length 2" in result.detail
+
+    def test_periodic_projection_reports_first_failing_length(self):
+        # sigma01 of the image is (0001)^n: balanced, p(m) = m + 1 up to
+        # m = 3 and p(4) = 4
+        t = ThreeIET(ALPHA, QUARTER)
+        result = check_3iet_preservation(
+            Morphism.parse("A->AAB,B->AAB,C->AAB"), t, ZERO, 500, 10
+        )
+        assert result == PreservationResult(
+            False, "sigma01: complexity 4 at factor length 4, expected 5"
+        )
 
     def test_degenerate_parameters_rejected(self):
         trap = ThreeIET(ALPHA, QuadNumber(-2, 1, 5))

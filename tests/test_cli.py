@@ -1,9 +1,16 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import ietwords.matrices
 from ietwords.cli import main
+
+# the package's parent directory: ``python -m ietwords`` run from here
+# imports this checkout whether or not it is installed
+SRC = Path(ietwords.__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -222,6 +229,11 @@ class TestInvalidInput:
             ["verify", "--suite", "counting", "--max-norm", "1"],
             ["verify", "--suite", "monoid", "--samples", "-3"],
             ["verify", "--suite", "preserve", "--kmax", "0"],
+            [
+                "preserve", "--eta", "A->A,B->B,C->C",
+                "--alpha", "(3-1*sqrt(5))/2", "--beta", "1/4",
+                "-n", "10", "--kmax", "-1",
+            ],
         ],
     )
     def test_exit_code_2_with_message(self, capsys, argv):
@@ -290,3 +302,34 @@ class TestPrettyOutput:
         assert "eta" in out and "A->B,B->ACA,C->A" in out
         # not JSON lines
         assert not out.lstrip().startswith("{")
+
+
+class TestEntryPoint:
+    def test_python_m_runs_the_command(self):
+        result = subprocess.run(
+            [sys.executable, "-m", "ietwords", "verify", "--suite", "lemma-w", "--max-norm", "4"],
+            cwd=SRC,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        summary = json.loads(result.stdout.splitlines()[-1])
+        assert summary["status"] == "ok"
+        assert summary["records"] == 5
+
+    def test_closed_pipe_exits_without_traceback(self):
+        # about 400 kB of records, far more than a pipe buffers, so the
+        # command is still writing when the reader goes away
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ietwords", "enum", "--matrix", "233,144;144,89"],
+            cwd=SRC,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert json.loads(first)["index"] == 0
+        assert b"Traceback" not in err, err.decode()
+        assert proc.returncode == 1

@@ -11,9 +11,11 @@ import ietwords
 from ietwords import (
     Alphabet,
     AlphabetError,
+    DomainError,
     FiniteWord,
     ParseError,
     binary_word,
+    factor_complexities,
     factor_complexity,
     is_balanced,
     is_conjugate_word,
@@ -149,6 +151,34 @@ class TestFactorComplexity:
         w = binary_word(s)
         if n <= len(w):
             assert factor_complexity(w, n) <= min(2**n, len(w) - n + 1)
+
+
+class TestComplexitySpectrum:
+    """``factor_complexities`` against ``factor_complexity`` as oracle."""
+
+    KMAX = 14
+
+    def test_exhaustive_against_oracle(self):
+        words = [
+            FiniteWord(alphabet, bytes(letters))
+            for alphabet, max_length in ((Alphabet.BINARY, 12), (Alphabet.TERNARY, 7))
+            for n in range(max_length + 1)
+            for letters in itertools.product(range(alphabet.size), repeat=n)
+        ]
+        for w in words:
+            oracle = tuple(factor_complexity(w, m) for m in range(self.KMAX + 1))
+            for kmax in range(self.KMAX + 1):
+                assert factor_complexities(w, kmax) == oracle[: kmax + 1], (w, kmax)
+
+    @given(rotation_factors(), st.integers(min_value=0, max_value=40))
+    def test_perturbed_rotation_factors_against_oracle(self, s, kmax):
+        w = binary_word(s)
+        oracle = tuple(factor_complexity(w, m) for m in range(kmax + 1))
+        assert factor_complexities(w, kmax) == oracle
+
+    def test_rejects_negative_kmax(self):
+        with pytest.raises(DomainError):
+            factor_complexities(binary_word("01"), -1)
 
 
 class TestConjugacy:
