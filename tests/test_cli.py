@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import ietwords.matrices
+from ietwords import IntMatrix2, count_formula_total
 from ietwords.cli import main
 
 # the package's parent directory: ``python -m ietwords`` run from here
@@ -107,11 +108,15 @@ class TestEnumerationCommands:
         assert summary["total"] == summary["formula"] == 7
         assert all(row["b"] == 1 for row in rows)
 
-    def test_count_compare(self, capsys):
-        code, records, _ = run(capsys, "count", "--max-norm", "6", "--compare")
+    def test_count_total_is_sum_of_formulas(self, capsys):
+        # the brute-force cross-check of these counts is verify --suite counting
+        code, records, _ = run(capsys, "count", "--max-norm", "6")
         assert code == 0
-        rows = records[:-1]
-        assert all(row["match"] for row in rows)
+        rows, summary = records[:-1], records[-1]
+        assert summary["matrices"] == len(rows) > 0
+        assert summary["total_pairs"] == sum(
+            count_formula_total(IntMatrix2.parse(row["matrix"])) for row in rows
+        )
 
     def test_byte_identical_reruns(self, capsys):
         main(["pairs", "--matrix", "2,1;3,2"])
@@ -234,6 +239,15 @@ class TestInvalidInput:
                 "--alpha", "(3-1*sqrt(5))/2", "--beta", "1/4",
                 "-n", "10", "--kmax", "-1",
             ],
+            # a flag the suite does not read
+            [
+                "verify", "--suite", "counting", "--max-norm", "3",
+                "-n", "5", "--kmax", "3", "--samples", "4", "--seed", "9",
+            ],
+            ["verify", "--suite", "lemma-w", "--seed", "9"],
+            ["verify", "--suite", "matrices", "-n", "5"],
+            ["verify", "--suite", "monoid", "--kmax", "3"],
+            ["verify", "--suite", "preserve", "--samples", "4"],
         ],
     )
     def test_exit_code_2_with_message(self, capsys, argv):
@@ -282,6 +296,13 @@ class TestVerifyCommand:
         assert records[-1]["n"] == 300 and records[-1]["kmax"] == 8
         assert records[-2]["trap_rejected"] is True
 
+    def test_unread_flags_are_named(self, capsys):
+        code, records, _ = run(
+            capsys, "verify", "--suite", "monoid", "--seed", "9", "-n", "5", "--kmax", "3"
+        )
+        assert code == 2
+        assert records[0]["error"] == "--suite monoid does not take -n, --kmax"
+
     def test_fault_injection_flips_counting_to_failure(self, capsys, monkeypatch):
         true_formula = ietwords.matrices.count_formula_total
         monkeypatch.setattr(
@@ -305,9 +326,10 @@ class TestPrettyOutput:
 
 
 class TestEntryPoint:
-    def test_python_m_runs_the_command(self):
+    @pytest.mark.parametrize("module", ["ietwords", "ietwords.cli"])
+    def test_python_m_runs_the_command(self, module):
         result = subprocess.run(
-            [sys.executable, "-m", "ietwords", "verify", "--suite", "lemma-w", "--max-norm", "4"],
+            [sys.executable, "-m", module, "verify", "--suite", "lemma-w", "--max-norm", "4"],
             cwd=SRC,
             capture_output=True,
             text=True,
