@@ -18,7 +18,6 @@ from .words import (
     Alphabet,
     FiniteWord,
     binary_word,
-    factor_complexities,
     factor_complexity,
     is_balanced,
     is_conjugate_word,

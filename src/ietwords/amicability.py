@@ -26,7 +26,7 @@ from .errors import (
 from .iet import ThreeIET, is_nondegenerate_params, three_iet_code
 from .morphisms import Morphism, is_sturmian_morphism
 from .quadratic import QuadNumber
-from .words import Alphabet, FiniteWord, factor_complexities, is_balanced
+from .words import Alphabet, FiniteWord, factor_complexity, is_balanced
 
 _SIGMA_TABLES = {
     "01": (b"\x00", b"\x00\x01", b"\x01"),
@@ -176,8 +176,17 @@ def ternarization_membership(eta: Morphism) -> TernarizationMembership:
 
     The two projection identities ``sigma01(eta(B)) == sigma01(eta(AC))``
     and ``sigma10(eta(B)) == sigma10(eta(CA))`` are checked first; the
-    candidate pair read off the images of A and C must then be Sturmian
-    and amicable.  The first failure is reported verbatim.
+    candidate pair read off the images of A and C must then be Sturmian.
+    The first failure is reported verbatim.
+
+    Amicability of the pair needs no further check.  Under the two
+    identities ``phi(01)`` and ``psi(10)`` are ``sigma01`` and
+    ``sigma10`` of the one word ``eta(B)``, as ``phi(0)``/``psi(0)`` are
+    of ``eta(A)`` and ``phi(1)``/``psi(1)`` of ``eta(C)``.  The scan of
+    the two projections of a ternary word always succeeds once both are
+    balanced, and gives that word back; and a Sturmian morphism maps
+    ``0``, ``1`` and ``01`` to balanced words.  So ``phi`` is amicable
+    to ``psi`` with ternarization ``eta``.
     """
     if eta.alphabet is not Alphabet.TERNARY:
         raise AlphabetError("ternarization membership is for ternary morphisms")
@@ -200,8 +209,6 @@ def ternarization_membership(eta: Morphism) -> TernarizationMembership:
         return fail(f"recovered first morphism {phi} is not Sturmian")
     if not is_sturmian_morphism(psi):
         return fail(f"recovered second morphism {psi} is not Sturmian")
-    if amicable_morphisms(phi, psi) is None:
-        return fail(f"recovered pair {phi} / {psi} is not amicable")
     return TernarizationMembership(True, phi, psi, None)
 
 
@@ -221,13 +228,22 @@ class PreservationResult:
 
 def _sturmian_prefix_violation(word: FiniteWord, kmax: int) -> str | None:
     """First reason ``word`` fails the finite Sturmian test, if any:
-    balance plus factor complexity m+1 for 1 <= m <= kmax."""
+    balance plus factor complexity m+1 for 1 <= m <= kmax.
+
+    A balanced word has at most one right special factor of each length
+    (Lothaire, *Algebraic Combinatorics on Words*, ch. 2), so
+    ``p(m+1) <= p(m) + 1``; with ``p(0) == 1``, ``p(kmax) == kmax + 1``
+    then forces ``p(m) == m + 1`` for every ``m <= kmax``.  Only a
+    failing word is walked length by length, to name the first ``m``.
+    """
     if not is_balanced(word):
         return "projection is not balanced"
-    for m, c in enumerate(factor_complexities(word, kmax)[1:], 1):
-        if c != m + 1:
-            return f"complexity {c} at factor length {m}, expected {m + 1}"
-    return None
+    if factor_complexity(word, kmax) == kmax + 1:
+        return None
+    m = 1  # stops at m = kmax at the latest
+    while (c := factor_complexity(word, m)) == m + 1:
+        m += 1
+    return f"complexity {c} at factor length {m}, expected {m + 1}"
 
 
 def check_3iet_preservation(
@@ -242,11 +258,16 @@ def check_3iet_preservation(
 
     Codes the length-``n`` orbit prefix, applies ``eta``, and requires
     both binary projections of the image to be balanced with factor
-    complexity m+1 up to ``kmax``.  Degenerate parameters and a negative
-    ``kmax`` are rejected outright.
+    complexity m+1 up to ``kmax``.  Degenerate parameters, a negative
+    ``kmax`` and ``n < 2*kmax`` are rejected outright: a balanced word of
+    length ``L`` has ``p(kmax) <= L - kmax + 1``, so a projection (at
+    least ``n`` letters long) shorter than ``2*kmax`` fails whatever
+    ``eta`` is.
     """
     if kmax < 0:
         raise DomainError(f"kmax must be non-negative, got {kmax}")
+    if n < 2 * kmax:
+        raise DomainError(f"n must be at least 2*kmax = {2 * kmax}, got {n}")
     if not is_nondegenerate_params(transform):
         raise DegenerateParametersError(
             "parameters are degenerate: (1-alpha)/(1+beta) is rational"

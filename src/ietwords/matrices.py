@@ -104,8 +104,8 @@ def count_formula_total(matrix: IntMatrix2) -> int:
     """Closed-form number of ordered amicable pairs with this matrix."""
     _require_unimodular(matrix)
     m = min(matrix.p, matrix.q)
+    # even: with det = +-1 this is +-m*(m -+ 1), two consecutive integers
     correction = m * (matrix.det - m)
-    assert correction % 2 == 0
     return m * (matrix.norm - 1) + correction // 2
 
 

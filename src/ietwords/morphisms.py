@@ -217,9 +217,6 @@ class Morphism:
     def is_nonerasing(self) -> bool:
         return all(len(image) > 0 for image in self.images)
 
-    def image_of(self, letter: str) -> FiniteWord:
-        return self.images[self.alphabet.chars.index(letter)]
-
     def __call__(self, word: FiniteWord) -> FiniteWord:
         if word.alphabet is not self.alphabet:
             raise AlphabetError("word over the wrong alphabet for this morphism")

@@ -72,14 +72,6 @@ class QuadNumber:
 
     # -- construction ----------------------------------------------------
 
-    @classmethod
-    def from_int(cls, n: int) -> "QuadNumber":
-        return cls(n)
-
-    @classmethod
-    def from_fraction(cls, numerator: int, denominator: int) -> "QuadNumber":
-        return cls(numerator, 0, 0, denominator)
-
     _RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/([+-]?\d+))?$")
     _QUAD_RE = re.compile(
         r"^\(([+-]?\d+)([+-]\d+)\*sqrt\((\d+)\)\)(?:/([+-]?\d+))?$"
@@ -109,10 +101,6 @@ class QuadNumber:
     @property
     def is_rational(self) -> bool:
         return self.b == 0
-
-    @property
-    def is_integer(self) -> bool:
-        return self.b == 0 and self.c == 1
 
     def __bool__(self) -> bool:
         return not (self.a == 0 and self.b == 0)

@@ -101,9 +101,6 @@ class FiniteWord:
     def count(self, letter: int) -> int:
         return self.letters.count(letter)
 
-    def reversed(self) -> "FiniteWord":
-        return FiniteWord(self.alphabet, self.letters[::-1])
-
     def __str__(self) -> str:
         chars = self.alphabet.chars
         return "".join(chars[i] for i in self.letters)
@@ -197,33 +194,6 @@ def factor_complexity(word: FiniteWord, n: int) -> int:
         return 0
     letters = word.letters
     return len({letters[i : i + n] for i in range(length - n + 1)})
-
-
-def factor_complexities(word: FiniteWord, kmax: int) -> tuple[int, ...]:
-    """The complexity spectrum ``(p(0), ..., p(kmax))`` of ``word``, where
-    ``p(m) == factor_complexity(word, m)``.
-
-    One pass over the word collects the distinct factors of length
-    ``t = min(kmax, len(word))``.  Every factor of length ``m <= t`` is
-    then the ``m``-prefix of one of them or one of the ``t - m`` factors
-    starting after the last length-``t`` factor, so the rest costs
-    ``O(t * (D + t))`` for ``D`` distinct length-``t`` factors
-    (``D <= t + 1`` on a balanced word).
-    """
-    if kmax < 0:
-        raise DomainError("factor length must be non-negative")
-    letters = word.letters
-    length = len(letters)
-    t = min(kmax, length)
-    tail = length - t + 1  # first start with no length-t factor
-    longest = {letters[i : i + t] for i in range(tail)}
-    spectrum = [1]
-    for m in range(1, t + 1):
-        factors = {factor[:m] for factor in longest}
-        factors.update(letters[i : i + m] for i in range(tail, length - m + 1))
-        spectrum.append(len(factors))
-    spectrum.extend([0] * (kmax - t))
-    return tuple(spectrum)
 
 
 def is_conjugate_word(word: FiniteWord, other: FiniteWord) -> bool:

@@ -5,6 +5,7 @@ from ietwords import (
     Alphabet,
     AlphabetError,
     DegenerateParametersError,
+    DomainError,
     Morphism,
     NotAmicableError,
     PRESERVING_NONMEMBER,
@@ -245,6 +246,18 @@ class TestPreservation:
         assert result == PreservationResult(
             False, "sigma01: complexity 4 at factor length 4, expected 5"
         )
+
+    def test_prefix_too_short_for_kmax_rejected(self):
+        # a balanced word of length L has p(kmax) <= L - kmax + 1, so a
+        # prefix shorter than 2*kmax would fail even the identity
+        t = ThreeIET(ALPHA, QUARTER)
+        for n in (5, 39):
+            with pytest.raises(DomainError, match="2\\*kmax"):
+                check_3iet_preservation(TERNARY_IDENTITY, t, ZERO, n, 20)
+        # the bound is necessary, not sufficient: n = 2*kmax is checked,
+        # and this orbit shows every factor up to length 20 by n = 100
+        check_3iet_preservation(TERNARY_IDENTITY, t, ZERO, 40, 20)
+        assert check_3iet_preservation(TERNARY_IDENTITY, t, ZERO, 100, 20).ok
 
     def test_degenerate_parameters_rejected(self):
         trap = ThreeIET(ALPHA, QuadNumber(-2, 1, 5))

@@ -248,6 +248,13 @@ class TestInvalidInput:
             ["verify", "--suite", "matrices", "-n", "5"],
             ["verify", "--suite", "monoid", "--kmax", "3"],
             ["verify", "--suite", "preserve", "--samples", "4"],
+            # a prefix too short to show complexity kmax + 1
+            [
+                "preserve", "--eta", "A->A,B->B,C->C",
+                "--alpha", "(3-1*sqrt(5))/2", "--beta", "1/4",
+                "-n", "5", "--kmax", "20",
+            ],
+            ["verify", "--suite", "preserve", "--max-norm", "2", "-n", "1", "--kmax", "1"],
         ],
     )
     def test_exit_code_2_with_message(self, capsys, argv):

@@ -11,17 +11,16 @@ import ietwords
 from ietwords import (
     Alphabet,
     AlphabetError,
-    DomainError,
     FiniteWord,
     ParseError,
     binary_word,
-    factor_complexities,
     factor_complexity,
     is_balanced,
     is_conjugate_word,
     parikh,
     ternary_word,
 )
+from ietwords.amicability import _sturmian_prefix_violation
 from ietwords.iet import coding_word_k
 
 binary_texts = st.text(alphabet="01", max_size=48)
@@ -153,32 +152,46 @@ class TestFactorComplexity:
             assert factor_complexity(w, n) <= min(2**n, len(w) - n + 1)
 
 
-class TestComplexitySpectrum:
-    """``factor_complexities`` against ``factor_complexity`` as oracle."""
+def first_complexity_violation(w: FiniteWord, kmax: int) -> str | None:
+    """Oracle for the finite Sturmian test: balance, then ``p(m) == m + 1``
+    read for every ``1 <= m <= kmax`` in turn."""
+    if not is_balanced(w):
+        return "projection is not balanced"
+    for m in range(1, kmax + 1):
+        c = factor_complexity(w, m)
+        if c != m + 1:
+            return f"complexity {c} at factor length {m}, expected {m + 1}"
+    return None
 
-    KMAX = 14
 
-    def test_exhaustive_against_oracle(self):
-        words = [
-            FiniteWord(alphabet, bytes(letters))
-            for alphabet, max_length in ((Alphabet.BINARY, 12), (Alphabet.TERNARY, 7))
-            for n in range(max_length + 1)
-            for letters in itertools.product(range(alphabet.size), repeat=n)
-        ]
-        for w in words:
-            oracle = tuple(factor_complexity(w, m) for m in range(self.KMAX + 1))
-            for kmax in range(self.KMAX + 1):
-                assert factor_complexities(w, kmax) == oracle[: kmax + 1], (w, kmax)
+class TestOneComplexityValue:
+    """The finite Sturmian test reads ``p(kmax)`` alone on a balanced
+    word; a balanced word gains at most one factor per length."""
+
+    KMAX = 16
+
+    def test_balanced_words_gain_at_most_one_factor_per_length(self):
+        for n in range(15):
+            for letters in itertools.product(range(2), repeat=n):
+                w = FiniteWord(Alphabet.BINARY, bytes(letters))
+                if not is_balanced(w):
+                    continue
+                p = [factor_complexity(w, m) for m in range(n + 2)]
+                for m in range(n + 1):
+                    assert p[m + 1] <= p[m] + 1, (w, m)
+
+    def test_exhaustive_against_per_length_definition(self):
+        for n in range(15):
+            for letters in itertools.product(range(2), repeat=n):
+                w = FiniteWord(Alphabet.BINARY, bytes(letters))
+                for kmax in range(self.KMAX + 1):
+                    expected = first_complexity_violation(w, kmax)
+                    assert _sturmian_prefix_violation(w, kmax) == expected, (w, kmax)
 
     @given(rotation_factors(), st.integers(min_value=0, max_value=40))
-    def test_perturbed_rotation_factors_against_oracle(self, s, kmax):
+    def test_perturbed_rotation_factors_against_per_length_definition(self, s, kmax):
         w = binary_word(s)
-        oracle = tuple(factor_complexity(w, m) for m in range(kmax + 1))
-        assert factor_complexities(w, kmax) == oracle
-
-    def test_rejects_negative_kmax(self):
-        with pytest.raises(DomainError):
-            factor_complexities(binary_word("01"), -1)
+        assert _sturmian_prefix_violation(w, kmax) == first_complexity_violation(w, kmax)
 
 
 class TestConjugacy:
