@@ -62,20 +62,29 @@ def ternarize_words(word: FiniteWord, other: FiniteWord) -> AmicabilityWitness:
     or an unbalanced input, means the words are not amicable and raises
     :class:`NotAmicableError`.
     """
-    for w in (word, other):
-        if w.alphabet is not Alphabet.BINARY:
-            raise AlphabetError("amicability is defined for binary words")
+    if word.alphabet is not Alphabet.BINARY or other.alphabet is not Alphabet.BINARY:
+        raise AlphabetError("amicability is defined for binary words")
     left, right = word.letters, other.letters
+    # words of different lengths are _scan's to reject, ahead of balance
+    if len(left) == len(right):
+        if not is_balanced(word):
+            raise NotAmicableError(f"left word {word} is not balanced")
+        if not is_balanced(other):
+            raise NotAmicableError(f"right word {other} is not balanced")
+    v = _scan(left, right)
+    return AmicabilityWitness(FiniteWord(Alphabet.TERNARY, v), v.count(1))
+
+
+def _scan(left: bytes, right: bytes) -> bytes:
+    """The synchronous scan of two binary letter strings: A for 0/0, C
+    for 1/1 and B for a 01-against-10 block; any other mismatch raises
+    :class:`NotAmicableError`.  Balance is the caller's to check."""
     if len(left) != len(right):
         raise NotAmicableError(
             f"words of different lengths {len(left)} and {len(right)}"
         )
-    if not is_balanced(word):
-        raise NotAmicableError(f"left word {word} is not balanced")
-    if not is_balanced(other):
-        raise NotAmicableError(f"right word {other} is not balanced")
     out = bytearray()
-    i, n, b = 0, len(left), 0
+    i, n = 0, len(left)
     while i < n:
         x, y = left[i], right[i]
         if x == y:
@@ -89,9 +98,8 @@ def ternarize_words(word: FiniteWord, other: FiniteWord) -> AmicabilityWitness:
         if left[i + 1] != 1 or right[i + 1] != 0:
             raise NotAmicableError(f"broken 01/10 block at position {i}")
         out.append(1)
-        b += 1
         i += 2
-    return AmicabilityWitness(FiniteWord(Alphabet.TERNARY, bytes(out)), b)
+    return bytes(out)
 
 
 def amicable_words_b(word: FiniteWord, other: FiniteWord) -> int | None:
@@ -100,10 +108,6 @@ def amicable_words_b(word: FiniteWord, other: FiniteWord) -> int | None:
         return ternarize_words(word, other).b
     except NotAmicableError:
         return None
-
-
-_W01 = FiniteWord(Alphabet.BINARY, b"\x00\x01")
-_W10 = FiniteWord(Alphabet.BINARY, b"\x01\x00")
 
 
 def amicable_morphisms(
@@ -125,14 +129,23 @@ def ternarize_morphisms(phi: Morphism, psi: Morphism) -> Morphism:
     """The ternary morphism with images ``ter(phi(0), psi(0))``,
     ``ter(phi(01), psi(10))`` and ``ter(phi(1), psi(1))``.
 
-    Raises :class:`NotAmicableError` when any of the three scans fails.
-    The image of B is scanned last, so a pair rejected on A or C never
-    builds ``phi(01)`` and ``psi(10)``.
+    Both arguments must be Sturmian.  A Sturmian morphism maps ``0``,
+    ``1`` and ``01`` to balanced words (Lothaire, *Algebraic
+    Combinatorics on Words*, ch. 2), so balance is not tested again
+    here: only the three scans run.  Raises :class:`NotAmicableError`
+    when any of them fails.  The image of B is scanned last, so a pair
+    rejected on A or C never builds ``phi(01)`` and ``psi(10)``.
     """
-    image_a = ternarize_words(phi.images[0], psi.images[0]).v
-    image_c = ternarize_words(phi.images[1], psi.images[1]).v
-    image_b = ternarize_words(phi(_W01), psi(_W10)).v
-    return Morphism(Alphabet.TERNARY, (image_a, image_b, image_c))
+    if phi.alphabet is not Alphabet.BINARY or psi.alphabet is not Alphabet.BINARY:
+        raise AlphabetError("amicability is defined for binary morphisms")
+    (phi0, phi1), (psi0, psi1) = phi.images, psi.images
+    image_a = _scan(phi0.letters, psi0.letters)
+    image_c = _scan(phi1.letters, psi1.letters)
+    image_b = _scan(phi0.letters + phi1.letters, psi1.letters + psi0.letters)
+    return Morphism(
+        Alphabet.TERNARY,
+        tuple(FiniteWord(Alphabet.TERNARY, v) for v in (image_a, image_b, image_c)),
+    )
 
 
 def b_counts(eta: Morphism) -> tuple[int, int, int]:

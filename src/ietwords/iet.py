@@ -82,8 +82,6 @@ def two_iet_code(transform: TwoIET, x0: QuadNumber, n: int) -> FiniteWord:
     return FiniteWord(Alphabet.BINARY, bytes(out))
 
 
-# pays through k_index: 50 051 hits for 2 914 misses on `verify --suite counting`
-@lru_cache(maxsize=4096)
 def coding_word_k(p: int, n_total: int, k: int) -> FiniteWord:
     """Length-``n_total`` coding of the rational rotation by ``p/n_total``
     started at ``k/n_total``, computed with residues only.

@@ -368,15 +368,22 @@ _WORD_01 = FiniteWord(Alphabet.BINARY, b"\x00\x01")
 
 def k_index(morphism: Morphism) -> int:
     """The unique ``k`` with ``morphism(01) == coding_word_k(p, N, k)``,
-    where N is the matrix norm and p the count of zeros in the image."""
+    where N is the matrix norm and p the count of zeros in the image.
+
+    Position ``i`` of ``coding_word_k(p, N, k)`` depends on ``k - i*p``
+    only, so the word for ``k`` is the rotation of the word for 0 by the
+    ``j`` with ``k == -j*p (mod N)``.  One search in the doubled word for
+    0 finds ``j``.
+    """
     matrix = incidence_matrix(morphism)
     if not isinstance(matrix, IntMatrix2) or not matrix.is_unimodular:
         raise NotSturmianError(f"{morphism} has no unimodular incidence matrix")
     image = morphism(_WORD_01)
-    for k in range(matrix.norm):
-        if image == coding_word_k(matrix.p, matrix.norm, k):
-            return k
-    raise NotSturmianError(f"image {image} of 01 is not a rotation coding word")
+    c0 = coding_word_k(matrix.p, matrix.norm, 0).letters
+    j = (c0 + c0).find(image.letters)
+    if j < 0:
+        raise NotSturmianError(f"image {image} of 01 is not a rotation coding word")
+    return (-j * matrix.p) % matrix.norm
 
 
 def is_sturmian_morphism(morphism: Morphism) -> bool:

@@ -220,6 +220,9 @@ class QuadNumber:
         return (self - rhs)._sign() < 0
 
     def __hash__(self) -> int:
+        # an integer value equals the int ``a``, so it must hash as one
+        if self.b == 0 and self.c == 1:
+            return hash(self.a)
         return hash((self.a, self.b, self.c, self.d))
 
     # -- floor / fractional part -------------------------------------------

@@ -2,7 +2,9 @@
 brute-force oracles.
 
 Each suite returns a :class:`SuiteResult` with one record per checked
-object and an overall flag; the CLI streams the records as JSON lines.
+object and an overall flag.  The CLI prints the records, one JSON line
+each (or a table with ``--pretty``), followed by the summary, only
+after the whole suite has returned.
 The suites deliberately go through the public module functions (looked
 up at call time) so that fault injection in tests is visible here.
 """

@@ -126,7 +126,9 @@ def parikh(word: FiniteWord) -> ParikhVector:
     return tuple(word.letters.count(i) for i in range(word.alphabet.size))
 
 
-# pays on `verify --suite counting`: 316 904 hits for 2 916 misses
+# pays on `verify --suite lemma-w`, which tests each of the N coding words
+# of length N against all N: 103 374 hits for 2 914 misses; without it the
+# suite takes 0.85 s instead of 0.34 s (2-core host, Python 3.11)
 @lru_cache(maxsize=8192)
 def _is_balanced_letters(letters: bytes) -> bool:
     # Arithmetic DSS recognition over the prefix-sum path (i, ones in

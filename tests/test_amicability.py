@@ -20,6 +20,7 @@ from ietwords import (
     check_3iet_preservation,
     coding_word_k,
     compose,
+    enumerate_sturmian,
     incidence_matrix,
     is_ternarization,
     parikh,
@@ -87,6 +88,9 @@ class TestTernarizeWords:
     def test_length_mismatch(self):
         with pytest.raises(NotAmicableError, match="lengths"):
             ternarize_words(binary_word("0"), binary_word("01"))
+        # reported ahead of balance
+        with pytest.raises(NotAmicableError, match="lengths 4 and 2"):
+            ternarize_words(binary_word("0011"), binary_word("01"))
 
     def test_amicable_words_b_examples(self):
         assert amicable_words_b(binary_word("00100101"), binary_word("01001010")) == 3
@@ -153,6 +157,42 @@ class TestTernarizeMorphisms:
         psi = Morphism.parse("0->010,1->01001")
         with pytest.raises(NotAmicableError, match="mismatch 1 against 0 at position 0$"):
             ternarize_morphisms(phi, psi)
+
+    def test_agrees_with_the_three_word_scans(self):
+        # balance is not re-tested on this path; on Sturmian pairs that
+        # changes neither the ternarization nor the reason for a failure
+        w01, w10 = binary_word("01"), binary_word("10")
+
+        def by_word_scans(phi, psi):
+            # the word scans in the order A, C, B
+            image_a, image_c, image_b = (
+                ternarize_words(left, right).v
+                for left, right in (
+                    (phi.images[0], psi.images[0]),
+                    (phi.images[1], psi.images[1]),
+                    (phi(w01), psi(w10)),
+                )
+            )
+            return Morphism(Alphabet.TERNARY, (image_a, image_b, image_c))
+
+        def outcome(ternarize, phi, psi):
+            try:
+                return ternarize(phi, psi)
+            except NotAmicableError as exc:
+                return str(exc)
+
+        for matrix in unimodular_matrices(10):
+            chain = enumerate_sturmian(matrix)
+            for phi in chain:
+                for psi in chain:
+                    assert outcome(ternarize_morphisms, phi, psi) == outcome(
+                        by_word_scans, phi, psi
+                    ), (phi, psi)
+
+    def test_ternary_argument_rejected(self):
+        for phi, psi in ((ETA, PSI), (PHI, ETA), (ETA, ETA)):
+            with pytest.raises(AlphabetError):
+                ternarize_morphisms(phi, psi)
 
     def test_intertwining_on_generators(self):
         letters = [ternary_word(ch) for ch in "ABC"]

@@ -25,10 +25,9 @@ def test_every_cache_is_bounded():
         name for name, fn in cached.items() if fn.cache_parameters()["maxsize"] is None
     )
     assert unbounded == []
-    # the walk must see the caches it checks; each of these three carries
+    # the walk must see the caches it checks; each of these two carries
     # the measurement that justifies it next to its decorator
     assert sorted(cached) == [
-        "ietwords.iet.coding_word_k",
         "ietwords.iet.three_iet_code",
         "ietwords.words._is_balanced_letters",
     ]

@@ -11,9 +11,11 @@ from ietwords import (
     NotUnimodularError,
     ParseError,
     binary_word,
+    coding_word_k,
     compose,
     enumerate_sturmian,
     incidence_matrix,
+    is_balanced,
     is_standard_morphism,
     is_sturmian_morphism,
     k_index,
@@ -177,6 +179,24 @@ class TestEnumeration:
             assert sum(is_standard_morphism(m) for m in chain) == 1
             assert chain[0] == standard_morphism(matrix)
 
+    def test_images_of_0_1_01_are_balanced(self):
+        # the precondition that lets ternarize_morphisms skip balance
+        word01 = binary_word("01")
+        for matrix in unimodular_matrices(16):
+            for m in enumerate_sturmian(matrix):
+                for image in (*m.images, m(word01)):
+                    assert is_balanced(image), (m, image)
+
+
+def _k_index_by_search(morphism):
+    """k_index by trying every rotation index in turn: the oracle."""
+    matrix = incidence_matrix(morphism)
+    image = morphism(binary_word("01"))
+    for k in range(matrix.norm):
+        if image == coding_word_k(matrix.p, matrix.norm, k):
+            return k
+    return None
+
 
 class TestKIndex:
     def test_examples(self):
@@ -195,6 +215,19 @@ class TestKIndex:
     def test_non_sturmian_rejected(self):
         with pytest.raises(NotSturmianError):
             k_index(Morphism.parse("0->01,1->10"))
+        # determinant 1, but 10011 is no rotation of the coding word 01011
+        m = Morphism.parse("0->10,1->011")
+        assert _k_index_by_search(m) is None
+        with pytest.raises(NotSturmianError, match="not a rotation coding word"):
+            k_index(m)
+
+    def test_agrees_with_rotation_search(self):
+        checked = 0
+        for matrix in unimodular_matrices(30):
+            for m in enumerate_sturmian(matrix):
+                assert k_index(m) == _k_index_by_search(m), m
+                checked += 1
+        assert checked == 10_646
 
 
 class TestSturmianMembership:

@@ -184,3 +184,12 @@ class TestParsing:
 
     def test_hash_consistent_with_eq(self):
         assert hash(QuadNumber(2, 4, 5, 6)) == hash(QuadNumber(1, 2, 5, 3))
+
+    def test_integer_values_hash_as_ints(self):
+        # an integer value compares equal to its int, so a set or dict
+        # must treat the two as one key
+        for n in (-7, -1, 0, 1, 3, 10**20):
+            assert QuadNumber(n) == n
+            assert hash(QuadNumber(n)) == hash(n)
+            assert len({QuadNumber(n), n}) == 1
+        assert {QuadNumber(6, 0, 0, 2): "x"}[3] == "x"
