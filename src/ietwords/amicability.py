@@ -59,19 +59,16 @@ def ternarize_words(word: FiniteWord, other: FiniteWord) -> AmicabilityWitness:
 
     The scan emits A where both words carry 0, C where both carry 1, and
     consumes a 01-against-10 block as a single B.  Any other mismatch,
-    or an unbalanced input, means the words are not amicable and raises
-    :class:`NotAmicableError`.
+    or else an unbalanced input, means the words are not amicable and
+    raises :class:`NotAmicableError`; the scan's reason comes first.
     """
     if word.alphabet is not Alphabet.BINARY or other.alphabet is not Alphabet.BINARY:
         raise AlphabetError("amicability is defined for binary words")
-    left, right = word.letters, other.letters
-    # words of different lengths are _scan's to reject, ahead of balance
-    if len(left) == len(right):
-        if not is_balanced(word):
-            raise NotAmicableError(f"left word {word} is not balanced")
-        if not is_balanced(other):
-            raise NotAmicableError(f"right word {other} is not balanced")
-    v = _scan(left, right)
+    v = _scan(word.letters, other.letters)
+    if not is_balanced(word):
+        raise NotAmicableError(f"left word {word} is not balanced")
+    if not is_balanced(other):
+        raise NotAmicableError(f"right word {other} is not balanced")
     return AmicabilityWitness(FiniteWord(Alphabet.TERNARY, v), v.count(1))
 
 

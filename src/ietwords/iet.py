@@ -6,9 +6,9 @@ exchange with parameters ``(alpha, beta)`` codes A/B/C on
 ``[0, alpha)``, ``[alpha, alpha+beta)``, ``[alpha+beta, 1)``.  The
 right-closed variants are not implemented.
 
-All orbit arithmetic is exact (see :mod:`ietwords.quadratic`); rational
-coding words over residues are provided separately for fast exhaustive
-sweeps.
+Both maps, and the rational rotation by ``p/N`` on the residues mod
+``N``, cut their domain into intervals and translate each interval by a
+constant: one exact loop over cuts and translations codes all three.
 """
 
 from __future__ import annotations
@@ -63,6 +63,25 @@ def _check_length(n: int) -> None:
         raise DomainError("coding length must be a positive integer")
 
 
+def _exchange_code(
+    alphabet: Alphabet, x, cuts: tuple, shifts: tuple, n: int
+) -> FiniteWord:
+    """Code ``n`` steps of the orbit of ``x``: each step emits the index
+    ``j`` of the first cut with ``x < cuts[j]`` (``len(cuts)`` if none),
+    then translates ``x`` by ``shifts[j]``.  It needs only ``<`` and ``+``,
+    so ``int`` residues and :class:`QuadNumber` points both run on it."""
+    out = bytearray()
+    for _ in range(n):
+        j = 0
+        for cut in cuts:
+            if x < cut:
+                break
+            j += 1
+        out.append(j)
+        x = x + shifts[j]
+    return FiniteWord(alphabet, bytes(out))
+
+
 def two_iet_code(transform: TwoIET, x0: QuadNumber, n: int) -> FiniteWord:
     """Code the first ``n`` steps of the orbit of ``x0``.
 
@@ -72,14 +91,7 @@ def two_iet_code(transform: TwoIET, x0: QuadNumber, n: int) -> FiniteWord:
     _check_start(x0)
     _check_length(n)
     eps = transform.slope
-    out = bytearray()
-    x = x0
-    for _ in range(n):
-        out.append(0 if x < eps else 1)
-        x = x - eps
-        if x < ZERO:
-            x = x + ONE
-    return FiniteWord(Alphabet.BINARY, bytes(out))
+    return _exchange_code(Alphabet.BINARY, x0, (eps,), (ONE - eps, ZERO - eps), n)
 
 
 def coding_word_k(p: int, n_total: int, k: int) -> FiniteWord:
@@ -93,9 +105,8 @@ def coding_word_k(p: int, n_total: int, k: int) -> FiniteWord:
         raise DomainError(f"need 0 < p < N, got p={p}, N={n_total}")
     if math.gcd(p, n_total) != 1:
         raise DomainError(f"p={p} and N={n_total} must be co-prime")
-    return FiniteWord(
-        Alphabet.BINARY,
-        bytes(0 if (k - i * p) % n_total < p else 1 for i in range(n_total)),
+    return _exchange_code(
+        Alphabet.BINARY, k % n_total, (p,), (n_total - p, -p), n_total
     )
 
 
@@ -110,22 +121,8 @@ def three_iet_code(transform: ThreeIET, x0: QuadNumber, n: int) -> FiniteWord:
     cut1 = transform.alpha
     cut2 = transform.alpha + transform.beta
     # translations per interval; each image stays inside [0, 1)
-    shift_a = ONE - cut1
-    shift_b = ONE - cut1 - cut2
-    shift_c = ZERO - cut2
-    out = bytearray()
-    x = x0
-    for _ in range(n):
-        if x < cut1:
-            out.append(0)
-            x = x + shift_a
-        elif x < cut2:
-            out.append(1)
-            x = x + shift_b
-        else:
-            out.append(2)
-            x = x + shift_c
-    return FiniteWord(Alphabet.TERNARY, bytes(out))
+    shifts = (ONE - cut1, ONE - cut1 - cut2, ZERO - cut2)
+    return _exchange_code(Alphabet.TERNARY, x0, (cut1, cut2), shifts, n)
 
 
 def is_nondegenerate_params(transform: ThreeIET) -> bool:

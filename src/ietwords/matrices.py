@@ -128,11 +128,12 @@ def brute_force_pairs(matrix: IntMatrix2) -> tuple[AmicablePair, ...]:
     decided by the ternarization scan alone.
     """
     _require_unimodular(matrix)
-    morphisms = enumerate_sturmian(matrix)
-    indices = {m: k_index(m) for m in morphisms}
+    # k_index is one-to-one on the morphisms of one matrix, so this sort
+    # never compares two Morphisms and the pairs come out in order
+    indexed = sorted((k_index(m), m) for m in enumerate_sturmian(matrix))
     pairs = []
-    for phi in morphisms:
-        for psi in morphisms:
+    for k, phi in indexed:
+        for kbar, psi in indexed:
             try:
                 eta = ternarize_morphisms(phi, psi)
             except NotAmicableError:
@@ -140,17 +141,10 @@ def brute_force_pairs(matrix: IntMatrix2) -> tuple[AmicablePair, ...]:
             b0, b1, b = b_counts(eta)
             pairs.append(
                 AmicablePair(
-                    phi=phi,
-                    psi=psi,
-                    eta=eta,
-                    b0=b0,
-                    b1=b1,
-                    b=b,
-                    k=indices[phi],
-                    kbar=indices[psi],
+                    phi=phi, psi=psi, eta=eta, b0=b0, b1=b1, b=b, k=k, kbar=kbar
                 )
             )
-    return tuple(sorted(pairs, key=lambda pair: (pair.k, pair.kbar)))
+    return tuple(pairs)
 
 
 def ternarization_matrix(matrix: IntMatrix2, b0: int, b1: int) -> IntMatrix3:

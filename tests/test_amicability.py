@@ -31,6 +31,7 @@ from ietwords import (
     ternary_word,
     unimodular_matrices,
 )
+from ietwords.verification import PRESERVE_ALPHA, PRESERVE_BETA
 
 PHI = Morphism.parse("0->001,1->00101")
 PSI = Morphism.parse("0->010,1->01001")
@@ -84,6 +85,12 @@ class TestTernarizeWords:
     def test_unbalanced_inputs_rejected(self):
         with pytest.raises(NotAmicableError, match="balanced"):
             ternarize_words(binary_word("0011"), binary_word("0011"))
+
+    def test_scan_reported_ahead_of_balance(self):
+        with pytest.raises(
+            NotAmicableError, match="^broken 01/10 block at position 0$"
+        ):
+            ternarize_words(binary_word("0011"), binary_word("1100"))
 
     def test_length_mismatch(self):
         with pytest.raises(NotAmicableError, match="lengths"):
@@ -298,6 +305,18 @@ class TestPreservation:
         # and this orbit shows every factor up to length 20 by n = 100
         check_3iet_preservation(TERNARY_IDENTITY, t, ZERO, 40, 20)
         assert check_3iet_preservation(TERNARY_IDENTITY, t, ZERO, 100, 20).ok
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="a short prefix of a Sturmian word need not show all m + 1 "
+        "factors of length m, so the finite complexity check rejects the "
+        "identity (n = 80: sigma01: complexity 17 at factor length 17)",
+    )
+    @pytest.mark.parametrize("n", [40, 60, 80])
+    def test_identity_passes_on_prefixes_above_2_kmax(self, n):
+        t = ThreeIET(PRESERVE_ALPHA, PRESERVE_BETA)
+        assert check_3iet_preservation(TERNARY_IDENTITY, t, ZERO, n, 20).ok
 
     def test_degenerate_parameters_rejected(self):
         trap = ThreeIET(ALPHA, QuadNumber(-2, 1, 5))

@@ -1,9 +1,13 @@
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from ietwords import (
     DomainError,
+    FieldMismatchError,
+    ONE,
     QuadNumber,
     ThreeIET,
     TwoIET,
@@ -13,6 +17,7 @@ from ietwords import (
     factor_complexity,
     is_balanced,
     is_nondegenerate_params,
+    sigma,
     ternary_word,
     three_iet_code,
     two_iet_code,
@@ -27,6 +32,92 @@ def coprime_cases(max_n):
         for p in range(1, n):
             if math.gcd(p, n) == 1:
                 yield p, n
+
+
+def rational(fraction):
+    return QuadNumber(fraction.numerator, 0, 0, fraction.denominator)
+
+
+# every fraction in [0, 1] with denominator <= 12
+FRACTIONS_12 = sorted({Fraction(a, d) for d in range(1, 13) for a in range(d + 1)})
+
+
+def rational_3iet_cases(max_den):
+    """Every ``(alpha, beta, x0)`` of fractions over one denominator
+    ``d <= max_den`` with ``alpha, beta > 0``, ``alpha + beta < 1`` and
+    ``x0`` in ``[0, 1)``."""
+    for d in range(3, max_den + 1):
+        for i in range(1, d - 1):
+            for j in range(1, d - i):
+                for start in range(d):
+                    yield tuple(rational(Fraction(v, d)) for v in (i, j, start))
+
+
+@st.composite
+def sqrt5_points(draw):
+    """A point of Q(sqrt 5) in [0, 1)."""
+    a = draw(st.integers(-40, 40))
+    b = draw(st.integers(-12, 12))
+    c = draw(st.integers(1, 40))
+    return QuadNumber(a, b, 5, c).frac()
+
+
+@st.composite
+def sqrt5_3iet_params(draw):
+    """``(alpha, beta)`` in Q(sqrt 5) with ``alpha, beta > 0`` and
+    ``alpha + beta < 1``."""
+    alpha = draw(sqrt5_points())
+    share = draw(sqrt5_points())
+    assume(ZERO < alpha and ZERO < share)
+    return alpha, share * (ONE - alpha)
+
+
+def two_iet_by_wrapping(eps, x0, n):
+    """Reference 2iet coder: emit 0 on ``[0, eps)``, subtract ``eps``
+    and add 1 back when the point falls below 0."""
+    out = bytearray()
+    x = x0
+    for _ in range(n):
+        out.append(0 if x < eps else 1)
+        x = x - eps
+        if x < ZERO:
+            x = x + ONE
+    return bytes(out)
+
+
+def three_iet_by_two_cuts(alpha, beta, x0, n):
+    """Reference 3iet coder: one comparison per cut, one translation per
+    interval, written out letter by letter."""
+    cut1 = alpha
+    cut2 = alpha + beta
+    shift_a = ONE - cut1
+    shift_b = ONE - cut1 - cut2
+    shift_c = ZERO - cut2
+    out = bytearray()
+    x = x0
+    for _ in range(n):
+        if x < cut1:
+            out.append(0)
+            x = x + shift_a
+        elif x < cut2:
+            out.append(1)
+            x = x + shift_b
+        else:
+            out.append(2)
+            x = x + shift_c
+    return bytes(out)
+
+
+def assert_projections_are_rotation_codings(alpha, beta, x0, n):
+    """sigma01 and sigma10 of a 3iet coding are codings of one 2iet with
+    slope (alpha+beta)/(1+beta), from x0/(1+beta) and (x0+beta)/(1+beta)."""
+    word = three_iet_code(ThreeIET(alpha, beta), x0, n)
+    length = n + word.count(1)
+    rotation = TwoIET((alpha + beta) / (ONE + beta))
+    assert sigma(word, "01") == two_iet_code(rotation, x0 / (ONE + beta), length)
+    assert sigma(word, "10") == two_iet_code(
+        rotation, (x0 + beta) / (ONE + beta), length
+    )
 
 
 class TestTwoIETCode:
@@ -52,6 +143,19 @@ class TestTwoIETCode:
             iterate = (x0 - QuadNumber(i) * eps).frac()
             assert letter == (0 if iterate < eps else 1)
 
+    def test_against_wrapping_loop_on_rationals(self):
+        for slope in FRACTIONS_12:
+            t = TwoIET(rational(slope))
+            for start in FRACTIONS_12[:-1]:
+                x0 = rational(start)
+                expected = two_iet_by_wrapping(t.slope, x0, 24)
+                assert two_iet_code(t, x0, 24).letters == expected
+
+    @given(sqrt5_points(), sqrt5_points(), st.integers(1, 300))
+    def test_against_wrapping_loop_in_sqrt5(self, slope, x0, n):
+        expected = two_iet_by_wrapping(slope, x0, n)
+        assert two_iet_code(TwoIET(slope), x0, n).letters == expected
+
     def test_domain_errors(self):
         t = TwoIET(GOLDEN_SLOPE)
         with pytest.raises(DomainError):
@@ -75,6 +179,12 @@ class TestCodingWordK:
             coding_word_k(2, 4, 0)
         with pytest.raises(DomainError):
             coding_word_k(3, 3, 0)
+
+    def test_against_closed_form(self):
+        for p, n in coprime_cases(30):
+            for k in range(-n, 2 * n):
+                expected = bytes(0 if (k - i * p) % n < p else 1 for i in range(n))
+                assert coding_word_k(p, n, k).letters == expected
 
     def test_agrees_with_exact_orbit_engine(self):
         for p, n in coprime_cases(30):
@@ -109,6 +219,28 @@ class TestThreeIETCode:
         assert len(word) == 200
         assert set(word.letters) == {0, 1, 2}
 
+    def test_against_two_cut_loop_on_rationals(self):
+        for alpha, beta, x0 in rational_3iet_cases(12):
+            expected = three_iet_by_two_cuts(alpha, beta, x0, 24)
+            coded = three_iet_code.__wrapped__(ThreeIET(alpha, beta), x0, 24)
+            assert coded.letters == expected
+
+    @given(sqrt5_3iet_params(), sqrt5_points(), st.integers(1, 300))
+    def test_against_two_cut_loop_in_sqrt5(self, params, x0, n):
+        alpha, beta = params
+        expected = three_iet_by_two_cuts(alpha, beta, x0, n)
+        coded = three_iet_code.__wrapped__(ThreeIET(alpha, beta), x0, n)
+        assert coded.letters == expected
+
+    def test_mixed_fields_rejected(self):
+        # the first cut test meets the two fields, in either coder
+        sqrt7_point = QuadNumber(-1, 1, 7, 3)
+        t = ThreeIET(ALPHA, QuadNumber(1, 0, 0, 4))
+        with pytest.raises(FieldMismatchError, match=r"sqrt\(7\) with sqrt\(5\)"):
+            three_iet_code.__wrapped__(t, sqrt7_point, 1)
+        with pytest.raises(FieldMismatchError, match=r"sqrt\(7\) with sqrt\(5\)"):
+            two_iet_code(TwoIET(GOLDEN_SLOPE), sqrt7_point, 1)
+
     def test_parameter_validation(self):
         half = QuadNumber(1, 0, 0, 2)
         with pytest.raises(DomainError):
@@ -117,6 +249,16 @@ class TestThreeIETCode:
             ThreeIET(half, half)
         with pytest.raises(DomainError):
             three_iet_code(ThreeIET(ALPHA, half), QuadNumber(2), 1)
+
+
+class TestProjectionsOfThreeIETCodings:
+    def test_rational_parameters(self):
+        for alpha, beta, x0 in rational_3iet_cases(12):
+            assert_projections_are_rotation_codings(alpha, beta, x0, 24)
+
+    @given(sqrt5_3iet_params(), sqrt5_points(), st.integers(1, 300))
+    def test_sqrt5_parameters(self, params, x0, n):
+        assert_projections_are_rotation_codings(*params, x0, n)
 
 
 class TestNondegeneracy:
