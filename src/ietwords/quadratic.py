@@ -9,6 +9,11 @@ with integer arithmetic only -- no floating point is involved anywhere.
 Two irrational values can be combined only when they live in the same
 quadratic field (equal radicand); a rational operand is compatible with
 everything.
+
+Only input values are factored: a radicand above :data:`MAX_RADICAND` is
+rejected, since splitting off its square part is trial division.  The
+results of ``+ - * /`` take the square-free radicand of their operands
+and skip the factorisation.
 """
 
 from __future__ import annotations
@@ -18,6 +23,10 @@ import re
 from functools import total_ordering
 
 from .errors import DomainError, FieldMismatchError, ParseError
+
+# largest radicand accepted on input: one trial-division split of a prime
+# near it takes about 0.1 s
+MAX_RADICAND = 10**12
 
 
 def _squarefree_split(n: int) -> tuple[int, int]:
@@ -37,31 +46,62 @@ def _squarefree_split(n: int) -> tuple[int, int]:
     return s, f * n
 
 
+def _common_radicand(d: int, e: int) -> int:
+    """The radicand of a value combining radicands ``d`` and ``e``, where
+    0 stands for a rational value."""
+    if d == e or e == 0:
+        return d
+    if d == 0:
+        return e
+    raise FieldMismatchError(f"cannot combine sqrt({d}) with sqrt({e})")
+
+
+def _surd_negative(p: int, q: int, d: int) -> bool:
+    """Whether ``p + q*sqrt(d) < 0``, for integers ``p``, ``q`` and
+    ``d >= 0``: the one sign rule, behind ``QuadNumber.__lt__`` and the
+    orbit loop of :mod:`ietwords.iet`.  Integer comparisons decide it:
+    with ``p`` and ``q`` of opposite signs, the larger of ``p*p`` and
+    ``q*q*d`` wins."""
+    if p < 0:
+        return q <= 0 or p * p > q * q * d
+    return q < 0 and q * q * d > p * p
+
+
 @total_ordering
 class QuadNumber:
     """An exact real (a + b*sqrt(d)) / c with integer coefficients."""
 
     __slots__ = ("a", "b", "c", "d")
 
-    def __init__(self, a: int, b: int = 0, d: int = 0, c: int = 1) -> None:
-        for name, value in (("a", a), ("b", b), ("d", d), ("c", c)):
-            if type(value) is not int:
-                raise TypeError(f"coefficient {name} must be an int, got {value!r}")
-        if c == 0:
-            raise DomainError("denominator of a quadratic number cannot be zero")
-        if d < 0:
-            raise DomainError("radicand of a quadratic number cannot be negative")
+    def __init__(
+        self, a: int, b: int = 0, d: int = 0, c: int = 1, *, _squarefree: bool = False
+    ) -> None:
+        # ``_squarefree=True`` is for arithmetic results only, whose
+        # coefficients are ints, ``c`` is non-zero and ``d`` is an
+        # operand's square-free radicand: they skip checks and factoring
+        if not _squarefree:
+            for name, value in (("a", a), ("b", b), ("d", d), ("c", c)):
+                if type(value) is not int:
+                    raise TypeError(f"coefficient {name} must be an int, got {value!r}")
+            if c == 0:
+                raise DomainError("denominator of a quadratic number cannot be zero")
+            if d < 0:
+                raise DomainError("radicand of a quadratic number cannot be negative")
+            if d > MAX_RADICAND:
+                raise DomainError(
+                    f"radicand of a quadratic number must be at most {MAX_RADICAND}, got {d}"
+                )
+            if b != 0 and d != 0:
+                s, d = _squarefree_split(d)
+                b *= s
+                if d == 1:
+                    a, b, d = a + b, 0, 0
         if c < 0:
             a, b, c = -a, -b, -c
         if b == 0:
             d = 0
         elif d == 0:
             b = 0
-        else:
-            s, d = _squarefree_split(d)
-            b *= s
-            if d == 1:
-                a, b, d = a + b, 0, 0
         g = math.gcd(math.gcd(abs(a), abs(b)), c)
         if g > 1:
             a, b, c = a // g, b // g, c // g
@@ -107,17 +147,6 @@ class QuadNumber:
 
     # -- field compatibility ---------------------------------------------
 
-    def _common_d(self, other: "QuadNumber") -> int:
-        if self.d == other.d:
-            return self.d
-        if self.d == 0:
-            return other.d
-        if other.d == 0:
-            return self.d
-        raise FieldMismatchError(
-            f"cannot combine sqrt({self.d}) with sqrt({other.d})"
-        )
-
     @staticmethod
     def _coerce(value: "QuadNumber | int") -> "QuadNumber | None":
         if isinstance(value, QuadNumber):
@@ -132,18 +161,18 @@ class QuadNumber:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        d = self._common_d(rhs)
         return QuadNumber(
             self.a * rhs.c + rhs.a * self.c,
             self.b * rhs.c + rhs.b * self.c,
-            d,
+            _common_radicand(self.d, rhs.d),
             self.c * rhs.c,
+            _squarefree=True,
         )
 
     __radd__ = __add__
 
     def __neg__(self) -> "QuadNumber":
-        return QuadNumber(-self.a, -self.b, self.d, self.c)
+        return QuadNumber(-self.a, -self.b, self.d, self.c, _squarefree=True)
 
     def __sub__(self, other: "QuadNumber | int") -> "QuadNumber":
         rhs = self._coerce(other)
@@ -161,12 +190,13 @@ class QuadNumber:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        d = self._common_d(rhs)
+        d = _common_radicand(self.d, rhs.d)
         return QuadNumber(
             self.a * rhs.a + self.b * rhs.b * d,
             self.a * rhs.b + self.b * rhs.a,
             d,
             self.c * rhs.c,
+            _squarefree=True,
         )
 
     __rmul__ = __mul__
@@ -175,13 +205,13 @@ class QuadNumber:
         if not self:
             raise ZeroDivisionError("division by zero quadratic number")
         norm = self.a * self.a - self.b * self.b * self.d
-        return QuadNumber(self.a * self.c, -self.b * self.c, self.d, norm)
+        return QuadNumber(self.a * self.c, -self.b * self.c, self.d, norm, _squarefree=True)
 
     def __truediv__(self, other: "QuadNumber | int") -> "QuadNumber":
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        self._common_d(rhs)
+        _common_radicand(self.d, rhs.d)
         return self * rhs._inverse()
 
     def __rtruediv__(self, other: "QuadNumber | int") -> "QuadNumber":
@@ -191,21 +221,6 @@ class QuadNumber:
         return lhs / self
 
     # -- order -------------------------------------------------------------
-
-    def _sign(self) -> int:
-        a, b, d = self.a, self.b, self.d
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return (b > 0) - (b < 0)
-        if (a > 0) == (b > 0):
-            return 1 if a > 0 else -1
-        # opposite signs: decided by a*a versus b*b*d (never equal for
-        # square-free d >= 2 with b != 0)
-        lhs, rhs = a * a, b * b * d
-        if a > 0:
-            return 1 if lhs > rhs else -1
-        return 1 if rhs > lhs else -1
 
     def __eq__(self, other: object) -> bool:
         rhs = self._coerce(other) if isinstance(other, (QuadNumber, int)) else None
@@ -217,7 +232,12 @@ class QuadNumber:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return (self - rhs)._sign() < 0
+        # self - rhs, scaled by the positive c's of both
+        return _surd_negative(
+            self.a * rhs.c - rhs.a * self.c,
+            self.b * rhs.c - rhs.b * self.c,
+            _common_radicand(self.d, rhs.d),
+        )
 
     def __hash__(self) -> int:
         # an integer value equals the int ``a``, so it must hash as one
@@ -239,7 +259,9 @@ class QuadNumber:
 
     def frac(self) -> "QuadNumber":
         """Fractional part ``self - floor(self)``, always in [0, 1)."""
-        return QuadNumber(self.a - self.floor() * self.c, self.b, self.d, self.c)
+        return QuadNumber(
+            self.a - self.floor() * self.c, self.b, self.d, self.c, _squarefree=True
+        )
 
     # -- conversions ---------------------------------------------------------
 

@@ -255,6 +255,11 @@ class TestInvalidInput:
                 "-n", "5", "--kmax", "20",
             ],
             ["verify", "--suite", "preserve", "--max-norm", "2", "-n", "1", "--kmax", "1"],
+            # a coding longer than iet.MAX_CODING_LENGTH
+            ["word2", "--slope", "(-1+1*sqrt(5))/2", "-n", "1000001"],
+            ["word3", "--alpha", "(3-1*sqrt(5))/2", "--beta", "1/4", "-n", "1000001"],
+            # a radicand above quadratic.MAX_RADICAND
+            ["word2", "--slope", "(1+1*sqrt(10000000000000061))/8", "-n", "4"],
         ],
     )
     def test_exit_code_2_with_message(self, capsys, argv):

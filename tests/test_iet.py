@@ -22,6 +22,7 @@ from ietwords import (
     three_iet_code,
     two_iet_code,
 )
+from ietwords.iet import MAX_CODING_LENGTH
 
 GOLDEN_SLOPE = QuadNumber(-1, 1, 5, 2)  # (sqrt(5)-1)/2
 ALPHA = QuadNumber(3, -1, 5, 2)  # (3-sqrt(5))/2
@@ -54,22 +55,34 @@ def rational_3iet_cases(max_den):
 
 
 @st.composite
-def sqrt5_points(draw):
-    """A point of Q(sqrt 5) in [0, 1)."""
+def quad_points(draw, d=5):
+    """A point of Q(sqrt d) in [0, 1), Q(sqrt 5) by default."""
     a = draw(st.integers(-40, 40))
     b = draw(st.integers(-12, 12))
     c = draw(st.integers(1, 40))
-    return QuadNumber(a, b, 5, c).frac()
+    return QuadNumber(a, b, d, c).frac()
 
 
 @st.composite
-def sqrt5_3iet_params(draw):
-    """``(alpha, beta)`` in Q(sqrt 5) with ``alpha, beta > 0`` and
-    ``alpha + beta < 1``."""
-    alpha = draw(sqrt5_points())
-    share = draw(sqrt5_points())
+def quad_3iet_params(draw, d=5):
+    """``(alpha, beta)`` in Q(sqrt d) with ``alpha, beta > 0`` and
+    ``alpha + beta < 1``, Q(sqrt 5) by default."""
+    alpha = draw(quad_points(d))
+    share = draw(quad_points(d))
     assume(ZERO < alpha and ZERO < share)
     return alpha, share * (ONE - alpha)
+
+
+@st.composite
+def sqrt5_or_sqrt7_cases(draw):
+    """``(slope, alpha, beta, x0)`` in one of Q(sqrt 5) and Q(sqrt 7), with
+    a start point whose radical part is negative."""
+    d = draw(st.sampled_from((5, 7)))
+    slope = draw(quad_points(d))
+    alpha, beta = draw(quad_3iet_params(d))
+    b = draw(st.integers(-12, -1))
+    x0 = QuadNumber(draw(st.integers(-40, 40)), b, d, draw(st.integers(1, 40))).frac()
+    return slope, alpha, beta, x0
 
 
 def two_iet_by_wrapping(eps, x0, n):
@@ -106,6 +119,32 @@ def three_iet_by_two_cuts(alpha, beta, x0, n):
             out.append(2)
             x = x + shift_c
     return bytes(out)
+
+
+def exchange_code_on_quad_numbers(x, cuts, shifts, n):
+    """Reference coder: the one coding loop as it ran on QuadNumber points,
+    with a QuadNumber comparison per cut test and a QuadNumber addition
+    per letter."""
+    out = bytearray()
+    for _ in range(n):
+        j = 0
+        for cut in cuts:
+            if x < cut:
+                break
+            j += 1
+        out.append(j)
+        x = x + shifts[j]
+    return bytes(out)
+
+
+def two_iet_on_quad_numbers(eps, x0, n):
+    return exchange_code_on_quad_numbers(x0, (eps,), (ONE - eps, ZERO - eps), n)
+
+
+def three_iet_on_quad_numbers(alpha, beta, x0, n):
+    cut2 = alpha + beta
+    shifts = (ONE - alpha, ONE - alpha - cut2, ZERO - cut2)
+    return exchange_code_on_quad_numbers(x0, (alpha, cut2), shifts, n)
 
 
 def assert_projections_are_rotation_codings(alpha, beta, x0, n):
@@ -151,7 +190,7 @@ class TestTwoIETCode:
                 expected = two_iet_by_wrapping(t.slope, x0, 24)
                 assert two_iet_code(t, x0, 24).letters == expected
 
-    @given(sqrt5_points(), sqrt5_points(), st.integers(1, 300))
+    @given(quad_points(), quad_points(), st.integers(1, 300))
     def test_against_wrapping_loop_in_sqrt5(self, slope, x0, n):
         expected = two_iet_by_wrapping(slope, x0, n)
         assert two_iet_code(TwoIET(slope), x0, n).letters == expected
@@ -164,6 +203,8 @@ class TestTwoIETCode:
             two_iet_code(t, QuadNumber(-1, 0, 0, 2), 3)
         with pytest.raises(DomainError):
             two_iet_code(t, ZERO, 0)
+        with pytest.raises(DomainError, match="at most 1000000, got 1000001"):
+            two_iet_code(t, ZERO, MAX_CODING_LENGTH + 1)
         with pytest.raises(DomainError):
             TwoIET(QuadNumber(3, 0, 0, 2))
 
@@ -225,7 +266,7 @@ class TestThreeIETCode:
             coded = three_iet_code.__wrapped__(ThreeIET(alpha, beta), x0, 24)
             assert coded.letters == expected
 
-    @given(sqrt5_3iet_params(), sqrt5_points(), st.integers(1, 300))
+    @given(quad_3iet_params(), quad_points(), st.integers(1, 300))
     def test_against_two_cut_loop_in_sqrt5(self, params, x0, n):
         alpha, beta = params
         expected = three_iet_by_two_cuts(alpha, beta, x0, n)
@@ -249,6 +290,96 @@ class TestThreeIETCode:
             ThreeIET(half, half)
         with pytest.raises(DomainError):
             three_iet_code(ThreeIET(ALPHA, half), QuadNumber(2), 1)
+        with pytest.raises(DomainError, match="at most 1000000, got 1000001"):
+            three_iet_code(ThreeIET(ALPHA, half), ZERO, MAX_CODING_LENGTH + 1)
+
+
+class TestIntegerEngine:
+    """The integer loop against the QuadNumber loop it replaced."""
+
+    # the `orbit` benchmark parameters of seed 1
+    SEED1_SLOPE = QuadNumber.parse("(1+1*sqrt(5))/6")
+    SEED1_START2 = QuadNumber.parse("(3+1*sqrt(5))/8")
+    SEED1_ALPHA = QuadNumber.parse("(4-1*sqrt(5))/5")
+    SEED1_BETA = QuadNumber.parse("(5-2*sqrt(5))/2")
+    SEED1_START3 = QuadNumber.parse("(7-2*sqrt(5))/5")
+
+    def test_2iet_on_rationals(self):
+        for slope in FRACTIONS_12:
+            eps = rational(slope)
+            for start in FRACTIONS_12[:-1]:
+                x0 = rational(start)
+                expected = two_iet_on_quad_numbers(eps, x0, 24)
+                assert two_iet_code(TwoIET(eps), x0, 24).letters == expected
+
+    def test_3iet_on_rationals(self):
+        for alpha, beta, x0 in rational_3iet_cases(12):
+            expected = three_iet_on_quad_numbers(alpha, beta, x0, 24)
+            coded = three_iet_code.__wrapped__(ThreeIET(alpha, beta), x0, 24)
+            assert coded.letters == expected
+
+    def test_points_on_a_cut_code_the_right_interval(self):
+        for eps in (QuadNumber(2, 0, 0, 7), GOLDEN_SLOPE):
+            assert two_iet_code(TwoIET(eps), eps, 1) == binary_word("1")
+        for alpha, beta in ((QuadNumber(1, 0, 0, 3), QuadNumber(1, 0, 0, 4)),
+                            (ALPHA, QuadNumber(1, 0, 0, 4))):
+            t = ThreeIET(alpha, beta)
+            assert three_iet_code.__wrapped__(t, alpha, 1) == ternary_word("B")
+            assert three_iet_code.__wrapped__(t, alpha + beta, 1) == ternary_word("C")
+
+    @given(sqrt5_or_sqrt7_cases(), st.integers(1, 300))
+    def test_in_sqrt5_and_sqrt7(self, case, n):
+        slope, alpha, beta, x0 = case
+        assert two_iet_code(TwoIET(slope), x0, n).letters == two_iet_on_quad_numbers(
+            slope, x0, n
+        )
+        coded = three_iet_code.__wrapped__(ThreeIET(alpha, beta), x0, n)
+        assert coded.letters == three_iet_on_quad_numbers(alpha, beta, x0, n)
+
+    def test_long_orbits(self):
+        # the numerators grow with n
+        n = 50_000
+        coded = two_iet_code(TwoIET(self.SEED1_SLOPE), self.SEED1_START2, n)
+        assert coded.letters == two_iet_on_quad_numbers(
+            self.SEED1_SLOPE, self.SEED1_START2, n
+        )
+        t = ThreeIET(self.SEED1_ALPHA, self.SEED1_BETA)
+        coded = three_iet_code.__wrapped__(t, self.SEED1_START3, n)
+        assert coded.letters == three_iet_on_quad_numbers(
+            self.SEED1_ALPHA, self.SEED1_BETA, self.SEED1_START3, n
+        )
+
+    def test_mixed_fields_rejected_before_coding(self):
+        # the orbit's first letter is A, which needs only the rational
+        # cut 1/2, yet the field of beta is checked up front
+        t = ThreeIET(QuadNumber(1, 0, 0, 2), QuadNumber(3, -1, 5, 8))
+        with pytest.raises(FieldMismatchError, match=r"sqrt\(7\) with sqrt\(5\)"):
+            three_iet_code.__wrapped__(t, QuadNumber(-2, 1, 7, 3), 1)
+
+    def test_quad_numbers_built_per_call_not_per_letter(self, monkeypatch):
+        built = []
+        init = QuadNumber.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(QuadNumber, "__init__", counting_init)
+
+        def constructions(code, *args):
+            built.clear()
+            code(*args)
+            return len(built)
+
+        two = TwoIET(self.SEED1_SLOPE)
+        three = ThreeIET(self.SEED1_ALPHA, self.SEED1_BETA)
+        for code, transform, x0 in (
+            (two_iet_code, two, self.SEED1_START2),
+            (three_iet_code.__wrapped__, three, self.SEED1_START3),
+        ):
+            short = constructions(code, transform, x0, 10)
+            long = constructions(code, transform, x0, 10_000)
+            assert short == long <= 12
 
 
 class TestProjectionsOfThreeIETCodings:
@@ -256,7 +387,7 @@ class TestProjectionsOfThreeIETCodings:
         for alpha, beta, x0 in rational_3iet_cases(12):
             assert_projections_are_rotation_codings(alpha, beta, x0, 24)
 
-    @given(sqrt5_3iet_params(), sqrt5_points(), st.integers(1, 300))
+    @given(quad_3iet_params(), quad_points(), st.integers(1, 300))
     def test_sqrt5_parameters(self, params, x0, n):
         assert_projections_are_rotation_codings(*params, x0, n)
 

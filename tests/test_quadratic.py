@@ -11,7 +11,9 @@ from ietwords import (
     ParseError,
     QuadNumber,
     ZERO,
+    quadratic,
 )
+from ietwords.quadratic import MAX_RADICAND, _surd_negative
 
 RADICANDS = [0, 2, 3, 5, 6, 7, 10, 11]
 
@@ -57,6 +59,33 @@ class TestNormalisation:
         with pytest.raises(DomainError):
             QuadNumber(1, 1, -2)
 
+    def test_radicand_bound(self):
+        assert QuadNumber(0, 1, MAX_RADICAND) == QuadNumber(10**6)
+        for d in (MAX_RADICAND + 1, 10**16 + 61):
+            with pytest.raises(DomainError, match=f"at most {MAX_RADICAND}, got {d}"):
+                QuadNumber(1, 1, d, 2)
+            with pytest.raises(DomainError):
+                QuadNumber.parse(f"(1+1*sqrt({d}))/2")
+
+    def test_arithmetic_results_are_not_factored_again(self, monkeypatch):
+        d = 10**9 + 7  # prime: one split is about 16 000 trial divisions
+        x, y = QuadNumber(1, 2, d, 3), QuadNumber(-5, 1, d, 7)
+        splits = []
+        split = quadratic._squarefree_split
+        monkeypatch.setattr(
+            quadratic, "_squarefree_split", lambda n: splits.append(n) or split(n)
+        )
+        results = (x + y, x - y, x * y, x / y, -x, x.frac(), 1 - x, 2 * y, x < y)
+        assert splits == []
+        assert results[0] == QuadNumber(-8, 17, d, 21)
+        assert results[1] + y == x
+        assert results[3] * y == x
+        assert all(r.d == d for r in results[:-1])
+        # input values are factored
+        splits.clear()
+        assert QuadNumber(0, 1, 4 * d) == QuadNumber(0, 2, d)
+        assert splits == [4 * d, d]
+
     def test_rejects_bool_coefficients(self):
         for args in ((True, 1, 5), (1, False, 5), (1, 1, 5, True)):
             with pytest.raises(TypeError):
@@ -93,6 +122,19 @@ class TestOrderAndFloor:
         # b*sqrt(d) an exact integer after normalisation
         assert QuadNumber(0, 1, 9).floor() == 3
         assert QuadNumber(0, -1, 9).floor() == -3
+
+    def test_negativity_rule_exhaustive(self):
+        # every d >= 0 here, perfect squares too: p + q*sqrt(d) is 0 only
+        # when it is an integer, so floats decide the rest exactly
+        for d in range(13):
+            root = math.isqrt(d)
+            for p in range(-25, 26):
+                for q in range(-25, 26):
+                    if root * root == d:
+                        expected = p + q * root < 0
+                    else:
+                        expected = p + q * math.sqrt(d) < 0
+                    assert _surd_negative(p, q, d) == expected, (p, q, d)
 
     def test_cross_check_against_float(self):
         rng = random.Random(20120107)
