@@ -69,6 +69,7 @@ from .matrices import (
     PRESERVING_NONMEMBER,
     ProbeRecord,
     ProbeReport,
+    brute_force_b_counts,
     brute_force_pairs,
     classify_matrix3,
     conjecture_probe,

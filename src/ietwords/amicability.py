@@ -99,6 +99,29 @@ def _scan(left: bytes, right: bytes) -> bytes:
     return bytes(out)
 
 
+def _letters_int(letters: bytes) -> int:
+    """A binary letter string as one integer, letter ``i`` at bit ``8*i``:
+    the input of :func:`_scan_b`."""
+    return int.from_bytes(letters, "little")
+
+
+def _scan_b(x: int, y: int) -> int | None:
+    """The decision of :func:`_scan` on two binary letter strings read by
+    :func:`_letters_int`: the B-count when the scan succeeds, else None.
+
+    The two strings must have equal length; the scan rejects any other
+    pair before looking at a letter, and this test does not.  The scan
+    succeeds exactly when every 0-against-1 position is followed by a
+    1-against-0 one and every 1-against-0 position is preceded by a
+    0-against-1 one: each such pair is one B.  An unpaired final block
+    shifts a bit beyond the last letter, where ``x & ~y`` has none.
+    """
+    blocks = ~x & y
+    if x & ~y != blocks << 8:
+        return None
+    return blocks.bit_count()
+
+
 def amicable_words_b(word: FiniteWord, other: FiniteWord) -> int | None:
     """B-count of the ternarization when the words are amicable, else None."""
     try:

@@ -22,7 +22,14 @@ from .amicability import (
     ternarize_morphisms,
 )
 from .errors import DomainError, IetWordsError, NotAmicableError
-from .iet import ThreeIET, TwoIET, is_nondegenerate_params, three_iet_code, two_iet_code
+from .iet import (
+    ThreeIET,
+    TwoIET,
+    coding_word_k,
+    is_nondegenerate_params,
+    three_iet_code,
+    two_iet_code,
+)
 from .matrices import (
     brute_force_pairs,
     classify_matrix3,
@@ -32,6 +39,7 @@ from .matrices import (
     unimodular_matrices,
 )
 from .morphisms import (
+    _rotation_index,
     IntMatrix2,
     IntMatrix3,
     Morphism,
@@ -95,11 +103,14 @@ def _cmd_std(args) -> tuple[str, list[dict], dict]:
 def _cmd_enum(args) -> tuple[str, list[dict], dict]:
     matrix = IntMatrix2.parse(args.matrix)
     chain = enumerate_sturmian(matrix)
+    c0 = coding_word_k(matrix.p, matrix.norm, 0).letters
     records = [
         {
             "index": i,
             "morphism": str(m),
-            "k": k_index(m),
+            "k": _rotation_index(
+                m.images[0].letters + m.images[1].letters, c0, matrix.p, matrix.norm
+            ),
             "standard": is_standard_morphism(m),
         }
         for i, m in enumerate(chain)

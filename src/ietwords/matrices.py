@@ -23,26 +23,24 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .amicability import (
+    _letters_int,
+    _scan_b,
     AmicablePair,
     b_counts,
     ternarization_membership,
     ternarize_morphisms,
     TernarizationMembership,
 )
-from .errors import (
-    DomainError,
-    InfeasibleMatrixError,
-    NotAmicableError,
-    NotUnimodularError,
-)
+from .errors import DomainError, InfeasibleMatrixError, NotUnimodularError
+from .iet import coding_word_k
 from .morphisms import (
+    _rotation_index,
     IntMatrix2,
     IntMatrix3,
     Morphism,
     compose,
     enumerate_sturmian,
     incidence_matrix,
-    k_index,
 )
 from .words import Alphabet, FiniteWord
 
@@ -120,31 +118,68 @@ def count_formula_b(matrix: IntMatrix2, b: int) -> int:
     return 0
 
 
+def _amicable_decisions(
+    matrix: IntMatrix2,
+) -> Iterator[tuple[int, Morphism, int, Morphism, int]]:
+    """``(k, phi, kbar, psi, b)`` for every ordered amicable pair of
+    Sturmian morphisms with this matrix, in (k, kbar) order.
+
+    Each candidate pair is decided by the scan's bit test on the images
+    of A, C and B, read as integers once per morphism.  Every image of
+    ``0`` has length ``p0+q0`` and every image of ``1`` length
+    ``p1+q1``, so the test's equal-length precondition holds.
+    """
+    _require_unimodular(matrix)
+    p, norm = matrix.p, matrix.norm
+    c0 = coding_word_k(p, norm, 0).letters
+    rows = []
+    for morphism in enumerate_sturmian(matrix):
+        left, right = (image.letters for image in morphism.images)
+        rows.append(
+            (
+                _rotation_index(left + right, c0, p, norm),
+                morphism,
+                _letters_int(left),
+                _letters_int(right),
+                _letters_int(left + right),
+                _letters_int(right + left),
+            )
+        )
+    # k is one-to-one on the morphisms of one matrix, so this sort never
+    # compares two Morphisms and the pairs come out in order
+    rows.sort()
+    for k, phi, x0, x1, x01, _ in rows:
+        for kbar, psi, y0, y1, _, y10 in rows:
+            if (
+                _scan_b(x0, y0) is not None
+                and _scan_b(x1, y1) is not None
+                and (b := _scan_b(x01, y10)) is not None
+            ):
+                yield k, phi, kbar, psi, b
+
+
 def brute_force_pairs(matrix: IntMatrix2) -> tuple[AmicablePair, ...]:
     """Every ordered amicable pair drawn from the full enumeration of
     Sturmian morphisms with this matrix, sorted by (k, kbar).
 
     Independent of the closed formulas above: each candidate pair is
-    decided by the ternarization scan alone.
+    decided by the ternarization scan alone, through its bit test; the
+    scan itself runs on the accepted pairs only, to build ``eta``.
     """
-    _require_unimodular(matrix)
-    # k_index is one-to-one on the morphisms of one matrix, so this sort
-    # never compares two Morphisms and the pairs come out in order
-    indexed = sorted((k_index(m), m) for m in enumerate_sturmian(matrix))
     pairs = []
-    for k, phi in indexed:
-        for kbar, psi in indexed:
-            try:
-                eta = ternarize_morphisms(phi, psi)
-            except NotAmicableError:
-                continue
-            b0, b1, b = b_counts(eta)
-            pairs.append(
-                AmicablePair(
-                    phi=phi, psi=psi, eta=eta, b0=b0, b1=b1, b=b, k=k, kbar=kbar
-                )
-            )
+    for k, phi, kbar, psi, _ in _amicable_decisions(matrix):
+        eta = ternarize_morphisms(phi, psi)
+        b0, b1, b = b_counts(eta)
+        pairs.append(
+            AmicablePair(phi=phi, psi=psi, eta=eta, b0=b0, b1=b1, b=b, k=k, kbar=kbar)
+        )
     return tuple(pairs)
+
+
+def brute_force_b_counts(matrix: IntMatrix2) -> tuple[int, ...]:
+    """The B-count ``b`` of every ordered amicable pair with this matrix,
+    in the order of :func:`brute_force_pairs`, without building ``eta``."""
+    return tuple(b for *_, b in _amicable_decisions(matrix))
 
 
 def ternarization_matrix(matrix: IntMatrix2, b0: int, b1: int) -> IntMatrix3:

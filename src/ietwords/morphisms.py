@@ -378,12 +378,19 @@ def k_index(morphism: Morphism) -> int:
     matrix = incidence_matrix(morphism)
     if not isinstance(matrix, IntMatrix2) or not matrix.is_unimodular:
         raise NotSturmianError(f"{morphism} has no unimodular incidence matrix")
-    image = morphism(_WORD_01)
     c0 = coding_word_k(matrix.p, matrix.norm, 0).letters
-    j = (c0 + c0).find(image.letters)
+    return _rotation_index(morphism(_WORD_01).letters, c0, matrix.p, matrix.norm)
+
+
+def _rotation_index(image01: bytes, c0: bytes, p: int, norm: int) -> int:
+    """``k_index`` of a morphism with image ``image01`` of 01, given
+    ``c0 = coding_word_k(p, norm, 0).letters``; a caller indexing every
+    morphism of one matrix codes ``c0`` once."""
+    j = (c0 + c0).find(image01)
     if j < 0:
+        image = FiniteWord(Alphabet.BINARY, image01)
         raise NotSturmianError(f"image {image} of 01 is not a rotation coding word")
-    return (-j * matrix.p) % matrix.norm
+    return (-j * p) % norm
 
 
 def is_sturmian_morphism(morphism: Morphism) -> bool:

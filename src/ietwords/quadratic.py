@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from functools import total_ordering
 
 from .errors import DomainError, FieldMismatchError, ParseError
@@ -44,6 +45,19 @@ def _squarefree_split(n: int) -> tuple[int, int]:
                 f *= k
         k += 1 if k == 2 else 2
     return s, f * n
+
+
+def _literal_int(token: str) -> int:
+    """An integer token of a parsed literal; the regular expressions
+    admit only digits and a sign, so ``int`` fails only on a token longer
+    than the interpreter's digit limit (``sys.get_int_max_str_digits``)."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(
+            f"integer of {len(token.lstrip('+-'))} digits in quadratic literal exceeds "
+            f"the limit of {sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 def _common_radicand(d: int, e: int) -> int:
@@ -124,11 +138,16 @@ class QuadNumber:
         m = cls._RATIONAL_RE.match(compact)
         if m:
             p, q = m.group(1), m.group(2)
-            return cls(int(p), 0, 0, int(q) if q is not None else 1)
+            return cls(_literal_int(p), 0, 0, _literal_int(q) if q is not None else 1)
         m = cls._QUAD_RE.match(compact)
         if m:
             a, b, d, c = m.groups()
-            return cls(int(a), int(b), int(d), int(c) if c is not None else 1)
+            return cls(
+                _literal_int(a),
+                _literal_int(b),
+                _literal_int(d),
+                _literal_int(c) if c is not None else 1,
+            )
         bad = next((ch for ch in compact if ch not in "0123456789+-*/()sqrt"), None)
         if bad is not None:
             raise ParseError(f"invalid token {bad!r} in quadratic literal {text!r}")

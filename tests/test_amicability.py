@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -31,6 +34,7 @@ from ietwords import (
     ternary_word,
     unimodular_matrices,
 )
+from ietwords.amicability import _letters_int, _scan, _scan_b
 from ietwords.verification import PRESERVE_ALPHA, PRESERVE_BETA
 
 PHI = Morphism.parse("0->001,1->00101")
@@ -42,6 +46,36 @@ ALPHA = QuadNumber(3, -1, 5, 2)
 QUARTER = QuadNumber(1, 0, 0, 4)
 
 ternary_texts = st.text(alphabet="ABC", max_size=40)
+
+
+def scan_b(left, right):
+    """The B-count of the letterwise scan, or None when it fails: the
+    oracle of the bit test."""
+    try:
+        return _scan(left, right).count(1)
+    except NotAmicableError:
+        return None
+
+
+@st.composite
+def flipped_coding_factors(draw):
+    """Factors at one position of two rotation coding words of length
+    N <= 400, with up to two letters flipped between them."""
+    n = draw(st.integers(min_value=2, max_value=400))
+    p = draw(st.integers(min_value=1, max_value=n - 1).filter(lambda p: math.gcd(p, n) == 1))
+    k = draw(st.integers(min_value=0, max_value=n - 1))
+    kbar = (k + draw(st.integers(min_value=0, max_value=n - 1))) % n
+    start = draw(st.integers(min_value=0, max_value=n - 1))
+    length = draw(st.integers(min_value=0, max_value=n - start))
+    words = [
+        bytearray(coding_word_k(p, n, index).letters[start : start + length])
+        for index in (k, kbar)
+    ]
+    if length:
+        flips = st.tuples(st.sampled_from((0, 1)), st.integers(0, length - 1))
+        for side, position in draw(st.lists(flips, max_size=2)):
+            words[side][position] ^= 1
+    return bytes(words[0]), bytes(words[1])
 
 
 class TestSigma:
@@ -119,6 +153,23 @@ class TestTernarizeWords:
                     assert sigma(witness.v, "10") == right
                     assert witness.v.count(1) == b
                     assert parikh(left) == parikh(right)
+
+
+class TestScanBitTest:
+    def test_agrees_with_the_scan_exhaustively(self):
+        # every ordered pair of equal-length binary words of length <= 10:
+        # the same decision, and the same B-count when both accept
+        for n in range(11):
+            words = [bytes(w) for w in itertools.product((0, 1), repeat=n)]
+            ints = [_letters_int(w) for w in words]
+            for left, x in zip(words, ints):
+                for right, y in zip(words, ints):
+                    assert _scan_b(x, y) == scan_b(left, right), (left, right)
+
+    @given(flipped_coding_factors())
+    def test_agrees_with_the_scan_on_coding_factors(self, pair):
+        left, right = pair
+        assert _scan_b(_letters_int(left), _letters_int(right)) == scan_b(left, right)
 
 
 class TestAmicableMorphisms:

@@ -260,6 +260,8 @@ class TestInvalidInput:
             ["word3", "--alpha", "(3-1*sqrt(5))/2", "--beta", "1/4", "-n", "1000001"],
             # a radicand above quadratic.MAX_RADICAND
             ["word2", "--slope", "(1+1*sqrt(10000000000000061))/8", "-n", "4"],
+            # an integer longer than the interpreter's digit limit
+            ["word2", "--slope", "1/" + "1" * 5000, "-n", "3"],
         ],
     )
     def test_exit_code_2_with_message(self, capsys, argv):
@@ -314,6 +316,14 @@ class TestVerifyCommand:
         )
         assert code == 2
         assert records[0]["error"] == "--suite monoid does not take -n, --kmax"
+
+    def test_counting_at_benchmark_scale_is_deterministic(self, capsys):
+        outputs = []
+        for _ in range(2):
+            code = main(["verify", "--suite", "counting", "--max-norm", "24"])
+            outputs.append(capsys.readouterr().out)
+            assert code == 0
+        assert outputs[0] == outputs[1]
 
     def test_fault_injection_flips_counting_to_failure(self, capsys, monkeypatch):
         true_formula = ietwords.matrices.count_formula_total

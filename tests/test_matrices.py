@@ -4,6 +4,7 @@ import pytest
 
 from ietwords import (
     AC_SWAP,
+    AmicablePair,
     ClassificationWitness,
     DomainError,
     E_MATRIX,
@@ -12,19 +13,26 @@ from ietwords import (
     IntMatrix2,
     IntMatrix3,
     Morphism,
+    NotAmicableError,
     NotUnimodularError,
+    b_counts,
+    brute_force_b_counts,
     brute_force_pairs,
     classify_matrix3,
     conjecture_probe,
     count_formula_b,
     count_formula_total,
     e_condition,
+    enumerate_sturmian,
     incidence_matrix,
+    k_index,
     ternarization_matrices,
     ternarization_matrix,
+    ternarize_morphisms,
     unimodular_matrices,
 )
 from ietwords.matrices import block_conjugated_matrix
+from ietwords.verification import counting_suite
 
 EXAMPLE = IntMatrix2(2, 1, 3, 2)
 IDENTITY_2 = IntMatrix2(1, 0, 0, 1)
@@ -55,6 +63,24 @@ class TestCountFormulas:
             assert total == sum(
                 count_formula_b(matrix, b) for b in range(matrix.norm + 1)
             )
+
+
+def scan_loop_pairs(matrix):
+    """The brute force as a letterwise scan of every candidate pair: the
+    oracle of the bit test that decides the pairs in brute_force_pairs."""
+    indexed = sorted((k_index(m), m) for m in enumerate_sturmian(matrix))
+    pairs = []
+    for k, phi in indexed:
+        for kbar, psi in indexed:
+            try:
+                eta = ternarize_morphisms(phi, psi)
+            except NotAmicableError:
+                continue
+            b0, b1, b = b_counts(eta)
+            pairs.append(
+                AmicablePair(phi=phi, psi=psi, eta=eta, b0=b0, b1=b1, b=b, k=k, kbar=kbar)
+            )
+    return tuple(pairs)
 
 
 class TestBruteForcePairs:
@@ -96,11 +122,35 @@ class TestBruteForcePairs:
             for b in range(matrix.norm + 2):
                 assert histogram.get(b, 0) == count_formula_b(matrix, b)
 
+    def test_agrees_with_the_scan_loop(self):
+        for matrix in unimodular_matrices(14):
+            assert brute_force_pairs(matrix) == scan_loop_pairs(matrix), str(matrix)
+
+    def test_b_counts_follow_the_pairs(self):
+        matrices = list(unimodular_matrices(16))
+        assert len(matrices) == 158
+        for matrix in matrices:
+            assert brute_force_b_counts(matrix) == tuple(
+                pair.b for pair in brute_force_pairs(matrix)
+            ), str(matrix)
+
+    def test_b_counts_reject_non_unimodular(self):
+        with pytest.raises(NotUnimodularError):
+            brute_force_b_counts(IntMatrix2(1, 1, 1, 1))
+
     def test_row_sums_are_image_lengths(self):
         for matrix in unimodular_matrices(8):
             for pair in brute_force_pairs(matrix):
                 sums = incidence_matrix(pair.eta).row_sums()
                 assert sums == tuple(len(image) for image in pair.eta.images)
+
+
+class TestCountingSuite:
+    def test_benchmark_scale(self):
+        result = counting_suite(24)
+        assert result.ok
+        assert len(result.records) == 358
+        assert all(r["brute"] == r["formula"] and r["match"] for r in result.records)
 
 
 class TestTernarizationMatrix:

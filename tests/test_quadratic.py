@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -223,6 +224,14 @@ class TestParsing:
             QuadNumber.parse("1/2/3")
         with pytest.raises(ParseError):
             QuadNumber.parse("")
+
+    def test_integer_beyond_the_digit_limit_rejected(self):
+        limit = sys.get_int_max_str_digits()
+        long_int = "1" * (limit + 1)
+        for text in (f"1/{long_int}", f"-{long_int}", f"(1+1*sqrt(5))/{long_int}"):
+            with pytest.raises(ParseError, match=f"{limit + 1} digits .* limit of {limit} digits"):
+                QuadNumber.parse(text)
+        assert QuadNumber.parse("1" * limit) == int("1" * limit)
 
     def test_hash_consistent_with_eq(self):
         assert hash(QuadNumber(2, 4, 5, 6)) == hash(QuadNumber(1, 2, 5, 3))
