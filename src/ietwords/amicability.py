@@ -26,12 +26,10 @@ from .errors import (
 from .iet import ThreeIET, is_nondegenerate_params, three_iet_code
 from .morphisms import Morphism, is_sturmian_morphism
 from .quadratic import QuadNumber
-from .words import Alphabet, FiniteWord, factor_complexity, is_balanced
+from .words import Alphabet, FiniteWord, is_balanced
 
-_SIGMA_TABLES = {
-    "01": (b"\x00", b"\x00\x01", b"\x01"),
-    "10": (b"\x00", b"\x01\x00", b"\x01"),
-}
+# the image of B under each projection; A (0) maps to 0 and C (2) to 1
+_SIGMA_B = {"01": b"\x00\x01", "10": b"\x01\x00"}
 
 
 def sigma(word: FiniteWord, which: str) -> FiniteWord:
@@ -40,10 +38,12 @@ def sigma(word: FiniteWord, which: str) -> FiniteWord:
     if word.alphabet is not Alphabet.TERNARY:
         raise AlphabetError("sigma projections act on ternary words")
     try:
-        table = _SIGMA_TABLES[which]
+        image_b = _SIGMA_B[which]
     except KeyError:
         raise ValueError(f"projection must be '01' or '10', got {which!r}") from None
-    return FiniteWord(Alphabet.BINARY, b"".join(map(table.__getitem__, word.letters)))
+    return FiniteWord(
+        Alphabet.BINARY, word.letters.replace(b"\x01", image_b).replace(b"\x02", b"\x01")
+    )
 
 
 @dataclass(frozen=True)
@@ -266,17 +266,31 @@ def _sturmian_prefix_violation(word: FiniteWord, kmax: int) -> str | None:
     A balanced word has at most one right special factor of each length
     (Lothaire, *Algebraic Combinatorics on Words*, ch. 2), so
     ``p(m+1) <= p(m) + 1``; with ``p(0) == 1``, ``p(kmax) == kmax + 1``
-    then forces ``p(m) == m + 1`` for every ``m <= kmax``.  Only a
-    failing word is walked length by length, to name the first ``m``.
+    then forces ``p(m) == m + 1`` for every ``m <= kmax``.  The same fact
+    gives ``p(m) <= m + 1``, so each count stops at its ``m + 1``-th
+    distinct factor.  Only a failing word is walked length by length, to
+    name the first ``m``; it reads all its factors at that ``m`` alone.
     """
     if not is_balanced(word):
         return "projection is not balanced"
-    if factor_complexity(word, kmax) == kmax + 1:
+    letters = word.letters
+    if _factor_count(letters, kmax) == kmax + 1:
         return None
     m = 1  # stops at m = kmax at the latest
-    while (c := factor_complexity(word, m)) == m + 1:
+    while (c := _factor_count(letters, m)) == m + 1:
         m += 1
     return f"complexity {c} at factor length {m}, expected {m + 1}"
+
+
+def _factor_count(letters: bytes, m: int) -> int:
+    """``min(p(m), m + 1)`` for the letter string of a word: the distinct
+    length-``m`` factors, read left to right until there are ``m + 1``."""
+    seen = set()
+    for i in range(len(letters) - m + 1):
+        seen.add(letters[i : i + m])
+        if len(seen) > m:
+            break
+    return len(seen)
 
 
 def check_3iet_preservation(

@@ -9,6 +9,8 @@ matrix is the chain of successive right conjugates of the standard one.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 
 from .errors import (
@@ -151,20 +153,26 @@ def _parse_int_grid(text: str, size: int) -> tuple[tuple[int, ...], ...]:
         cells = row.split(",")
         if len(cells) != size:
             raise ParseError(f"expected {size} entries in matrix row {row!r}")
-        try:
-            grid.append(tuple(int(cell) for cell in cells))
-        except ValueError:
-            bad = next(cell for cell in cells if not _is_int_literal(cell))
-            raise ParseError(f"invalid matrix entry {bad!r} in {text!r}") from None
+        grid.append(tuple(_matrix_entry(cell, text) for cell in cells))
     return tuple(grid)
 
 
-def _is_int_literal(token: str) -> bool:
+_INT_RE = re.compile(r"[+-]?\d+")
+
+
+def _matrix_entry(cell: str, text: str) -> int:
+    """One entry of a parsed matrix; a run of digits that ``int`` refuses
+    is longer than the interpreter's digit limit
+    (``sys.get_int_max_str_digits``)."""
     try:
-        int(token)
+        return int(cell)
     except ValueError:
-        return False
-    return True
+        if _INT_RE.fullmatch(cell):
+            raise ParseError(
+                f"integer of {len(cell.lstrip('+-'))} digits in matrix entry exceeds "
+                f"the limit of {sys.get_int_max_str_digits()} digits"
+            ) from None
+        raise ParseError(f"invalid matrix entry {cell!r} in {text!r}") from None
 
 
 @dataclass(frozen=True)

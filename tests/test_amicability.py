@@ -78,6 +78,17 @@ def flipped_coding_factors(draw):
     return bytes(words[0]), bytes(words[1])
 
 
+# the letter-by-letter projection that ``sigma`` replaced, kept as its oracle
+JOIN_TABLES = {
+    "01": (b"\x00", b"\x00\x01", b"\x01"),
+    "10": (b"\x00", b"\x01\x00", b"\x01"),
+}
+
+
+def join_sigma(letters: bytes, which: str) -> bytes:
+    return b"".join(map(JOIN_TABLES[which].__getitem__, letters))
+
+
 class TestSigma:
     def test_letter_tables(self):
         assert sigma(ternary_word("ABC"), "01") == binary_word("0011")
@@ -90,6 +101,18 @@ class TestSigma:
             sigma(binary_word("01"), "01")
         with pytest.raises(ValueError):
             sigma(ternary_word("A"), "11")
+
+    def test_exhaustive_against_join_oracle(self):
+        for n in range(8):
+            for letters in itertools.product(range(3), repeat=n):
+                v = ternary_word(letters)
+                for which in ("01", "10"):
+                    assert sigma(v, which).letters == join_sigma(v.letters, which), (v, which)
+
+    @given(ternary_texts, st.sampled_from(("01", "10")))
+    def test_against_join_oracle(self, text, which):
+        v = ternary_word(text)
+        assert sigma(v, which).letters == join_sigma(v.letters, which)
 
     @given(ternary_texts)
     def test_projection_lengths(self, text):

@@ -2,6 +2,7 @@ import itertools
 import math
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,18 +14,60 @@ from ietwords import (
     AlphabetError,
     FiniteWord,
     ParseError,
+    ThreeIET,
+    ZERO,
     binary_word,
+    brute_force_pairs,
     factor_complexity,
     is_balanced,
     is_conjugate_word,
     parikh,
+    sigma,
     ternary_word,
+    unimodular_matrices,
 )
 from ietwords.amicability import _sturmian_prefix_violation
-from ietwords.iet import coding_word_k
+from ietwords.iet import coding_word_k, three_iet_code
+from ietwords.verification import PRESERVE_ALPHA, PRESERVE_BETA
 
 binary_texts = st.text(alphabet="01", max_size=48)
 ternary_texts = st.text(alphabet="ABC", max_size=48)
+
+
+def dss_balanced(letters: bytes) -> bool:
+    """Oracle: arithmetic recognition of the prefix-sum path (i, ones in
+    letters[:i]) as a digital straight segment (Debled-Rennesson &
+    Reveilles 1995), the linear-time test the run-length derivation
+    replaced.  Invariant: mu <= a*x - b*y < mu + b on every point read
+    so far.  Upper leaning points have remainder mu, lower ones
+    mu + b - 1; (ux, uy)/(lx, ly) are the first of each kind and
+    (vx, vy)/(wx, wy) the last."""
+    a, b, mu = 0, 1, 0
+    ux = uy = lx = ly = vx = vy = wx = wy = 0
+    y = 0
+    for x, v in enumerate(letters, 1):
+        y += v
+        r = a * x - b * y
+        if mu <= r < mu + b:
+            if r == mu:
+                vx, vy = x, y
+            if r == mu + b - 1:
+                wx, wy = x, y
+        elif r == mu - 1:
+            # just above the strip: steeper slope through the first upper point
+            lx, ly = wx, wy
+            vx, vy = x, y
+            a, b = y - uy, x - ux
+            mu = a * x - b * y
+        elif r == mu + b:
+            # just below the strip: flatter slope through the first lower point
+            ux, uy = vx, vy
+            wx, wy = x, y
+            a, b = y - ly, x - lx
+            mu = a * x - b * y - b + 1
+        else:
+            return False
+    return True
 
 
 def brute_balanced(text: str) -> bool:
@@ -56,6 +99,31 @@ def rotation_factors(draw):
             i = draw(st.integers(min_value=0, max_value=len(letters) - 1))
             letters[i] = "1" if letters[i] == "0" else "0"
     return "".join(letters)
+
+
+@st.composite
+def long_coding_factors(draw):
+    """A factor of 2 000 to 5 000 letters of a periodic rotation coding,
+    with zero to two letters flipped or exchanged with their right
+    neighbour.  The slope has seven to nine partial quotients, each 1 or
+    2: on every such slope the run-length derivation of the unperturbed
+    factor recurses at least three levels before it ends."""
+    slope = Fraction(0)
+    for quotient in draw(st.lists(st.integers(1, 2), min_size=7, max_size=9)):
+        slope = 1 / (quotient + slope)
+    p, n_total = slope.numerator, slope.denominator
+    k = draw(st.integers(min_value=0, max_value=n_total - 1))
+    length = draw(st.integers(min_value=2000, max_value=5000))
+    start = draw(st.integers(min_value=0, max_value=n_total - 1))
+    period = coding_word_k(p, n_total, k).letters
+    letters = bytearray((period * (length // n_total + 2))[start : start + length])
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        i = draw(st.integers(min_value=0, max_value=length - 2))
+        if draw(st.booleans()):
+            letters[i] ^= 1
+        else:
+            letters[i], letters[i + 1] = letters[i + 1], letters[i]
+    return bytes(letters)
 
 
 def test_import_leaves_numpy_unloaded():
@@ -121,9 +189,21 @@ class TestBalance:
                 s = "".join(bits)
                 assert is_balanced(binary_word(s)) == brute_balanced(s), s
 
+    def test_exhaustive_lengths_15_and_16_against_window_oracle(self):
+        # with the test above: every word of length <= 16
+        for n in (15, 16):
+            for bits in itertools.product("01", repeat=n):
+                s = "".join(bits)
+                assert is_balanced(binary_word(s)) == brute_balanced(s), s
+
     @given(rotation_factors())
     def test_perturbed_rotation_factors_against_window_oracle(self, s):
         assert is_balanced(binary_word(s)) == brute_balanced(s)
+
+    @given(long_coding_factors())
+    def test_long_perturbed_coding_factors_against_dss_oracle(self, letters):
+        w = FiniteWord(Alphabet.BINARY, letters)
+        assert is_balanced(w) == dss_balanced(letters)
 
     def test_long_fibonacci_word(self):
         # golden-ratio mechanical word, balanced by construction
@@ -192,6 +272,25 @@ class TestOneComplexityValue:
     def test_perturbed_rotation_factors_against_per_length_definition(self, s, kmax):
         w = binary_word(s)
         assert _sturmian_prefix_violation(w, kmax) == first_complexity_violation(w, kmax)
+
+    def test_preserve_suite_projections_against_per_length_definition(self):
+        # the 146 projections that `verify --suite preserve` checks: both
+        # sigma images of the suite's orbit prefix under each of its 73
+        # ternarizations
+        prefix = three_iet_code(ThreeIET(PRESERVE_ALPHA, PRESERVE_BETA), ZERO, 1000)
+        projections = [
+            sigma(pair.eta(prefix), which)
+            for matrix in unimodular_matrices(6)
+            for pair in brute_force_pairs(matrix)
+            for which in ("01", "10")
+        ]
+        assert len(projections) == 146
+        for w in projections:
+            # the oracle at kmax runs the first kmax steps of its loop at
+            # 20, so its None at 20 is its verdict at every smaller kmax
+            assert first_complexity_violation(w, 20) is None
+            for kmax in range(1, 21):
+                assert _sturmian_prefix_violation(w, kmax) is None, (w, kmax)
 
 
 class TestConjugacy:
