@@ -11,16 +11,23 @@ Both maps, and the rational rotation by ``p/N`` on the residues mod
 constant: one exact loop over cuts and translations codes all three.
 The loop runs on plain integers.  The start, the cuts and the shifts are
 written over one common denominator ``L`` as numerator pairs ``(a, b)``
-of ``(a + b*sqrt(d))/L``.  A cut test is then the sign of
-``p + q*sqrt(d)``, decided by comparing ``p*p`` with ``q*q*d`` when the
-signs of ``p`` and ``q`` differ, and a translation is two integer
-additions.  The residues of a rotation are the pairs ``(r, 0)`` with
-``d = 0``.  Codings are at most :data:`MAX_CODING_LENGTH` letters long.
+of ``(a + b*sqrt(d))/L``.  Each point is also carried as one fixed-point
+integer ``a*2**k + b*isqrt(d*4**k)``, within ``|b|`` of its exact value
+times ``2**k``: a translation is one integer addition, and one bisection
+of the cuts' fixed-point windows places the point.  Only a point inside
+a window, closer to a cut than the rounding error allows to decide (at
+the precision chosen, a point on the cut), is recovered as its exact
+pair and placed by the sign of ``p + q*sqrt(d)``, which compares
+``p*p`` with ``q*q*d``.  The residues
+of a rotation are the pairs ``(r, 0)`` with ``d = 0``, where the windows
+are empty and every test is exact.  Codings are at most
+:data:`MAX_CODING_LENGTH` letters long.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -29,7 +36,8 @@ from .quadratic import ONE, ZERO, QuadNumber, _common_radicand, _surd_negative
 from .words import Alphabet, FiniteWord
 
 # longest orbit coding produced; coding a million letters takes about a
-# second and a few megabytes
+# quarter of a second and a few megabytes, and under a second when every
+# letter lies on a cut, where the exact fallback decides
 MAX_CODING_LENGTH = 10**6
 
 
@@ -76,6 +84,10 @@ def _check_length(n: int) -> None:
         raise DomainError(f"coding length must be at most {MAX_CODING_LENGTH}, got {n}")
 
 
+# the loop emits letter ``j`` as the byte ``2*j``; this halves it back
+_HALVE = bytes(i >> 1 for i in range(256))
+
+
 def _exchange_code(
     alphabet: Alphabet, d: int, x: tuple, cuts: tuple, shifts: tuple, n: int
 ) -> FiniteWord:
@@ -83,20 +95,56 @@ def _exchange_code(
     ``j`` of the first cut with ``x < cuts[j]`` (``len(cuts)`` if none),
     then translates ``x`` by ``shifts[j]``.  Every point is a numerator
     pair ``(a, b)`` of ``(a + b*sqrt(d))/L`` over one denominator ``L``,
-    which the loop never needs."""
+    which the loop never needs; the cuts are increasing.
+
+    The loop moves the fixed-point value ``v = a*2**k + b*s``, with
+    ``s = isqrt(d*4**k)``.  ``v`` minus a cut's value is within
+    ``bound / 2`` of the exact difference times ``2**k`` along the whole
+    orbit, so a point below the cut's window ``[c - bound, c + bound)``
+    is left of the cut and one at or above it is not.  A point inside a
+    window gets its exact pair from the letters emitted since the last
+    such point, and the sign test decides."""
     a, b = x
+    bound = 2 * (
+        abs(b) + n * max(abs(sb) for _, sb in shifts) + max(abs(cb) for _, cb in cuts)
+    )
+    # a larger k only narrows the windows.  A non-zero ``p + q*sqrt(d)``
+    # with ``|q| <= bound`` exceeds ``1 / (1 + 2*bound*sqrt(d))`` in size
+    # (``|p*p - q*q*d| >= 1`` unless sqrt(d) is rational), and this k
+    # scales that far past ``3*bound``.  So the windows of two cuts are
+    # disjoint and ``bounds`` is sorted, and a window holds only points on
+    # its cut, which the exact test places without relying on this bound
+    k = 2 * bound.bit_length() + d.bit_length() + 64 if d else 0
+    s = math.isqrt(d << 2 * k)
+    bounds = []
+    for cut_a, cut_b in cuts:
+        c = (cut_a << k) + cut_b * s
+        bounds += (c - bound, c + bound)
+    # ``bisect_right(bounds, v)`` is ``2*j`` when the point codes ``j``,
+    # and odd inside a window; steps are indexed the same way
+    steps = [0] * (2 * len(shifts) - 1)
+    steps[::2] = [(shift_a << k) + shift_b * s for shift_a, shift_b in shifts]
+    v = (a << k) + b * s
     out = bytearray()
+    append = out.append
+    known = 0  # (a, b) is exact at letter ``known``
     for _ in range(n):
-        j = 0
-        for cut_a, cut_b in cuts:
-            if _surd_negative(a - cut_a, b - cut_b, d):
-                break
-            j += 1
-        out.append(j)
-        shift_a, shift_b = shifts[j]
-        a += shift_a
-        b += shift_b
-    return FiniteWord(alphabet, bytes(out))
+        j2 = bisect_right(bounds, v)
+        if j2 & 1:
+            if known < len(out):
+                for j, (shift_a, shift_b) in enumerate(shifts):
+                    count = out.count(2 * j, known)
+                    a += count * shift_a
+                    b += count * shift_b
+            cut_a, cut_b = cuts[j2 >> 1]
+            j2 += -1 if _surd_negative(a - cut_a, b - cut_b, d) else 1
+            shift_a, shift_b = shifts[j2 >> 1]
+            a += shift_a
+            b += shift_b
+            known = len(out) + 1
+        append(j2)
+        v += steps[j2]
+    return FiniteWord(alphabet, bytes(out).translate(_HALVE))
 
 
 def _quadratic_exchange_code(
@@ -153,8 +201,9 @@ def coding_word_k(p: int, n_total: int, k: int) -> FiniteWord:
 
 # pays on `verify --suite preserve`, which checks every ternarization on
 # the same orbit prefix: 72 hits for 1 miss.  A 1 000-letter prefix costs
-# about 0.6 ms on the integer loop, yet the suite takes 0.27 s with the
-# cache against 0.34 s without it (medians of 10 fresh processes)
+# about 0.34 ms to code and 1.6 us to look up, and the suite takes 0.226 s
+# with the cache against 0.247 s without it (medians of 15 fresh
+# processes, 2-core host, Python 3.11)
 @lru_cache(maxsize=256)
 def three_iet_code(transform: ThreeIET, x0: QuadNumber, n: int) -> FiniteWord:
     """Code the first ``n`` steps of the orbit of ``x0`` under the

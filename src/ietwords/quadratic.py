@@ -285,7 +285,10 @@ class QuadNumber:
     # -- conversions ---------------------------------------------------------
 
     def __float__(self) -> float:
-        return (self.a + self.b * math.sqrt(self.d)) / self.c
+        # a fixed-point numerator with 64 bits to spare below any
+        # cancellation of a against b*sqrt(d); int / int rounds once
+        k = 2 * (abs(self.a) + abs(self.b) * self.d + self.c).bit_length() + 64
+        return ((self.a << k) + self.b * math.isqrt(self.d << 2 * k)) / (self.c << k)
 
     def __str__(self) -> str:
         if self.b == 0:

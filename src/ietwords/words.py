@@ -24,10 +24,12 @@ class Alphabet(Enum):
     TERNARY = "ABC"
 
     # plain attributes, not properties: every FiniteWord construction
-    # reads ``size``, and a property would go through ``Enum.value``
+    # reads ``indices``, and a property would go through ``Enum.value``
     def __init__(self, chars: str) -> None:
         self.chars = chars
         self.size = len(chars)
+        self.indices = bytes(range(self.size))  # the valid letter bytes
+        self.char_table = bytes.maketrans(self.indices, chars.encode("ascii"))
 
 
 ParikhVector = tuple[int, ...]
@@ -47,8 +49,8 @@ class FiniteWord:
     def __post_init__(self) -> None:
         if not isinstance(self.letters, bytes):
             object.__setattr__(self, "letters", bytes(self.letters))
-        size = self.alphabet.size
-        if self.letters and max(self.letters) >= size:
+        # deleting the valid letters in C leaves only the invalid ones
+        if self.letters.translate(None, self.alphabet.indices):
             bad = max(self.letters)
             raise AlphabetError(
                 f"letter index {bad} invalid for {self.alphabet.name} alphabet"
@@ -102,8 +104,7 @@ class FiniteWord:
         return self.letters.count(letter)
 
     def __str__(self) -> str:
-        chars = self.alphabet.chars
-        return "".join(chars[i] for i in self.letters)
+        return self.letters.translate(self.alphabet.char_table).decode("ascii")
 
     def __repr__(self) -> str:
         return f"FiniteWord({self.alphabet.name}, {str(self)!r})"

@@ -1,8 +1,9 @@
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ietwords import (
     DomainError,
@@ -22,7 +23,10 @@ from ietwords import (
     three_iet_code,
     two_iet_code,
 )
+from ietwords import iet
 from ietwords.iet import MAX_CODING_LENGTH
+from ietwords.quadratic import MAX_RADICAND, _surd_negative
+from ietwords.words import Alphabet
 
 GOLDEN_SLOPE = QuadNumber(-1, 1, 5, 2)  # (sqrt(5)-1)/2
 ALPHA = QuadNumber(3, -1, 5, 2)  # (3-sqrt(5))/2
@@ -145,6 +149,84 @@ def three_iet_on_quad_numbers(alpha, beta, x0, n):
     cut2 = alpha + beta
     shifts = (ONE - alpha, ONE - alpha - cut2, ZERO - cut2)
     return exchange_code_on_quad_numbers(x0, (alpha, cut2), shifts, n)
+
+
+def exchange_by_sign_test(d, x, cuts, shifts, n):
+    """Reference coder for ``iet._exchange_code``: the same orbit on the
+    same numerator pairs, with one exact sign test per cut per letter
+    and no fixed-point filter."""
+    a, b = x
+    out = bytearray()
+    for _ in range(n):
+        j = 0
+        for cut_a, cut_b in cuts:
+            if _surd_negative(a - cut_a, b - cut_b, d):
+                break
+            j += 1
+        out.append(j)
+        shift_a, shift_b = shifts[j]
+        a += shift_a
+        b += shift_b
+    return bytes(out)
+
+
+def numerator_inputs(x0, cuts, shifts):
+    """``(d, x, cuts, shifts)`` for ``iet._exchange_code``: QuadNumbers of
+    one field as numerator pairs over their least common denominator."""
+    values = (x0, *cuts, *shifts)
+    d = max(value.d for value in values)
+    denominator = math.lcm(*(value.c for value in values))
+
+    def pair(value):
+        return value.a * (denominator // value.c), value.b * (denominator // value.c)
+
+    return d, pair(x0), tuple(map(pair, cuts)), tuple(map(pair, shifts))
+
+
+def two_iet_inputs(eps, x0):
+    return numerator_inputs(x0, (eps,), (ONE - eps, ZERO - eps))
+
+
+def three_iet_inputs(alpha, beta, x0):
+    cut2 = alpha + beta
+    return numerator_inputs(x0, (alpha, cut2), (ONE - alpha, ONE - alpha - cut2, ZERO - cut2))
+
+
+def assert_filter_matches_sign_test(alphabet, inputs, n):
+    coded = iet._exchange_code(alphabet, *inputs, n)
+    assert coded.letters == exchange_by_sign_test(*inputs, n)
+
+
+def three_iet_preimage(alpha, beta, y):
+    """The point the 3-interval exchange maps to ``y``: the inverse
+    exchanges the intervals of lengths gamma, beta, alpha."""
+    gamma = ONE - alpha - beta
+    if y < gamma:
+        return y + alpha + beta
+    if y < gamma + beta:
+        return y + alpha - gamma
+    return y + alpha - ONE
+
+
+@lru_cache(maxsize=None)
+def sqrt_of(d):
+    # factoring a radicand near 10**12 by trial division takes up to a
+    # tenth of a second; arithmetic on the root skips it
+    return QuadNumber(0, 1, d)
+
+
+# square-free radicands at the top of the allowed range
+LARGE_RADICANDS = (MAX_RADICAND - 2, MAX_RADICAND - 11)
+
+
+@st.composite
+def large_quad_points(draw, d):
+    """A point in [0, 1) of Q(sqrt d) with numerators and denominator of
+    up to 40 digits."""
+    big = 10**40
+    a, b = draw(st.integers(-big, big)), draw(st.integers(-big, big))
+    c = draw(st.integers(1, big))
+    return ((QuadNumber(a) + QuadNumber(b) * sqrt_of(d)) / QuadNumber(c)).frac()
 
 
 def assert_projections_are_rotation_codings(alpha, beta, x0, n):
@@ -380,6 +462,134 @@ class TestIntegerEngine:
             short = constructions(code, transform, x0, 10)
             long = constructions(code, transform, x0, 10_000)
             assert short == long <= 12
+
+
+class TestFixedPointFilter:
+    """``iet._exchange_code`` against the sign test it filters."""
+
+    # (5-sqrt(5))/8 and (-1+sqrt(5))/4: B is translated by 0, so the orbit
+    # of alpha stays on the cut alpha and every letter is a tie
+    TIE_ALPHA = QuadNumber.parse("(5-1*sqrt(5))/8")
+    TIE_BETA = QuadNumber.parse("(-1+1*sqrt(5))/4")
+
+    @pytest.fixture
+    def sign_tests(self, monkeypatch):
+        """The exact sign tests the coder makes (the oracle calls its own
+        ``_surd_negative``, which is not counted)."""
+        calls = []
+
+        def counting(p, q, d):
+            calls.append(1)
+            return _surd_negative(p, q, d)
+
+        monkeypatch.setattr(iet, "_surd_negative", counting)
+        return calls
+
+    def test_rotation_residues(self):
+        for p, n in coprime_cases(30):
+            shifts = ((n - p, 0), (-p, 0))
+            for k in range(n):
+                assert_filter_matches_sign_test(
+                    Alphabet.BINARY, (0, (k, 0), ((p, 0),), shifts), n
+                )
+
+    def test_2iet_on_fractions_12(self):
+        for slope in FRACTIONS_12:
+            for start in FRACTIONS_12[:-1]:
+                inputs = two_iet_inputs(rational(slope), rational(start))
+                assert_filter_matches_sign_test(Alphabet.BINARY, inputs, 24)
+
+    def test_3iet_on_rationals(self):
+        for alpha, beta, x0 in rational_3iet_cases(12):
+            inputs = three_iet_inputs(alpha, beta, x0)
+            assert_filter_matches_sign_test(Alphabet.TERNARY, inputs, 24)
+
+    @given(sqrt5_or_sqrt7_cases(), st.integers(1, 300))
+    def test_in_sqrt5_and_sqrt7(self, case, n):
+        slope, alpha, beta, x0 = case
+        assert_filter_matches_sign_test(Alphabet.BINARY, two_iet_inputs(slope, x0), n)
+        inputs = three_iet_inputs(alpha, beta, x0)
+        assert_filter_matches_sign_test(Alphabet.TERNARY, inputs, n)
+
+    @settings(deadline=None)
+    @given(
+        st.sampled_from(LARGE_RADICANDS).flatmap(
+            lambda d: st.tuples(*(large_quad_points(d) for _ in range(4)))
+        ),
+        st.integers(0, 20),
+        st.integers(1, 300),
+    )
+    def test_large_radicands_and_numerators(self, points, i, n):
+        slope, x0, alpha, share = points
+        assume(ZERO < alpha and ZERO < share)
+        beta = share * (ONE - alpha)
+        assert_filter_matches_sign_test(Alphabet.BINARY, two_iet_inputs(slope, x0), n)
+        # the orbit meets the cut slope after i steps
+        on_orbit = (slope + QuadNumber(i) * slope).frac()
+        inputs = two_iet_inputs(slope, on_orbit)
+        assert_filter_matches_sign_test(Alphabet.BINARY, inputs, n)
+        for start in (x0, alpha, alpha + beta):
+            inputs = three_iet_inputs(alpha, beta, start)
+            assert_filter_matches_sign_test(Alphabet.TERNARY, inputs, n)
+
+    @pytest.mark.parametrize("slope", [GOLDEN_SLOPE, QuadNumber(1, 1, 7, 5),
+                                       QuadNumber(3, -1, 5, 2)])
+    def test_2iet_starts_on_the_orbit_of_the_cut(self, slope, sign_tests):
+        # from frac(cut + i*slope) the orbit lands on the cut at step i,
+        # which only the exact fallback can place
+        for i in range(40):
+            x0 = (slope + QuadNumber(i) * slope).frac()
+            sign_tests.clear()
+            assert_filter_matches_sign_test(
+                Alphabet.BINARY, two_iet_inputs(slope, x0), 60
+            )
+            assert sign_tests  # the coder fell back at least once
+
+    @pytest.mark.parametrize("alpha, beta", [
+        (ALPHA, QuadNumber(1, 0, 0, 4)),
+        (QuadNumber(1, 0, 0, 5), QuadNumber(-1, 1, 7, 6)),
+        (TIE_ALPHA, TIE_BETA),
+        # degenerate, (1-alpha)/(1+beta) = 3/5: every orbit is periodic,
+        # so it meets its cut again and again, moving between fallbacks
+        (QuadNumber(3, -1, 5, 5), QuadNumber(-1, 1, 5, 3)),
+    ])
+    def test_3iet_starts_on_the_orbit_of_a_cut(self, alpha, beta, sign_tests):
+        for cut in (alpha, alpha + beta):
+            x0 = cut
+            for _ in range(30):
+                sign_tests.clear()
+                assert_filter_matches_sign_test(
+                    Alphabet.TERNARY, three_iet_inputs(alpha, beta, x0), 60
+                )
+                assert sign_tests
+                x0 = three_iet_preimage(alpha, beta, x0)
+
+    def test_generic_orbit_needs_no_sign_test(self, sign_tests):
+        # the `orbit` benchmark parameters: the filter places every letter
+        two_iet_code(TwoIET(TestIntegerEngine.SEED1_SLOPE), TestIntegerEngine.SEED1_START2,
+                     50_000)
+        t = ThreeIET(TestIntegerEngine.SEED1_ALPHA, TestIntegerEngine.SEED1_BETA)
+        three_iet_code.__wrapped__(t, TestIntegerEngine.SEED1_START3, 50_000)
+        assert sign_tests == []
+
+    def test_every_letter_a_tie(self):
+        # each letter falls back to the sign test; recovering the exact
+        # point from the letters since the previous fallback keeps this
+        # linear, where recounting from the first letter is quadratic
+        # (about 13 s at this length)
+        n = 10**5
+        t = ThreeIET(self.TIE_ALPHA, self.TIE_BETA)
+        assert three_iet_code.__wrapped__(t, self.TIE_ALPHA, n).letters == b"\x01" * n
+
+    def test_nearly_equal_cuts(self):
+        # sqrt(d) - isqrt(d) is about 2**-101: the precision must grow
+        # with the radicand to keep the windows of the two cuts apart
+        d = 2**200 + 1
+        root = math.isqrt(d)
+        cuts = ((0, 0), (-root, 1))
+        shifts = ((1, 0), (-root - 1, 1), (root - 1, -1))
+        for x in ((-1, 0), (0, 0), (-root, 1), (1 - root, 1), (1, 0), (2 * root, -2)):
+            assert_filter_matches_sign_test(Alphabet.TERNARY, (d, x, cuts, shifts), 20)
 
 
 class TestProjectionsOfThreeIETCodings:

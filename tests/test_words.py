@@ -350,6 +350,25 @@ class TestWordType:
         with pytest.raises(AlphabetError):
             FiniteWord(Alphabet.BINARY, bytes([2]))
 
+    @given(st.sampled_from(Alphabet), st.binary(max_size=40))
+    def test_validation_names_the_largest_letter(self, alphabet, letters):
+        if max(letters, default=0) < alphabet.size:
+            assert FiniteWord(alphabet, letters).letters == letters
+        else:
+            message = f"letter index {max(letters)} invalid for {alphabet.name} alphabet"
+            with pytest.raises(AlphabetError, match=f"^{message}$"):
+                FiniteWord(alphabet, letters)
+
+    @given(st.sampled_from(Alphabet).flatmap(
+        lambda alphabet: st.tuples(
+            st.just(alphabet), st.lists(st.integers(0, alphabet.size - 1), max_size=60)
+        )
+    ))
+    def test_str_against_per_letter_join(self, case):
+        alphabet, letters = case
+        word = FiniteWord(alphabet, bytes(letters))
+        assert str(word) == "".join(alphabet.chars[i] for i in letters)
+
     def test_slicing(self):
         w = binary_word("00101")
         assert str(w[1:4]) == "010"
