@@ -11,17 +11,16 @@ Both maps, and the rational rotation by ``p/N`` on the residues mod
 constant: one exact loop over cuts and translations codes all three.
 The loop runs on plain integers.  The start, the cuts and the shifts are
 written over one common denominator ``L`` as numerator pairs ``(a, b)``
-of ``(a + b*sqrt(d))/L``.  Each point is also carried as one fixed-point
+of ``(a + b*sqrt(d))/L``.  Each point is carried as one fixed-point
 integer ``a*2**k + b*isqrt(d*4**k)``, within ``|b|`` of its exact value
 times ``2**k``: a translation is one integer addition, and one bisection
-of the cuts' fixed-point windows places the point.  Only a point inside
-a window, closer to a cut than the rounding error allows to decide (at
-the precision chosen, a point on the cut), is recovered as its exact
-pair and placed by the sign of ``p + q*sqrt(d)``, which compares
-``p*p`` with ``q*q*d``.  The residues
-of a rotation are the pairs ``(r, 0)`` with ``d = 0``, where the windows
-are empty and every test is exact.  Codings are at most
-:data:`MAX_CODING_LENGTH` letters long.
+of the cuts' fixed-point values places the point.  The precision ``k``
+grows with the orbit length and the radicand until a point off a cut is
+farther from it than the rounding error, so every test is exact; a
+point on a cut has the cut's value, right of the cut as the left-closed
+intervals require.  The residues of a rotation are the
+pairs ``(r, 0)`` with ``d = 0``, where every value is exact.  Codings
+are at most :data:`MAX_CODING_LENGTH` letters long.
 """
 
 from __future__ import annotations
@@ -32,12 +31,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError
-from .quadratic import ONE, ZERO, QuadNumber, _common_radicand, _surd_negative
+from .quadratic import ONE, ZERO, QuadNumber, _common_radicand
 from .words import Alphabet, FiniteWord
 
-# longest orbit coding produced; coding a million letters takes about a
-# quarter of a second and a few megabytes, and under a second when every
-# letter lies on a cut, where the exact fallback decides
+# longest orbit coding produced; coding a million letters takes about
+# 0.2 s and a few megabytes
 MAX_CODING_LENGTH = 10**6
 
 
@@ -84,10 +82,6 @@ def _check_length(n: int) -> None:
         raise DomainError(f"coding length must be at most {MAX_CODING_LENGTH}, got {n}")
 
 
-# the loop emits letter ``j`` as the byte ``2*j``; this halves it back
-_HALVE = bytes(i >> 1 for i in range(256))
-
-
 def _exchange_code(
     alphabet: Alphabet, d: int, x: tuple, cuts: tuple, shifts: tuple, n: int
 ) -> FiniteWord:
@@ -95,56 +89,37 @@ def _exchange_code(
     ``j`` of the first cut with ``x < cuts[j]`` (``len(cuts)`` if none),
     then translates ``x`` by ``shifts[j]``.  Every point is a numerator
     pair ``(a, b)`` of ``(a + b*sqrt(d))/L`` over one denominator ``L``,
-    which the loop never needs; the cuts are increasing.
+    which the loop never needs; the cuts are increasing and ``d`` is 0 or
+    not a perfect square.
 
     The loop moves the fixed-point value ``v = a*2**k + b*s``, with
-    ``s = isqrt(d*4**k)``.  ``v`` minus a cut's value is within
-    ``bound / 2`` of the exact difference times ``2**k`` along the whole
-    orbit, so a point below the cut's window ``[c - bound, c + bound)``
-    is left of the cut and one at or above it is not.  A point inside a
-    window gets its exact pair from the letters emitted since the last
-    such point, and the sign test decides."""
+    ``s = isqrt(d*4**k)``, and a point is left of a cut exactly when
+    ``v`` is below the cut's value ``c``."""
     a, b = x
-    bound = 2 * (
+    # bounds |q| in a difference p + q*sqrt(d) between a point of the
+    # orbit and a cut; twice it bounds |q| between two cuts
+    bound = (
         abs(b) + n * max(abs(sb) for _, sb in shifts) + max(abs(cb) for _, cb in cuts)
     )
-    # a larger k only narrows the windows.  A non-zero ``p + q*sqrt(d)``
-    # with ``|q| <= bound`` exceeds ``1 / (1 + 2*bound*sqrt(d))`` in size
-    # (``|p*p - q*q*d| >= 1`` unless sqrt(d) is rational), and this k
-    # scales that far past ``3*bound``.  So the windows of two cuts are
-    # disjoint and ``bounds`` is sorted, and a window holds only points on
-    # its cut, which the exact test places without relying on this bound
+    # this k makes every test exact.  ``v - c`` is within ``|q|`` of the
+    # exact difference times ``2**k``.  A point on the cut has the cut's
+    # pair, so q = 0 and ``v == c``: not left of it.  Off the cut,
+    # ``|p*p - q*q*d| >= 1`` since sqrt(d) is irrational, so the difference
+    # exceeds ``1 / (1 + 4*bound*sqrt(d))`` in size, which this k scales
+    # far past ``2*bound``: ``v - c`` has its sign, and the increasing
+    # cuts have increasing values.  For d = 0 every value is exact
     k = 2 * bound.bit_length() + d.bit_length() + 64 if d else 0
     s = math.isqrt(d << 2 * k)
-    bounds = []
-    for cut_a, cut_b in cuts:
-        c = (cut_a << k) + cut_b * s
-        bounds += (c - bound, c + bound)
-    # ``bisect_right(bounds, v)`` is ``2*j`` when the point codes ``j``,
-    # and odd inside a window; steps are indexed the same way
-    steps = [0] * (2 * len(shifts) - 1)
-    steps[::2] = [(shift_a << k) + shift_b * s for shift_a, shift_b in shifts]
+    cut_values = [(cut_a << k) + cut_b * s for cut_a, cut_b in cuts]
+    steps = [(shift_a << k) + shift_b * s for shift_a, shift_b in shifts]
     v = (a << k) + b * s
     out = bytearray()
     append = out.append
-    known = 0  # (a, b) is exact at letter ``known``
     for _ in range(n):
-        j2 = bisect_right(bounds, v)
-        if j2 & 1:
-            if known < len(out):
-                for j, (shift_a, shift_b) in enumerate(shifts):
-                    count = out.count(2 * j, known)
-                    a += count * shift_a
-                    b += count * shift_b
-            cut_a, cut_b = cuts[j2 >> 1]
-            j2 += -1 if _surd_negative(a - cut_a, b - cut_b, d) else 1
-            shift_a, shift_b = shifts[j2 >> 1]
-            a += shift_a
-            b += shift_b
-            known = len(out) + 1
-        append(j2)
-        v += steps[j2]
-    return FiniteWord(alphabet, bytes(out).translate(_HALVE))
+        j = bisect_right(cut_values, v)
+        append(j)
+        v += steps[j]
+    return FiniteWord(alphabet, bytes(out))
 
 
 def _quadratic_exchange_code(
@@ -201,8 +176,8 @@ def coding_word_k(p: int, n_total: int, k: int) -> FiniteWord:
 
 # pays on `verify --suite preserve`, which checks every ternarization on
 # the same orbit prefix: 72 hits for 1 miss.  A 1 000-letter prefix costs
-# about 0.34 ms to code and 1.6 us to look up, and the suite takes 0.226 s
-# with the cache against 0.247 s without it (medians of 15 fresh
+# about 0.22 ms to code and 1.5 us to look up, and the suite takes 0.259 s
+# with the cache against 0.277 s without it (medians of 15 fresh
 # processes, 2-core host, Python 3.11)
 @lru_cache(maxsize=256)
 def three_iet_code(transform: ThreeIET, x0: QuadNumber, n: int) -> FiniteWord:

@@ -23,7 +23,7 @@ from ietwords import (
     three_iet_code,
     two_iet_code,
 )
-from ietwords import iet
+from ietwords import iet, quadratic
 from ietwords.iet import MAX_CODING_LENGTH
 from ietwords.quadratic import MAX_RADICAND, _surd_negative
 from ietwords.words import Alphabet
@@ -465,7 +465,7 @@ class TestIntegerEngine:
 
 
 class TestFixedPointFilter:
-    """``iet._exchange_code`` against the sign test it filters."""
+    """``iet._exchange_code`` against the sign test it replaces."""
 
     # (5-sqrt(5))/8 and (-1+sqrt(5))/4: B is translated by 0, so the orbit
     # of alpha stays on the cut alpha and every letter is a tie
@@ -474,15 +474,17 @@ class TestFixedPointFilter:
 
     @pytest.fixture
     def sign_tests(self, monkeypatch):
-        """The exact sign tests the coder makes (the oracle calls its own
-        ``_surd_negative``, which is not counted)."""
+        """The exact sign tests made through ``_surd_negative``, called
+        from ``quadratic`` or imported into ``iet`` (the oracle holds its
+        own reference, which is not counted)."""
         calls = []
 
         def counting(p, q, d):
             calls.append(1)
             return _surd_negative(p, q, d)
 
-        monkeypatch.setattr(iet, "_surd_negative", counting)
+        monkeypatch.setattr(quadratic, "_surd_negative", counting)
+        monkeypatch.setattr(iet, "_surd_negative", counting, raising=False)
         return calls
 
     def test_rotation_residues(self):
@@ -536,54 +538,53 @@ class TestFixedPointFilter:
                                        QuadNumber(3, -1, 5, 2)])
     def test_2iet_starts_on_the_orbit_of_the_cut(self, slope, sign_tests):
         # from frac(cut + i*slope) the orbit lands on the cut at step i,
-        # which only the exact fallback can place
+        # which the fixed-point thresholds place without a sign test
         for i in range(40):
-            x0 = (slope + QuadNumber(i) * slope).frac()
+            inputs = two_iet_inputs(slope, (slope + QuadNumber(i) * slope).frac())
             sign_tests.clear()
-            assert_filter_matches_sign_test(
-                Alphabet.BINARY, two_iet_inputs(slope, x0), 60
-            )
-            assert sign_tests  # the coder fell back at least once
+            assert_filter_matches_sign_test(Alphabet.BINARY, inputs, 60)
+            assert sign_tests == []
 
     @pytest.mark.parametrize("alpha, beta", [
         (ALPHA, QuadNumber(1, 0, 0, 4)),
         (QuadNumber(1, 0, 0, 5), QuadNumber(-1, 1, 7, 6)),
         (TIE_ALPHA, TIE_BETA),
         # degenerate, (1-alpha)/(1+beta) = 3/5: every orbit is periodic,
-        # so it meets its cut again and again, moving between fallbacks
+        # so it meets its cut again and again
         (QuadNumber(3, -1, 5, 5), QuadNumber(-1, 1, 5, 3)),
     ])
     def test_3iet_starts_on_the_orbit_of_a_cut(self, alpha, beta, sign_tests):
         for cut in (alpha, alpha + beta):
             x0 = cut
             for _ in range(30):
+                inputs = three_iet_inputs(alpha, beta, x0)
                 sign_tests.clear()
-                assert_filter_matches_sign_test(
-                    Alphabet.TERNARY, three_iet_inputs(alpha, beta, x0), 60
-                )
-                assert sign_tests
+                assert_filter_matches_sign_test(Alphabet.TERNARY, inputs, 60)
+                assert sign_tests == []
                 x0 = three_iet_preimage(alpha, beta, x0)
 
     def test_generic_orbit_needs_no_sign_test(self, sign_tests):
-        # the `orbit` benchmark parameters: the filter places every letter
-        two_iet_code(TwoIET(TestIntegerEngine.SEED1_SLOPE), TestIntegerEngine.SEED1_START2,
-                     50_000)
-        t = ThreeIET(TestIntegerEngine.SEED1_ALPHA, TestIntegerEngine.SEED1_BETA)
-        three_iet_code.__wrapped__(t, TestIntegerEngine.SEED1_START3, 50_000)
+        # the `orbit` benchmark parameters: the thresholds place every letter
+        slope, x0 = TestIntegerEngine.SEED1_SLOPE, TestIntegerEngine.SEED1_START2
+        inputs = two_iet_inputs(slope, x0)
+        sign_tests.clear()
+        iet._exchange_code(Alphabet.BINARY, *inputs, 50_000)
+        alpha, beta = TestIntegerEngine.SEED1_ALPHA, TestIntegerEngine.SEED1_BETA
+        inputs = three_iet_inputs(alpha, beta, TestIntegerEngine.SEED1_START3)
+        iet._exchange_code(Alphabet.TERNARY, *inputs, 50_000)
         assert sign_tests == []
 
     def test_every_letter_a_tie(self):
-        # each letter falls back to the sign test; recovering the exact
-        # point from the letters since the previous fallback keeps this
-        # linear, where recounting from the first letter is quadratic
-        # (about 13 s at this length)
+        # every point lies on the cut alpha; a coder that decides a point
+        # within its rounding error of a cut by recovering its exact pair
+        # from all the letters before it is quadratic (about 13 s here)
         n = 10**5
         t = ThreeIET(self.TIE_ALPHA, self.TIE_BETA)
         assert three_iet_code.__wrapped__(t, self.TIE_ALPHA, n).letters == b"\x01" * n
 
     def test_nearly_equal_cuts(self):
         # sqrt(d) - isqrt(d) is about 2**-101: the precision must grow
-        # with the radicand to keep the windows of the two cuts apart
+        # with the radicand to keep the two cuts' fixed-point values apart
         d = 2**200 + 1
         root = math.isqrt(d)
         cuts = ((0, 0), (-root, 1))

@@ -157,7 +157,6 @@ class TestOrderAndFloor:
                 else:
                     assert (x < y) == (float(x) < float(y))
 
-
     def test_float_survives_cancellation(self):
         # (9 + 4*sqrt(5))**20 = a + b*sqrt(5) with a*a - 5*b*b = 1, so
         # a - b*sqrt(5) is its inverse; evaluated in floats, a and
@@ -168,6 +167,7 @@ class TestOrderAndFloor:
         assert a * a - 5 * b * b == 1
         expected = 1 / (a + b * math.sqrt(5))
         assert abs(float(QuadNumber(a, -b, 5)) - expected) <= 1e-15 * expected
+
 
 class TestArithmetic:
     @given(st.sampled_from(RADICANDS).flatmap(lambda d: st.tuples(quads(d), quads(d))))
