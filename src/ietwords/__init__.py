@@ -55,7 +55,6 @@ from .amicability import (
     amicable_words_b,
     b_counts,
     check_3iet_preservation,
-    is_ternarization,
     sigma,
     ternarization_membership,
     ternarize_morphisms,

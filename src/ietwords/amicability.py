@@ -16,6 +16,7 @@ Sturmian behaviour additionally demands factor complexity m+1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import (
     AlphabetError,
@@ -245,14 +246,6 @@ def ternarization_membership(eta: Morphism) -> TernarizationMembership:
     return TernarizationMembership(True, phi, psi, None)
 
 
-def is_ternarization(eta: Morphism) -> tuple[Morphism, Morphism] | None:
-    """The recovered amicable pair when ``eta`` is a ternarization."""
-    outcome = ternarization_membership(eta)
-    if not outcome.member:
-        return None
-    return outcome.phi, outcome.psi
-
-
 @dataclass(frozen=True)
 class PreservationResult:
     ok: bool
@@ -311,6 +304,14 @@ def check_3iet_preservation(
     least ``n`` letters long) shorter than ``2*kmax`` fails whatever
     ``eta`` is.
     """
+    return _preservation_checker(transform, x0, n, kmax)(eta)
+
+
+def _preservation_checker(
+    transform: ThreeIET, x0: QuadNumber, n: int, kmax: int
+) -> Callable[[Morphism], PreservationResult]:
+    """:func:`check_3iet_preservation` as a function of ``eta``, coding the
+    prefix once and deciding each distinct projection once."""
     if kmax < 0:
         raise DomainError(f"kmax must be non-negative, got {kmax}")
     if n < 2 * kmax:
@@ -320,9 +321,17 @@ def check_3iet_preservation(
             "parameters are degenerate: (1-alpha)/(1+beta) is rational"
         )
     prefix = three_iet_code(transform, x0, n)
-    image = eta(prefix)
-    for which in ("01", "10"):
-        violation = _sturmian_prefix_violation(sigma(image, which), kmax)
-        if violation is not None:
-            return PreservationResult(False, f"sigma{which}: {violation}")
-    return PreservationResult(True, None)
+    # pairs that share phi share the sigma01 projection of the image
+    verdicts: dict[FiniteWord, str | None] = {}
+
+    def check(eta: Morphism) -> PreservationResult:
+        image = eta(prefix)
+        for which in ("01", "10"):
+            word = sigma(image, which)
+            if word not in verdicts:
+                verdicts[word] = _sturmian_prefix_violation(word, kmax)
+            if verdicts[word] is not None:
+                return PreservationResult(False, f"sigma{which}: {verdicts[word]}")
+        return PreservationResult(True, None)
+
+    return check

@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import DomainError
 from .quadratic import ONE, ZERO, QuadNumber, _common_radicand
@@ -174,12 +173,6 @@ def coding_word_k(p: int, n_total: int, k: int) -> FiniteWord:
     return _exchange_code(Alphabet.BINARY, 0, (k % n_total, 0), ((p, 0),), shifts, n_total)
 
 
-# pays on `verify --suite preserve`, which checks every ternarization on
-# the same orbit prefix: 72 hits for 1 miss.  A 1 000-letter prefix costs
-# about 0.22 ms to code and 1.5 us to look up, and the suite takes 0.259 s
-# with the cache against 0.277 s without it (medians of 15 fresh
-# processes, 2-core host, Python 3.11)
-@lru_cache(maxsize=256)
 def three_iet_code(transform: ThreeIET, x0: QuadNumber, n: int) -> FiniteWord:
     """Code the first ``n`` steps of the orbit of ``x0`` under the
     3-interval exchange."""

@@ -133,9 +133,6 @@ class IntMatrix3:
         )
         return IntMatrix3(tuple(tuple(x * d for x in row) for row in adj))
 
-    def row_sums(self) -> tuple[int, int, int]:
-        return tuple(sum(row) for row in self.entries)
-
     @classmethod
     def parse(cls, text: str) -> "IntMatrix3":
         return cls(_parse_int_grid(text, 3))

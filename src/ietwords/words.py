@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .errors import AlphabetError, DomainError, ParseError
@@ -130,12 +129,27 @@ def parikh(word: FiniteWord) -> ParikhVector:
 _SWAP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
-# pays on `verify --suite lemma-w`, which tests the balance of both words
-# of every pair of its coding words that scans: 24 500 hits for 2 914
-# misses; without it the suite takes 0.61 s instead of 0.47 s (medians
-# of 15 fresh processes, 2-core host, Python 3.11)
-@lru_cache(maxsize=8192)
-def _is_balanced_letters(letters: bytes) -> bool:
+def is_balanced(word: FiniteWord) -> bool:
+    """Whether every pair of equal-length factors differs by at most one
+    in their number of ones.
+
+    Decided by the Sturmian run-length derivation (Lothaire, *Algebraic
+    Combinatorics on Words*, ch. 2).  A word containing both ``00`` and
+    ``11`` is unbalanced, one containing neither is balanced.  Otherwise
+    one letter, say ``1`` after exchanging the letters, is isolated, and
+    the word is ``0^f 1 0^a_1 1 ... 1 0^a_r 1 0^l``.  It is balanced
+    exactly when the interior runs ``a_i`` take two consecutive values
+    ``lo``, ``lo + 1`` (or one), the end runs are at most ``lo + 1``
+    long, and the derived word is balanced: one letter per run, ``1``
+    for a run of ``lo + 1`` zeros and ``0`` for one of ``lo``, where an
+    end run is kept only when it is longer than ``lo`` (a shorter one
+    can be the cut end of either kind).  The derived word is at most
+    half as long, so the test takes linear time and a logarithmic number
+    of passes, each a few calls on ``bytes``.  Binary words only.
+    """
+    if word.alphabet is not Alphabet.BINARY:
+        raise AlphabetError("balance is defined for binary words only")
+    letters = word.letters
     # Sturmian run-length derivation: each pass is a few C calls on
     # ``bytes`` and at least halves the word.
     while True:
@@ -160,29 +174,6 @@ def _is_balanced_letters(letters: bytes) -> bool:
             + bytes(map(lo.__rsub__, interior))
             + (b"\x01" if last > lo else b"")
         )
-
-
-def is_balanced(word: FiniteWord) -> bool:
-    """Whether every pair of equal-length factors differs by at most one
-    in their number of ones.
-
-    Decided by the Sturmian run-length derivation (Lothaire, *Algebraic
-    Combinatorics on Words*, ch. 2).  A word containing both ``00`` and
-    ``11`` is unbalanced, one containing neither is balanced.  Otherwise
-    one letter, say ``1`` after exchanging the letters, is isolated, and
-    the word is ``0^f 1 0^a_1 1 ... 1 0^a_r 1 0^l``.  It is balanced
-    exactly when the interior runs ``a_i`` take two consecutive values
-    ``lo``, ``lo + 1`` (or one), the end runs are at most ``lo + 1``
-    long, and the derived word is balanced: one letter per run, ``1``
-    for a run of ``lo + 1`` zeros and ``0`` for one of ``lo``, where an
-    end run is kept only when it is longer than ``lo`` (a shorter one
-    can be the cut end of either kind).  The derived word is at most
-    half as long, so the test takes linear time and a logarithmic number
-    of passes, each a few calls on ``bytes``.  Binary words only.
-    """
-    if word.alphabet is not Alphabet.BINARY:
-        raise AlphabetError("balance is defined for binary words only")
-    return _is_balanced_letters(word.letters)
 
 
 def factor_complexity(word: FiniteWord, n: int) -> int:

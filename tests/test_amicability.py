@@ -25,7 +25,6 @@ from ietwords import (
     compose,
     enumerate_sturmian,
     incidence_matrix,
-    is_ternarization,
     parikh,
     sigma,
     ternarization_membership,
@@ -34,8 +33,14 @@ from ietwords import (
     ternary_word,
     unimodular_matrices,
 )
+from ietwords import amicability
 from ietwords.amicability import _letters_int, _scan, _scan_b
-from ietwords.verification import PRESERVE_ALPHA, PRESERVE_BETA
+from ietwords.verification import (
+    PRESERVE_ALPHA,
+    PRESERVE_BETA,
+    lemma_w_suite,
+    preserve_suite,
+)
 
 PHI = Morphism.parse("0->001,1->00101")
 PSI = Morphism.parse("0->010,1->01001")
@@ -306,11 +311,13 @@ class TestTernarizationMembership:
 
     def test_identity_recovers_identity_pair(self):
         identity = Morphism.identity(Alphabet.BINARY)
-        assert is_ternarization(TERNARY_IDENTITY) == (identity, identity)
+        outcome = ternarization_membership(TERNARY_IDENTITY)
+        assert (outcome.phi, outcome.psi) == (identity, identity)
 
     def test_swapped_composite_recovers_pair(self):
         eta = Morphism.parse("A->C,B->CAC,C->B")
-        assert is_ternarization(eta) == (
+        outcome = ternarization_membership(eta)
+        assert (outcome.phi, outcome.psi) == (
             Morphism.parse("0->1,1->01"),
             Morphism.parse("0->1,1->10"),
         )
@@ -333,7 +340,8 @@ class TestTernarizationMembership:
     def test_round_trip_recovers_every_pair(self):
         for matrix in unimodular_matrices(10):
             for pair in brute_force_pairs(matrix):
-                assert is_ternarization(pair.eta) == (pair.phi, pair.psi)
+                outcome = ternarization_membership(pair.eta)
+                assert (outcome.phi, outcome.psi) == (pair.phi, pair.psi)
 
     def test_erasing_morphism_rejected(self):
         with pytest.raises(NotAmicableError):
@@ -366,6 +374,16 @@ class TestPreservation:
         )
         assert result == PreservationResult(
             False, "sigma01: complexity 4 at factor length 4, expected 5"
+        )
+
+    def test_sigma10_failure_is_named(self):
+        # sigma01 of the image is balanced, sigma10 is not
+        t = ThreeIET(ALPHA, QUARTER)
+        result = check_3iet_preservation(
+            Morphism.parse("A->A,B->BA,C->AC"), t, ZERO, 500, 10
+        )
+        assert result == PreservationResult(
+            False, "sigma10: projection is not balanced"
         )
 
     def test_prefix_too_short_for_kmax_rejected(self):
@@ -403,6 +421,95 @@ class TestPreservation:
         assert check_3iet_preservation(PRESERVING_NONMEMBER, t, ZERO, 500, 12).ok
         assert not ternarization_membership(PRESERVING_NONMEMBER).member
         assert PRESERVING_NONMEMBER == Morphism.parse("A->B,B->CAC,C->C")
+
+
+class TestPreserveSuite:
+    """The suite's one checker against a call of the public
+    :func:`check_3iet_preservation` per pair."""
+
+    @staticmethod
+    def per_pair_records(max_norm, n, kmax):
+        transform = ThreeIET(PRESERVE_ALPHA, PRESERVE_BETA)
+        records = []
+        for matrix in unimodular_matrices(max_norm):
+            for pair in brute_force_pairs(matrix):
+                result = check_3iet_preservation(pair.eta, transform, ZERO, n, kmax)
+                records.append(
+                    {
+                        "matrix": str(matrix),
+                        "k": pair.k,
+                        "kbar": pair.kbar,
+                        "preserved": result.ok,
+                        "detail": result.detail,
+                    }
+                )
+        return records
+
+    # (5, 60, 20) fails many pairs that share phi; (6, 1000, 20) is the
+    # default suite
+    @pytest.mark.parametrize(
+        ("max_norm", "n", "kmax", "checked"), [(5, 60, 20, 55), (6, 1000, 20, 73)]
+    )
+    def test_records_match_a_public_call_per_pair(self, max_norm, n, kmax, checked):
+        result = preserve_suite(max_norm, n, kmax)
+        assert result.records[:-1] == self.per_pair_records(max_norm, n, kmax)
+        assert result.summary["checked"] == checked
+        assert result.records[-1] == {"trap_rejected": True, "preserved": True}
+        assert result.ok == all(record["preserved"] for record in result.records)
+
+    def test_each_distinct_projection_is_decided_once(self, monkeypatch):
+        decided = []
+        original = amicability._sturmian_prefix_violation
+
+        def recording(word, kmax):
+            decided.append(word.letters)
+            return original(word, kmax)
+
+        monkeypatch.setattr(amicability, "_sturmian_prefix_violation", recording)
+        records = preserve_suite(5, 60, 20).records[:-1]
+        assert len(decided) == len(set(decided))
+        # a check stops at a failing sigma01; pairs sharing phi share it
+        asked = sum(
+            1 if (record["detail"] or "").startswith("sigma01") else 2
+            for record in records
+        )
+        assert len(decided) < asked
+
+    def test_verdicts_do_not_outlive_their_checker(self):
+        # the verdict on a projection depends on kmax: a memo shared by
+        # two calls would hand the first call's verdict to the second
+        t = ThreeIET(ALPHA, QUARTER)
+        periodic = Morphism.parse("A->AAB,B->AAB,C->AAB")
+        assert not check_3iet_preservation(periodic, t, ZERO, 500, 10).ok
+        assert check_3iet_preservation(periodic, t, ZERO, 500, 3).ok
+
+    def test_invalid_arguments_raise_before_any_pair(self):
+        with pytest.raises(DomainError, match="2\\*kmax"):
+            preserve_suite(2, 39, 20)
+        with pytest.raises(DomainError, match="non-negative"):
+            preserve_suite(2, 10, -1)
+
+
+def test_lemma_w_suite_matches_the_scan():
+    # the suite decides each pair with the bit test; the scan decides it
+    # here, through the public amicable_words_b
+    records = []
+    for n_total in range(2, 15):
+        for p in range(1, n_total):
+            if math.gcd(p, n_total) != 1:
+                continue
+            m = min(p, n_total - p)
+            words = [coding_word_k(p, n_total, k) for k in range(n_total)]
+            mismatches = sum(
+                amicable_words_b(words[k], words[kbar])
+                != (kbar - k if 0 <= kbar - k <= m else None)
+                for k in range(n_total)
+                for kbar in range(n_total)
+            )
+            records.append(
+                {"p": p, "N": n_total, "mismatches": mismatches, "match": mismatches == 0}
+            )
+    assert lemma_w_suite(14).records == records
 
 
 class TestAmicablePairInvariants:

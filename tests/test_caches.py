@@ -1,6 +1,8 @@
-"""Process-wide caches: each must be bounded, so that no state in the
-package grows for the life of the process."""
+"""Process-wide caches: the package keeps none, so that no state in it
+lives from one call to the next.  Should one come back, it must be
+bounded, and this test must name it."""
 
+import functools
 import importlib
 import pkgutil
 
@@ -25,9 +27,15 @@ def test_every_cache_is_bounded():
         name for name, fn in cached.items() if fn.cache_parameters()["maxsize"] is None
     )
     assert unbounded == []
-    # the walk must see the caches it checks; each of these two carries
-    # the measurement that justifies it next to its decorator
-    assert sorted(cached) == [
-        "ietwords.iet.three_iet_code",
-        "ietwords.words._is_balanced_letters",
-    ]
+    # each sweep does its repeated work once inside its own call, so no
+    # cache is left; one added later must carry the measurement that
+    # justifies it next to its decorator, and be listed here
+    assert sorted(cached) == []
+
+
+def test_the_walk_sees_a_cache(monkeypatch):
+    # with no cache in the package, the pinned ``[]`` above holds only if
+    # the walk would find one
+    probe = functools.lru_cache(maxsize=None)(lambda: None)
+    monkeypatch.setattr(ietwords.words, "_probe", probe, raising=False)
+    assert list(_cached_functions().values()) == [probe]

@@ -345,14 +345,14 @@ class TestThreeIETCode:
     def test_against_two_cut_loop_on_rationals(self):
         for alpha, beta, x0 in rational_3iet_cases(12):
             expected = three_iet_by_two_cuts(alpha, beta, x0, 24)
-            coded = three_iet_code.__wrapped__(ThreeIET(alpha, beta), x0, 24)
+            coded = three_iet_code(ThreeIET(alpha, beta), x0, 24)
             assert coded.letters == expected
 
     @given(quad_3iet_params(), quad_points(), st.integers(1, 300))
     def test_against_two_cut_loop_in_sqrt5(self, params, x0, n):
         alpha, beta = params
         expected = three_iet_by_two_cuts(alpha, beta, x0, n)
-        coded = three_iet_code.__wrapped__(ThreeIET(alpha, beta), x0, n)
+        coded = three_iet_code(ThreeIET(alpha, beta), x0, n)
         assert coded.letters == expected
 
     def test_mixed_fields_rejected(self):
@@ -360,7 +360,7 @@ class TestThreeIETCode:
         sqrt7_point = QuadNumber(-1, 1, 7, 3)
         t = ThreeIET(ALPHA, QuadNumber(1, 0, 0, 4))
         with pytest.raises(FieldMismatchError, match=r"sqrt\(7\) with sqrt\(5\)"):
-            three_iet_code.__wrapped__(t, sqrt7_point, 1)
+            three_iet_code(t, sqrt7_point, 1)
         with pytest.raises(FieldMismatchError, match=r"sqrt\(7\) with sqrt\(5\)"):
             two_iet_code(TwoIET(GOLDEN_SLOPE), sqrt7_point, 1)
 
@@ -397,7 +397,7 @@ class TestIntegerEngine:
     def test_3iet_on_rationals(self):
         for alpha, beta, x0 in rational_3iet_cases(12):
             expected = three_iet_on_quad_numbers(alpha, beta, x0, 24)
-            coded = three_iet_code.__wrapped__(ThreeIET(alpha, beta), x0, 24)
+            coded = three_iet_code(ThreeIET(alpha, beta), x0, 24)
             assert coded.letters == expected
 
     def test_points_on_a_cut_code_the_right_interval(self):
@@ -406,8 +406,8 @@ class TestIntegerEngine:
         for alpha, beta in ((QuadNumber(1, 0, 0, 3), QuadNumber(1, 0, 0, 4)),
                             (ALPHA, QuadNumber(1, 0, 0, 4))):
             t = ThreeIET(alpha, beta)
-            assert three_iet_code.__wrapped__(t, alpha, 1) == ternary_word("B")
-            assert three_iet_code.__wrapped__(t, alpha + beta, 1) == ternary_word("C")
+            assert three_iet_code(t, alpha, 1) == ternary_word("B")
+            assert three_iet_code(t, alpha + beta, 1) == ternary_word("C")
 
     @given(sqrt5_or_sqrt7_cases(), st.integers(1, 300))
     def test_in_sqrt5_and_sqrt7(self, case, n):
@@ -415,7 +415,7 @@ class TestIntegerEngine:
         assert two_iet_code(TwoIET(slope), x0, n).letters == two_iet_on_quad_numbers(
             slope, x0, n
         )
-        coded = three_iet_code.__wrapped__(ThreeIET(alpha, beta), x0, n)
+        coded = three_iet_code(ThreeIET(alpha, beta), x0, n)
         assert coded.letters == three_iet_on_quad_numbers(alpha, beta, x0, n)
 
     def test_long_orbits(self):
@@ -426,7 +426,7 @@ class TestIntegerEngine:
             self.SEED1_SLOPE, self.SEED1_START2, n
         )
         t = ThreeIET(self.SEED1_ALPHA, self.SEED1_BETA)
-        coded = three_iet_code.__wrapped__(t, self.SEED1_START3, n)
+        coded = three_iet_code(t, self.SEED1_START3, n)
         assert coded.letters == three_iet_on_quad_numbers(
             self.SEED1_ALPHA, self.SEED1_BETA, self.SEED1_START3, n
         )
@@ -436,7 +436,7 @@ class TestIntegerEngine:
         # cut 1/2, yet the field of beta is checked up front
         t = ThreeIET(QuadNumber(1, 0, 0, 2), QuadNumber(3, -1, 5, 8))
         with pytest.raises(FieldMismatchError, match=r"sqrt\(7\) with sqrt\(5\)"):
-            three_iet_code.__wrapped__(t, QuadNumber(-2, 1, 7, 3), 1)
+            three_iet_code(t, QuadNumber(-2, 1, 7, 3), 1)
 
     def test_quad_numbers_built_per_call_not_per_letter(self, monkeypatch):
         built = []
@@ -457,7 +457,7 @@ class TestIntegerEngine:
         three = ThreeIET(self.SEED1_ALPHA, self.SEED1_BETA)
         for code, transform, x0 in (
             (two_iet_code, two, self.SEED1_START2),
-            (three_iet_code.__wrapped__, three, self.SEED1_START3),
+            (three_iet_code, three, self.SEED1_START3),
         ):
             short = constructions(code, transform, x0, 10)
             long = constructions(code, transform, x0, 10_000)
@@ -580,7 +580,7 @@ class TestFixedPointFilter:
         # from all the letters before it is quadratic (about 13 s here)
         n = 10**5
         t = ThreeIET(self.TIE_ALPHA, self.TIE_BETA)
-        assert three_iet_code.__wrapped__(t, self.TIE_ALPHA, n).letters == b"\x01" * n
+        assert three_iet_code(t, self.TIE_ALPHA, n).letters == b"\x01" * n
 
     def test_nearly_equal_cuts(self):
         # sqrt(d) - isqrt(d) is about 2**-101: the precision must grow
