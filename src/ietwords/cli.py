@@ -1,9 +1,15 @@
 """Command-line front end.
 
 Every command emits one JSON record per enumerated object followed by a
-summary record, all with sorted keys so reruns are byte-identical;
-``--pretty`` renders the same records as a table.  Exit codes: 0 for ok,
-1 when a checked property is false, 2 for invalid input.
+summary record, all with sorted keys so reruns are byte-identical.  Each
+command handler is a generator: it yields its records and returns its
+status and summary fields, and each record is printed as soon as it is
+yielded, so a long ``verify`` sweep shows its first records while it
+runs.  ``--pretty`` renders the same records as a table, and so buffers
+them until the command ends, to size the columns.  Exit codes: 0 for
+ok, 1 when a checked property is false, 2 for invalid input; an input
+error found after some records were printed ends the output with the
+same ``invalid-input`` line.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Callable
+from typing import Callable, Generator
 
 from . import verification
 from .amicability import (
@@ -55,6 +61,10 @@ from .words import Alphabet
 
 EXIT_CODES = {"ok": 0, "property-false": 1, "invalid-input": 2}
 
+# what a command handler yields (its records) and returns (its status and
+# the fields it adds to the summary)
+Records = Generator[dict, None, tuple[str, dict]]
+
 
 def _parse_binary_morphism(text: str, role: str) -> Morphism:
     morphism = Morphism.parse(text)
@@ -93,19 +103,19 @@ def _pair_record(pair) -> dict:
     }
 
 
-def _cmd_std(args) -> tuple[str, list[dict], dict]:
+def _cmd_std(args) -> Records:
     matrix = IntMatrix2.parse(args.matrix)
     morphism = standard_morphism(matrix)
-    record = {"matrix": str(matrix), "morphism": str(morphism), "k": k_index(morphism)}
-    return "ok", [record], {}
+    yield {"matrix": str(matrix), "morphism": str(morphism), "k": k_index(morphism)}
+    return "ok", {}
 
 
-def _cmd_enum(args) -> tuple[str, list[dict], dict]:
+def _cmd_enum(args) -> Records:
     matrix = IntMatrix2.parse(args.matrix)
     chain = enumerate_sturmian(matrix)
     c0 = coding_word_k(matrix.p, matrix.norm, 0).letters
-    records = [
-        {
+    for i, m in enumerate(chain):
+        yield {
             "index": i,
             "morphism": str(m),
             "k": _rotation_index(
@@ -113,12 +123,10 @@ def _cmd_enum(args) -> tuple[str, list[dict], dict]:
             ),
             "standard": is_standard_morphism(m),
         }
-        for i, m in enumerate(chain)
-    ]
-    return "ok", records, {"count": len(chain), "expected": matrix.norm - 1}
+    return "ok", {"count": len(chain), "expected": matrix.norm - 1}
 
 
-def _cmd_pairs(args) -> tuple[str, list[dict], dict]:
+def _cmd_pairs(args) -> Records:
     matrix = IntMatrix2.parse(args.matrix)
     pairs = brute_force_pairs(matrix)
     if args.b is not None:
@@ -126,27 +134,22 @@ def _cmd_pairs(args) -> tuple[str, list[dict], dict]:
         expected = count_formula_b(matrix, args.b)
     else:
         expected = count_formula_total(matrix)
-    return "ok", [_pair_record(p) for p in pairs], {
-        "matrix": str(matrix),
-        "total": len(pairs),
-        "formula": expected,
-    }
+    yield from map(_pair_record, pairs)
+    return "ok", {"matrix": str(matrix), "total": len(pairs), "formula": expected}
 
 
-def _cmd_count(args) -> tuple[str, list[dict], dict]:
+def _cmd_count(args) -> Records:
     _require_at_least(args.max_norm, 2, "--max-norm")
-    records = [
-        {"matrix": str(matrix), "formula": count_formula_total(matrix)}
-        for matrix in unimodular_matrices(args.max_norm)
-    ]
-    return "ok", records, {
-        "max_norm": args.max_norm,
-        "matrices": len(records),
-        "total_pairs": sum(record["formula"] for record in records),
-    }
+    checked = total_pairs = 0
+    for matrix in unimodular_matrices(args.max_norm):
+        formula = count_formula_total(matrix)
+        checked += 1
+        total_pairs += formula
+        yield {"matrix": str(matrix), "formula": formula}
+    return "ok", {"max_norm": args.max_norm, "matrices": checked, "total_pairs": total_pairs}
 
 
-def _cmd_ternarize(args) -> tuple[str, list[dict], dict]:
+def _cmd_ternarize(args) -> Records:
     phi = _parse_binary_morphism(args.phi, "--phi")
     psi = _parse_binary_morphism(args.psi, "--psi")
     for role, morphism in (("--phi", phi), ("--psi", psi)):
@@ -155,29 +158,30 @@ def _cmd_ternarize(args) -> tuple[str, list[dict], dict]:
     try:
         eta = ternarize_morphisms(phi, psi)
     except NotAmicableError as exc:
-        return "property-false", [{"amicable": False, "reason": str(exc)}], {}
+        yield {"amicable": False, "reason": str(exc)}
+        return "property-false", {}
     b0, b1, b = b_counts(eta)
-    record = {"eta": str(eta), "b0": b0, "b1": b1, "b": b, "amicable": True}
-    return "ok", [record], {}
+    yield {"eta": str(eta), "b0": b0, "b1": b1, "b": b, "amicable": True}
+    return "ok", {}
 
 
-def _cmd_member(args) -> tuple[str, list[dict], dict]:
+def _cmd_member(args) -> Records:
     eta = _parse_ternary_morphism(args.eta, "--eta")
     outcome = ternarization_membership(eta)
     if outcome.member:
-        record = {"member": True, "phi": str(outcome.phi), "psi": str(outcome.psi)}
-        return "ok", [record], {}
-    return "property-false", [{"member": False, "reason": outcome.reason}], {}
+        yield {"member": True, "phi": str(outcome.phi), "psi": str(outcome.psi)}
+        return "ok", {}
+    yield {"member": False, "reason": outcome.reason}
+    return "property-false", {}
 
 
-def _cmd_classify(args) -> tuple[str, list[dict], dict]:
+def _cmd_classify(args) -> Records:
     candidate = IntMatrix3.parse(args.matrix3)
     witness = classify_matrix3(candidate)
     if witness is None:
-        return "property-false", [
-            {"classified": False, "matrix3": str(candidate)}
-        ], {}
-    record = {
+        yield {"classified": False, "matrix3": str(candidate)}
+        return "property-false", {}
+    yield {
         "classified": True,
         "matrix3": str(candidate),
         "matrix": str(witness.matrix),
@@ -185,22 +189,22 @@ def _cmd_classify(args) -> tuple[str, list[dict], dict]:
         "b1": witness.b1,
         "delta": witness.delta,
     }
-    return "ok", [record], {}
+    return "ok", {}
 
 
-def _cmd_word2(args) -> tuple[str, list[dict], dict]:
+def _cmd_word2(args) -> Records:
     transform = TwoIET(QuadNumber.parse(args.slope))
     word = two_iet_code(transform, QuadNumber.parse(args.start), args.n)
-    record = {
+    yield {
         "word": str(word),
         "length": len(word),
         "slope": str(transform.slope),
         "start": args.start,
     }
-    return "ok", [record], {}
+    return "ok", {}
 
 
-def _cmd_word3(args) -> tuple[str, list[dict], dict]:
+def _cmd_word3(args) -> Records:
     transform = ThreeIET(QuadNumber.parse(args.alpha), QuadNumber.parse(args.beta))
     nondegenerate = is_nondegenerate_params(transform)
     if not nondegenerate:
@@ -209,7 +213,7 @@ def _cmd_word3(args) -> tuple[str, list[dict], dict]:
             file=sys.stderr,
         )
     word = three_iet_code(transform, QuadNumber.parse(args.start), args.n)
-    record = {
+    yield {
         "word": str(word),
         "length": len(word),
         "alpha": str(transform.alpha),
@@ -217,37 +221,34 @@ def _cmd_word3(args) -> tuple[str, list[dict], dict]:
         "start": args.start,
         "nondegenerate": nondegenerate,
     }
-    return "ok", [record], {}
+    return "ok", {}
 
 
-def _cmd_preserve(args) -> tuple[str, list[dict], dict]:
+def _cmd_preserve(args) -> Records:
     eta = _parse_ternary_morphism(args.eta, "--eta")
     transform = ThreeIET(QuadNumber.parse(args.alpha), QuadNumber.parse(args.beta))
     result = check_3iet_preservation(
         eta, transform, QuadNumber.parse(args.start), args.n, args.kmax
     )
-    record = {"preserved": result.ok, "detail": result.detail, "eta": str(eta)}
+    yield {"preserved": result.ok, "detail": result.detail, "eta": str(eta)}
     status = "ok" if result.ok else "property-false"
-    return status, [record], {"n": args.n, "kmax": args.kmax}
+    return status, {"n": args.n, "kmax": args.kmax}
 
 
-def _cmd_probe(args) -> tuple[str, list[dict], dict]:
+def _cmd_probe(args) -> Records:
     eta = _parse_ternary_morphism(args.eta, "--eta")
     report = conjecture_probe(eta)
-    records = []
     for item in report.records:
         outcome = item.outcome
-        records.append(
-            {
-                "candidate": item.label,
-                "morphism": str(item.morphism),
-                "member": outcome.member,
-                "phi": str(outcome.phi) if outcome.phi is not None else None,
-                "psi": str(outcome.psi) if outcome.psi is not None else None,
-                "reason": outcome.reason,
-            }
-        )
-    return "ok", records, {"members": len(report.members())}
+        yield {
+            "candidate": item.label,
+            "morphism": str(item.morphism),
+            "member": outcome.member,
+            "phi": str(outcome.phi) if outcome.phi is not None else None,
+            "psi": str(outcome.psi) if outcome.psi is not None else None,
+            "reason": outcome.reason,
+        }
+    return "ok", {"members": len(report.members())}
 
 
 # the optional flags of ``verify`` by argparse dest, which is also the
@@ -268,7 +269,7 @@ _SUITE_FLAGS = {
 }
 
 
-def _cmd_verify(args) -> tuple[str, list[dict], dict]:
+def _cmd_verify(args) -> Records:
     kwargs = {
         dest: getattr(args, dest)
         for dest in _VERIFY_FLAGS
@@ -281,9 +282,8 @@ def _cmd_verify(args) -> tuple[str, list[dict], dict]:
     _require_at_least(args.max_norm, 2, "--max-norm")
     _require_at_least(args.samples, 1, "--samples")
     _require_at_least(args.kmax, 1, "--kmax")
-    result = verification.SUITES[args.suite](**kwargs)
-    status = "ok" if result.ok else "property-false"
-    return status, result.records, {"suite": result.name, **result.summary}
+    ok, summary = yield from verification.SUITES[args.suite](**kwargs)
+    return ("ok" if ok else "property-false"), {"suite": args.suite, **summary}
 
 
 _HANDLERS: dict[str, Callable] = {
@@ -398,19 +398,28 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     handler = _HANDLERS[args.command]
+    buffered: list[dict] = []
+    count = 0
+
+    def emit(record: dict) -> None:
+        nonlocal count
+        count += 1
+        if args.pretty:
+            buffered.append(record)
+        else:
+            print(json.dumps(record, sort_keys=True))
+
     try:
-        status, records, extras = handler(args)
+        status, extras = verification.drain(handler(args), emit)
     except IetWordsError as exc:
         payload = {"command": args.command, "status": "invalid-input", "error": str(exc)}
         print(json.dumps(payload, sort_keys=True))
         return EXIT_CODES["invalid-input"]
-    summary = {"command": args.command, "status": status, "records": len(records)}
+    summary = {"command": args.command, "status": status, "records": count}
     summary.update(extras)
     if args.pretty:
-        _print_pretty(records, summary)
+        _print_pretty(buffered, summary)
     else:
-        for record in records:
-            print(json.dumps(record, sort_keys=True))
         print(json.dumps(summary, sort_keys=True))
     return EXIT_CODES[status]
 

@@ -18,7 +18,6 @@ witnessed by the permutation matrix swapping A and C.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -90,12 +89,12 @@ def unimodular_matrices(max_norm: int) -> Iterator[IntMatrix2]:
     """All non-negative matrices with determinant +-1 and norm at most
     ``max_norm``, in a fixed deterministic order."""
     for norm in range(2, max_norm + 1):
-        for p0, q0, p1 in itertools.product(range(norm + 1), repeat=3):
-            q1 = norm - p0 - q0 - p1
-            if q1 < 0:
-                continue
-            if abs(p0 * q1 - q0 * p1) == 1:
-                yield IntMatrix2(p0, q0, p1, q1)
+        for p0 in range(norm + 1):
+            for q0 in range(norm - p0 + 1):
+                for p1 in range(norm - p0 - q0 + 1):
+                    q1 = norm - p0 - q0 - p1
+                    if abs(p0 * q1 - q0 * p1) == 1:
+                        yield IntMatrix2(p0, q0, p1, q1)
 
 
 def count_formula_total(matrix: IntMatrix2) -> int:

@@ -1,10 +1,12 @@
 """Self-contained verification suites pairing closed formulas with
 brute-force oracles.
 
-Each suite returns a :class:`SuiteResult` with one record per checked
-object and an overall flag.  The CLI prints the records, one JSON line
-each (or a table with ``--pretty``), followed by the summary, only
-after the whole suite has returned.
+Each suite is a generator: it yields one record per checked object as
+soon as that object is decided, then returns its overall ``ok`` flag and
+its summary fields.  It raises every argument or degenerate-parameter
+error before its first record.  The CLI prints each record as it is
+yielded, one JSON line each, and the summary last; :func:`run_suite`
+drains the same generator into a :class:`SuiteResult`.
 The suites look up ``matrices.*`` at call time, so that fault injection
 there in tests is visible here.
 """
@@ -15,6 +17,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Callable, Generator
 
 from . import matrices
 from .amicability import (
@@ -40,6 +43,10 @@ PRESERVE_BETA = QuadNumber(1, 0, 0, 4)
 TRAP_BETA = QuadNumber(-2, 1, 5, 1)
 
 
+# what a suite yields (its records) and returns (its ok flag and summary)
+SuiteRecords = Generator[dict, None, tuple[bool, dict]]
+
+
 @dataclass
 class SuiteResult:
     name: str
@@ -48,41 +55,61 @@ class SuiteResult:
     summary: dict = field(default_factory=dict)
 
 
-def counting_suite(max_norm: int = 12) -> SuiteResult:
+def drain(records: Generator[dict, None, tuple], emit: Callable[[dict], None]) -> tuple:
+    """Pass each record to ``emit`` as it is yielded; returns what the
+    generator returns."""
+    try:
+        while True:
+            emit(next(records))
+    except StopIteration as end:
+        return end.value
+
+
+def run_suite(name: str, *args, **kwargs) -> SuiteResult:
+    """Run the suite ``name`` to its end and collect its records."""
+    records: list[dict] = []
+    ok, summary = drain(SUITES[name](*args, **kwargs), records.append)
+    return SuiteResult(name, ok, records, summary)
+
+
+def counting_suite(max_norm: int = 12) -> SuiteRecords:
     """Brute-force pair counts against the closed formulas, per matrix
-    and per B-count."""
-    records = []
+    and per B-count.  A record whose per-B check fails names the smallest
+    differing B with both of its counts."""
     ok = True
+    checked = 0
     for matrix in matrices.unimodular_matrices(max_norm):
         b_values = matrices.brute_force_b_counts(matrix)
         formula = matrices.count_formula_total(matrix)
         histogram = Counter(b_values)
-        per_b = all(
-            histogram.get(b, 0) == matrices.count_formula_b(matrix, b)
-            for b in range(matrix.norm + 2)
-        )
-        match = len(b_values) == formula and per_b
+        mismatch = None
+        for b in range(matrix.norm + 2):
+            formula_b = matrices.count_formula_b(matrix, b)
+            if histogram[b] != formula_b:
+                mismatch = {"b": b, "brute": histogram[b], "formula": formula_b}
+                break
+        match = len(b_values) == formula and mismatch is None
         ok = ok and match
-        records.append(
-            {
-                "matrix": str(matrix),
-                "brute": len(b_values),
-                "formula": formula,
-                "per_b_match": per_b,
-                "match": match,
-            }
-        )
-    return SuiteResult(
-        "counting", ok, records, {"max_norm": max_norm, "matrices": len(records)}
-    )
+        checked += 1
+        record = {
+            "matrix": str(matrix),
+            "brute": len(b_values),
+            "formula": formula,
+            "per_b_match": mismatch is None,
+            "match": match,
+        }
+        if mismatch is not None:
+            record["first_b_mismatch"] = mismatch
+        yield record
+    return ok, {"max_norm": max_norm, "matrices": checked}
 
 
-def lemma_w_suite(max_norm: int = 24) -> SuiteResult:
+def lemma_w_suite(max_norm: int = 24) -> SuiteRecords:
     """Amicability of rational coding words: b-amicable exactly when the
     start-index difference b lies in [0, min(p, q)], for every length
     N = p + q up to ``max_norm`` (the norm of the matrices they code)."""
-    records = []
     ok = True
+    cases = 0
     for n_total in range(2, max_norm + 1):
         for p in range(1, n_total):
             if math.gcd(p, n_total) != 1:
@@ -101,18 +128,17 @@ def lemma_w_suite(max_norm: int = 24) -> SuiteResult:
                         mismatches += 1
             good = mismatches == 0
             ok = ok and good
-            records.append(
-                {"p": p, "N": n_total, "mismatches": mismatches, "match": good}
-            )
-    return SuiteResult("lemma-w", ok, records, {"max_n": max_norm, "cases": len(records)})
+            cases += 1
+            yield {"p": p, "N": n_total, "mismatches": mismatches, "match": good}
+    return ok, {"max_n": max_norm, "cases": cases}
 
 
-def matrices_suite(max_norm: int = 10) -> SuiteResult:
+def matrices_suite(max_norm: int = 10) -> SuiteRecords:
     """Set equality between brute-forced ternarization matrices and the
     condition-(a)/(b) construction, classification round trips, and the
     B*E*B^T necessity, plus its non-sufficiency witness."""
-    records = []
     ok = True
+    checked = 0
     for matrix in matrices.unimodular_matrices(max_norm):
         brute = {incidence_matrix(pair.eta) for pair in matrices.brute_force_pairs(matrix)}
         generated = set()
@@ -125,35 +151,30 @@ def matrices_suite(max_norm: int = 10) -> SuiteResult:
         e_ok = all(matrices.e_condition(built) is not None for built in brute)
         match = brute == generated and classify_ok and e_ok
         ok = ok and match
-        records.append(
-            {
-                "matrix": str(matrix),
-                "brute_set": len(brute),
-                "generated_set": len(generated),
-                "sets_equal": brute == generated,
-                "classify_ok": classify_ok,
-                "e_condition_ok": e_ok,
-                "match": match,
-            }
-        )
+        checked += 1
+        yield {
+            "matrix": str(matrix),
+            "brute_set": len(brute),
+            "generated_set": len(generated),
+            "sets_equal": brute == generated,
+            "classify_ok": classify_ok,
+            "e_condition_ok": e_ok,
+            "match": match,
+        }
     swap_matrix = incidence_matrix(matrices.AC_SWAP)
     non_sufficient = (
         matrices.e_condition(swap_matrix) == -1
         and matrices.classify_matrix3(swap_matrix) is None
     )
     ok = ok and non_sufficient
-    records.append(
-        {
-            "matrix": str(swap_matrix),
-            "e_condition_sign": matrices.e_condition(swap_matrix),
-            "classified": False,
-            "non_sufficiency_witness": non_sufficient,
-            "match": non_sufficient,
-        }
-    )
-    return SuiteResult(
-        "matrices", ok, records, {"max_norm": max_norm, "matrices": len(records) - 1}
-    )
+    yield {
+        "matrix": str(swap_matrix),
+        "e_condition_sign": matrices.e_condition(swap_matrix),
+        "classified": False,
+        "non_sufficiency_witness": non_sufficient,
+        "match": non_sufficient,
+    }
+    return ok, {"max_norm": max_norm, "matrices": checked}
 
 
 _GENERATORS = tuple(
@@ -171,7 +192,7 @@ def _intertwining_ok(eta: Morphism, phi: Morphism, psi: Morphism) -> bool:
 
 def monoid_suite(
     max_norm: int = 8, samples: int = 200, seed: int = DEFAULT_SEED
-) -> SuiteResult:
+) -> SuiteRecords:
     """Closure under composition and the projection intertwining law on
     a deterministic random sample of pairs of ternarizations."""
     pool = [
@@ -180,7 +201,6 @@ def monoid_suite(
         for pair in matrices.brute_force_pairs(matrix)
     ]
     rng = random.Random(seed)
-    records = []
     ok = True
     for i in range(samples):
         first = rng.choice(pool)
@@ -192,41 +212,33 @@ def monoid_suite(
         intertwined = _intertwining_ok(composed, phi, psi)
         good = closure and intertwined
         ok = ok and good
-        records.append(
-            {
-                "sample": i,
-                "closure": closure,
-                "intertwining": intertwined,
-                "match": good,
-            }
-        )
-    return SuiteResult(
-        "monoid",
-        ok,
-        records,
-        {"max_norm": max_norm, "samples": samples, "seed": seed, "pool": len(pool)},
-    )
+        yield {
+            "sample": i,
+            "closure": closure,
+            "intertwining": intertwined,
+            "match": good,
+        }
+    return ok, {"max_norm": max_norm, "samples": samples, "seed": seed, "pool": len(pool)}
 
 
-def preserve_suite(max_norm: int = 6, n: int = 1000, kmax: int = 20) -> SuiteResult:
+def preserve_suite(max_norm: int = 6, n: int = 1000, kmax: int = 20) -> SuiteRecords:
     """Prefix-scale 3iet preservation for every brute-forced
     ternarization, plus rejection of the degenerate parameter trap."""
     check = _preservation_checker(ThreeIET(PRESERVE_ALPHA, PRESERVE_BETA), ZERO, n, kmax)
-    records = []
     ok = True
+    checked = 0
     for matrix in matrices.unimodular_matrices(max_norm):
         for pair in matrices.brute_force_pairs(matrix):
             result = check(pair.eta)
             ok = ok and result.ok
-            records.append(
-                {
-                    "matrix": str(matrix),
-                    "k": pair.k,
-                    "kbar": pair.kbar,
-                    "preserved": result.ok,
-                    "detail": result.detail,
-                }
-            )
+            checked += 1
+            yield {
+                "matrix": str(matrix),
+                "k": pair.k,
+                "kbar": pair.kbar,
+                "preserved": result.ok,
+                "detail": result.detail,
+            }
     try:
         check_3iet_preservation(
             Morphism.identity(Alphabet.TERNARY),
@@ -239,16 +251,11 @@ def preserve_suite(max_norm: int = 6, n: int = 1000, kmax: int = 20) -> SuiteRes
     except DegenerateParametersError:
         trap_rejected = True
     ok = ok and trap_rejected
-    records.append({"trap_rejected": trap_rejected, "preserved": trap_rejected})
-    return SuiteResult(
-        "preserve",
-        ok,
-        records,
-        {"max_norm": max_norm, "n": n, "kmax": kmax, "checked": len(records) - 1},
-    )
+    yield {"trap_rejected": trap_rejected, "preserved": trap_rejected}
+    return ok, {"max_norm": max_norm, "n": n, "kmax": kmax, "checked": checked}
 
 
-SUITES = {
+SUITES: dict[str, Callable[..., SuiteRecords]] = {
     "counting": counting_suite,
     "lemma-w": lemma_w_suite,
     "matrices": matrices_suite,

@@ -47,7 +47,7 @@ from ietwords.verification import (
     PRESERVE_ALPHA,
     PRESERVE_BETA,
     TRAP_BETA,
-    monoid_suite,
+    run_suite,
 )
 
 PHI = Morphism.parse("0->001,1->00101")
@@ -150,7 +150,7 @@ def test_criterion_06_sturmian_census_norm_12():
 
 
 def test_criterion_07_monoid_closure_and_intertwining():
-    result = monoid_suite(max_norm=8, samples=200, seed=DEFAULT_SEED)
+    result = run_suite("monoid", max_norm=8, samples=200, seed=DEFAULT_SEED)
     assert result.ok
     assert len(result.records) == 200
     assert all(record["closure"] and record["intertwining"] for record in result.records)

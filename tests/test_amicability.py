@@ -38,8 +38,8 @@ from ietwords.amicability import _letters_int, _scan, _scan_b
 from ietwords.verification import (
     PRESERVE_ALPHA,
     PRESERVE_BETA,
-    lemma_w_suite,
     preserve_suite,
+    run_suite,
 )
 
 PHI = Morphism.parse("0->001,1->00101")
@@ -451,7 +451,7 @@ class TestPreserveSuite:
         ("max_norm", "n", "kmax", "checked"), [(5, 60, 20, 55), (6, 1000, 20, 73)]
     )
     def test_records_match_a_public_call_per_pair(self, max_norm, n, kmax, checked):
-        result = preserve_suite(max_norm, n, kmax)
+        result = run_suite("preserve", max_norm, n, kmax)
         assert result.records[:-1] == self.per_pair_records(max_norm, n, kmax)
         assert result.summary["checked"] == checked
         assert result.records[-1] == {"trap_rejected": True, "preserved": True}
@@ -466,7 +466,7 @@ class TestPreserveSuite:
             return original(word, kmax)
 
         monkeypatch.setattr(amicability, "_sturmian_prefix_violation", recording)
-        records = preserve_suite(5, 60, 20).records[:-1]
+        records = run_suite("preserve", 5, 60, 20).records[:-1]
         assert len(decided) == len(set(decided))
         # a check stops at a failing sigma01; pairs sharing phi share it
         asked = sum(
@@ -484,10 +484,12 @@ class TestPreserveSuite:
         assert check_3iet_preservation(periodic, t, ZERO, 500, 3).ok
 
     def test_invalid_arguments_raise_before_any_pair(self):
+        # the suite is a generator: it raises on its first step, before
+        # it yields a record
         with pytest.raises(DomainError, match="2\\*kmax"):
-            preserve_suite(2, 39, 20)
+            next(preserve_suite(2, 39, 20))
         with pytest.raises(DomainError, match="non-negative"):
-            preserve_suite(2, 10, -1)
+            next(preserve_suite(2, 10, -1))
 
 
 def test_lemma_w_suite_matches_the_scan():
@@ -509,7 +511,7 @@ def test_lemma_w_suite_matches_the_scan():
             records.append(
                 {"p": p, "N": n_total, "mismatches": mismatches, "match": mismatches == 0}
             )
-    assert lemma_w_suite(14).records == records
+    assert run_suite("lemma-w", 14).records == records
 
 
 class TestAmicablePairInvariants:

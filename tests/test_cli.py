@@ -1,6 +1,8 @@
+import hashlib
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -8,6 +10,7 @@ import pytest
 import ietwords.matrices
 from ietwords import IntMatrix2, count_formula_total
 from ietwords.cli import main
+from ietwords.errors import IetWordsError
 
 # the package's parent directory: ``python -m ietwords`` run from here
 # imports this checkout whether or not it is installed
@@ -346,6 +349,115 @@ class TestVerifyCommand:
         assert code == 1
         assert records[-1]["status"] == "property-false"
 
+    def test_failing_per_b_check_names_the_smallest_differing_b(self, capsys, monkeypatch):
+        true_formula = ietwords.matrices.count_formula_b
+        monkeypatch.setattr(
+            ietwords.matrices,
+            "count_formula_b",
+            lambda matrix, b: true_formula(matrix, b) + (b in (2, 3)),
+        )
+        code, records, _ = run(capsys, "verify", "--suite", "counting", "--max-norm", "5")
+        assert code == 1
+        rows = records[:-1]
+        # every matrix checks b = 0 .. norm + 1, which holds both faulty
+        # buckets: each record fails, and names b = 2
+        failing = [row for row in rows if not row["per_b_match"]]
+        assert failing and len(failing) == len(rows)
+        for row in failing:
+            matrix = IntMatrix2.parse(row["matrix"])
+            brute = Counter(ietwords.matrices.brute_force_b_counts(matrix))[2]
+            assert row["first_b_mismatch"] == {
+                "b": 2, "brute": brute, "formula": true_formula(matrix, 2) + 1
+            }
+
+    def test_passing_records_carry_no_witness(self, capsys):
+        code, records, _ = run(capsys, "verify", "--suite", "counting", "--max-norm", "6")
+        assert code == 0
+        assert all("first_b_mismatch" not in row for row in records[:-1])
+
+
+class TestStreaming:
+    def test_records_print_before_the_suite_ends(self, capsys, monkeypatch):
+        # stdout as each matrix is about to be decided: the record of the
+        # matrix before it is already out, complete
+        original = ietwords.matrices.brute_force_b_counts
+        outputs = []
+
+        def checking(matrix):
+            outputs.append((capsys.readouterr().out, str(matrix)))
+            return original(matrix)
+
+        monkeypatch.setattr(ietwords.matrices, "brute_force_b_counts", checking)
+        assert main(["verify", "--suite", "counting", "--max-norm", "5"]) == 0
+        assert outputs[0][0] == "" and len(outputs) > 2
+        for (out, _), (_, previous) in zip(outputs[1:], outputs):
+            assert out.endswith("\n") and len(out.splitlines()) == 1
+            assert json.loads(out)["matrix"] == previous
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--suite", "preserve", "-n", "30", "--kmax", "20"],
+            ["verify", "--suite", "counting", "--max-norm", "1"],
+        ],
+    )
+    def test_invalid_input_prints_only_the_error_line(self, capsys, argv):
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert code == 2
+        assert len(out.splitlines()) == 1
+        assert json.loads(out)["status"] == "invalid-input"
+
+    @pytest.mark.parametrize("pretty", [[], ["--pretty"]])
+    def test_error_after_records_ends_the_stream(self, capsys, monkeypatch, pretty):
+        original = ietwords.matrices.brute_force_b_counts
+        calls = []
+
+        def failing(matrix):
+            calls.append(matrix)
+            if len(calls) == 3:
+                raise IetWordsError("injected")
+            return original(matrix)
+
+        monkeypatch.setattr(ietwords.matrices, "brute_force_b_counts", failing)
+        code = main(["verify", "--suite", "counting", "--max-norm", "5", *pretty])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 2
+        # --pretty buffers its table, so nothing but the error line is out
+        printed = [] if pretty else [str(matrix) for matrix in calls[:2]]
+        assert [json.loads(line)["matrix"] for line in lines[:-1]] == printed
+        assert json.loads(lines[-1]) == {
+            "command": "verify", "status": "invalid-input", "error": "injected"
+        }
+
+
+class TestByteIdentity:
+    # sha256 of stdout, pinned when the suites first streamed their
+    # records: streaming changes when the bytes are written, not which
+    @pytest.mark.parametrize(
+        ("argv", "digest"),
+        [
+            (["--suite", "counting"],
+             "b46cf151397da8b49730a7c1b0c02321dc6edaac3aca6397019409f11e4546f7"),
+            (["--suite", "lemma-w"],
+             "fa64db87be0ac43983f7069aeb33323bc5be47d556d8219c0ada0b90668707d1"),
+            (["--suite", "matrices"],
+             "bf3a417097dbd8ca77d8af140f6946c6babee485063d9054301745ecf3fc1fe6"),
+            (["--suite", "monoid"],
+             "5f9479af023b147a8e29f89311642d6e51ab231b842927c9fcb3ec34ee6a87ba"),
+            (["--suite", "preserve"],
+             "47a9552acf911d394c97cdcc5614c52b9e0b7884d525d19f1b5d5ef0c856a0bb"),
+            (["--suite", "counting", "--max-norm", "24"],
+             "25d6b00ae2c08df31967d71c09c884c240e55dc606fa7deb7f8eda685c66ea50"),
+            (["--suite", "preserve", "--pretty"],
+             "433b09aea2e2873650077d6e97c3a5b4224418d33671edd1e011e0fb22b3029f"),
+        ],
+    )
+    def test_verify_stdout_is_pinned(self, capsys, argv, digest):
+        main(["verify", *argv])
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestPrettyOutput:
     def test_pretty_renders_table(self, capsys):
@@ -385,5 +497,22 @@ class TestEntryPoint:
         proc.stdout.close()
         _, err = proc.communicate(timeout=60)
         assert json.loads(first)["index"] == 0
+        assert b"Traceback" not in err, err.decode()
+        assert proc.returncode == 1
+
+    def test_closed_pipe_stops_a_verify_sweep(self):
+        # a streamed sweep whose reader leaves after one record ends at
+        # its next write, quietly and with exit code 1
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ietwords", "verify", "--suite", "counting",
+             "--max-norm", "60"],
+            cwd=SRC,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert json.loads(first)["matrix"] == "0,1;1,0"
         assert b"Traceback" not in err, err.decode()
         assert proc.returncode == 1

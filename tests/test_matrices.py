@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 
 import pytest
@@ -32,7 +33,7 @@ from ietwords import (
     unimodular_matrices,
 )
 from ietwords.matrices import block_conjugated_matrix
-from ietwords.verification import counting_suite
+from ietwords.verification import run_suite
 
 EXAMPLE = IntMatrix2(2, 1, 3, 2)
 IDENTITY_2 = IntMatrix2(1, 0, 0, 1)
@@ -54,6 +55,21 @@ class TestCountFormulas:
     def test_not_unimodular(self):
         with pytest.raises(NotUnimodularError):
             count_formula_total(IntMatrix2(1, 1, 1, 1))
+
+    def test_unimodular_enumeration_order(self):
+        # the bounded loops walk the triples in the order of the full
+        # product, skipping only those with a negative q1
+        def product_filter(max_norm):
+            return [
+                IntMatrix2(p0, q0, p1, norm - p0 - q0 - p1)
+                for norm in range(2, max_norm + 1)
+                for p0, q0, p1 in itertools.product(range(norm + 1), repeat=3)
+                if norm - p0 - q0 - p1 >= 0
+                and abs(p0 * (norm - p0 - q0 - p1) - q0 * p1) == 1
+            ]
+
+        for max_norm in (0, 1, 2, 3, 7, 30):
+            assert list(unimodular_matrices(max_norm)) == product_filter(max_norm)
 
     def test_per_b_sums_to_total(self):
         # pure arithmetic identity between the two closed formulas
@@ -147,7 +163,7 @@ class TestBruteForcePairs:
 
 class TestCountingSuite:
     def test_benchmark_scale(self):
-        result = counting_suite(24)
+        result = run_suite("counting", 24)
         assert result.ok
         assert len(result.records) == 358
         assert all(r["brute"] == r["formula"] and r["match"] for r in result.records)
