@@ -15,9 +15,9 @@ Sturmian behaviour additionally demands factor complexity m+1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
+from ._value import Value
 from .errors import (
     AlphabetError,
     DegenerateParametersError,
@@ -47,10 +47,10 @@ def sigma(word: FiniteWord, which: str) -> FiniteWord:
     )
 
 
-@dataclass(frozen=True)
-class AmicabilityWitness:
+class AmicabilityWitness(Value):
     """The ternarization of an amicable pair of words and its B-count."""
 
+    __slots__ = ("v", "b")
     v: FiniteWord
     b: int
 
@@ -176,8 +176,7 @@ def b_counts(eta: Morphism) -> tuple[int, int, int]:
     return image_a.count(1), image_c.count(1), image_b.count(1)
 
 
-@dataclass(frozen=True)
-class AmicablePair:
+class AmicablePair(Value):
     """An ordered amicable pair with its ternarization and indices.
 
     ``k`` and ``kbar`` are the rotation indices of ``phi`` and ``psi``;
@@ -185,6 +184,7 @@ class AmicablePair:
     the shared incidence matrix.
     """
 
+    __slots__ = ("phi", "psi", "eta", "b0", "b1", "b", "k", "kbar")
     phi: Morphism
     psi: Morphism
     eta: Morphism
@@ -195,10 +195,10 @@ class AmicablePair:
     kbar: int
 
 
-@dataclass(frozen=True)
-class TernarizationMembership:
+class TernarizationMembership(Value):
     """Outcome of testing whether a ternary morphism is a ternarization."""
 
+    __slots__ = ("member", "phi", "psi", "reason")
     member: bool
     phi: Morphism | None
     psi: Morphism | None
@@ -246,8 +246,8 @@ def ternarization_membership(eta: Morphism) -> TernarizationMembership:
     return TernarizationMembership(True, phi, psi, None)
 
 
-@dataclass(frozen=True)
-class PreservationResult:
+class PreservationResult(Value):
+    __slots__ = ("ok", "detail")
     ok: bool
     detail: str | None
 

@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 
+from ._value import Value
 from .errors import DomainError
 from .quadratic import ONE, ZERO, QuadNumber, _common_radicand
 from .words import Alphabet, FiniteWord
@@ -38,35 +38,38 @@ from .words import Alphabet, FiniteWord
 MAX_CODING_LENGTH = 10**6
 
 
-@dataclass(frozen=True)
-class TwoIET:
+class TwoIET(Value):
     """Exchange of two intervals, determined by its slope in [0, 1]."""
 
+    __slots__ = ("slope",)
     slope: QuadNumber
 
-    def __post_init__(self) -> None:
-        if self.slope < ZERO or ONE < self.slope:
-            raise DomainError(f"slope {self.slope} outside [0, 1]")
+    def __init__(self, slope: QuadNumber) -> None:
+        if slope < ZERO or ONE < slope:
+            raise DomainError(f"slope {slope} outside [0, 1]")
+        object.__setattr__(self, "slope", slope)
 
 
-@dataclass(frozen=True)
-class ThreeIET:
+class ThreeIET(Value):
     """Exchange of three intervals with permutation (3,2,1).
 
     Determined by ``alpha, beta > 0`` with ``alpha + beta < 1``; the
     third length ``gamma = 1 - alpha - beta`` is implied.
     """
 
+    __slots__ = ("alpha", "beta")
     alpha: QuadNumber
     beta: QuadNumber
 
-    def __post_init__(self) -> None:
-        if not ZERO < self.alpha:
-            raise DomainError(f"alpha {self.alpha} must be positive")
-        if not ZERO < self.beta:
-            raise DomainError(f"beta {self.beta} must be positive")
-        if not self.alpha + self.beta < ONE:
+    def __init__(self, alpha: QuadNumber, beta: QuadNumber) -> None:
+        if not ZERO < alpha:
+            raise DomainError(f"alpha {alpha} must be positive")
+        if not ZERO < beta:
+            raise DomainError(f"beta {beta} must be positive")
+        if not alpha + beta < ONE:
             raise DomainError("alpha + beta must be smaller than 1")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
 
 
 def _check_start(x0: QuadNumber) -> None:

@@ -18,9 +18,9 @@ witnessed by the permutation matrix swapping A and C.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
+from ._value import Value
 from .amicability import (
     _letters_int,
     _scan_b,
@@ -240,11 +240,11 @@ def ternarization_matrices(
                 yield b0, b1, ternarization_matrix(matrix, b0, b1)
 
 
-@dataclass(frozen=True)
-class ClassificationWitness:
+class ClassificationWitness(Value):
     """Parameters (A, b0, b1, delta) realising a 3x3 matrix as a
     ternarization incidence matrix."""
 
+    __slots__ = ("matrix", "b0", "b1", "delta")
     matrix: IntMatrix2
     b0: int
     b1: int
@@ -287,8 +287,8 @@ def e_condition(candidate: IntMatrix3) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
-class ProbeRecord:
+class ProbeRecord(Value):
+    __slots__ = ("label", "morphism", "outcome")
     label: str
     morphism: Morphism
     outcome: TernarizationMembership
@@ -298,8 +298,8 @@ class ProbeRecord:
         return self.outcome.member
 
 
-@dataclass(frozen=True)
-class ProbeReport:
+class ProbeReport(Value):
+    __slots__ = ("eta", "records")
     eta: Morphism
     records: tuple[ProbeRecord, ...]
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 
+from ._value import Value
 from .errors import (
     AlphabetError,
     DomainError,
@@ -25,18 +25,25 @@ from .iet import coding_word_k
 from .words import Alphabet, FiniteWord, parikh
 
 
-@dataclass(frozen=True)
-class IntMatrix2:
+class IntMatrix2(Value):
     """2x2 non-negative integer matrix with rows (p0, q0) and (p1, q1)."""
 
+    __slots__ = ("p0", "q0", "p1", "q1")
     p0: int
     q0: int
     p1: int
     q1: int
 
-    def __post_init__(self) -> None:
-        if min(self.p0, self.q0, self.p1, self.q1) < 0:
+    def __init__(self, p0: int, q0: int, p1: int, q1: int) -> None:
+        if not type(p0) is type(q0) is type(p1) is type(q1) is int:
+            bad = next(x for x in (p0, q0, p1, q1) if type(x) is not int)
+            raise DomainError(f"matrix entry {bad!r} is not an integer")
+        if min(p0, q0, p1, q1) < 0:
             raise DomainError("incidence matrix entries must be non-negative")
+        object.__setattr__(self, "p0", p0)
+        object.__setattr__(self, "q0", q0)
+        object.__setattr__(self, "p1", p1)
+        object.__setattr__(self, "q1", q1)
 
     @property
     def det(self) -> int:
@@ -77,8 +84,7 @@ class IntMatrix2:
         return f"{self.p0},{self.q0};{self.p1},{self.q1}"
 
 
-@dataclass(frozen=True)
-class IntMatrix3:
+class IntMatrix3(Value):
     """3x3 integer matrix, row-major.
 
     Incidence matrices of ternary morphisms are non-negative, but the
@@ -86,12 +92,17 @@ class IntMatrix3:
     B*E*B^T test) can be represented too.
     """
 
+    __slots__ = ("entries",)
     entries: tuple[tuple[int, int, int], ...]
 
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(int(x) for x in row) for row in self.entries)
+    def __init__(self, entries) -> None:
+        rows = tuple(map(tuple, entries))
         if len(rows) != 3 or any(len(row) != 3 for row in rows):
             raise DomainError("a 3x3 matrix needs exactly nine entries")
+        for row in rows:
+            for x in row:
+                if type(x) is not int:
+                    raise DomainError(f"matrix entry {x!r} is not an integer")
         object.__setattr__(self, "entries", rows)
 
     def __getitem__(self, i: int) -> tuple[int, int, int]:
@@ -172,21 +183,22 @@ def _matrix_entry(cell: str, text: str) -> int:
         raise ParseError(f"invalid matrix entry {cell!r} in {text!r}") from None
 
 
-@dataclass(frozen=True)
-class Morphism:
+class Morphism(Value):
     """A morphism over one alphabet, given by its letter images."""
 
+    __slots__ = ("alphabet", "images")
     alphabet: Alphabet
     images: tuple[FiniteWord, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.images) != self.alphabet.size:
-            raise AlphabetError(
-                f"need {self.alphabet.size} images for {self.alphabet.name}"
-            )
-        for image in self.images:
-            if image.alphabet is not self.alphabet:
+    def __init__(self, alphabet: Alphabet, images) -> None:
+        images = tuple(images)
+        if len(images) != alphabet.size:
+            raise AlphabetError(f"need {alphabet.size} images for {alphabet.name}")
+        for image in images:
+            if image.alphabet is not alphabet:
                 raise AlphabetError("morphism image over the wrong alphabet")
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "images", images)
 
     @classmethod
     def identity(cls, alphabet: Alphabet) -> "Morphism":

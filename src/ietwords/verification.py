@@ -16,10 +16,10 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Callable, Generator
 
 from . import matrices
+from ._value import Value
 from .amicability import (
     _letters_int,
     _preservation_checker,
@@ -47,12 +47,27 @@ TRAP_BETA = QuadNumber(-2, 1, 5, 1)
 SuiteRecords = Generator[dict, None, tuple[bool, dict]]
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(Value):
+    """A suite's records and summary; unlike the other value classes it
+    is mutable, and so unhashable."""
+
+    __slots__ = ("name", "ok", "records", "summary")
     name: str
     ok: bool
-    records: list[dict] = field(default_factory=list)
-    summary: dict = field(default_factory=dict)
+    records: list[dict]
+    summary: dict
+
+    def __init__(
+        self, name: str, ok: bool, records: list[dict] | None = None, summary: dict | None = None
+    ) -> None:
+        self.name = name
+        self.ok = ok
+        self.records = [] if records is None else records
+        self.summary = {} if summary is None else summary
+
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
 
 
 def drain(records: Generator[dict, None, tuple], emit: Callable[[dict], None]) -> tuple:

@@ -11,10 +11,10 @@ All functions here are pure; words can be shared freely across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
 
+from ._value import Value
 from .errors import AlphabetError, DomainError, ParseError
 
 
@@ -34,26 +34,28 @@ class Alphabet(Enum):
 ParikhVector = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class FiniteWord:
+class FiniteWord(Value):
     """An immutable finite word over a declared alphabet.
 
     The empty word is permitted.  Cross-alphabet operations are rejected,
     never coerced.
     """
 
+    __slots__ = ("alphabet", "letters")
     alphabet: Alphabet
-    letters: bytes = b""
+    letters: bytes
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.letters, bytes):
-            object.__setattr__(self, "letters", bytes(self.letters))
+    def __init__(self, alphabet: Alphabet, letters: bytes = b"") -> None:
+        if not isinstance(letters, bytes):
+            letters = bytes(letters)
         # deleting the valid letters in C leaves only the invalid ones
-        if self.letters.translate(None, self.alphabet.indices):
-            bad = max(self.letters)
+        if letters.translate(None, alphabet.indices):
+            bad = max(letters)
             raise AlphabetError(
-                f"letter index {bad} invalid for {self.alphabet.name} alphabet"
+                f"letter index {bad} invalid for {alphabet.name} alphabet"
             )
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "letters", letters)
 
     @classmethod
     def parse(cls, text: str, alphabet: Alphabet | None = None) -> "FiniteWord":
