@@ -6,7 +6,8 @@ hash as the tuple of their fields, print as ``Name(field=value, ...)``
 and refuse every assignment or deletion with :class:`AttributeError`.
 The generic constructor takes the fields positionally or by keyword;
 classes that validate their arguments, or are built in bulk, define
-their own ``__init__`` and set each field with ``object.__setattr__``.
+their own ``__init__`` and set each field with ``object.__setattr__``;
+``QuadNumber`` also keeps its own equality, hash and repr.
 """
 
 from __future__ import annotations

@@ -101,9 +101,10 @@ def _scan(left: bytes, right: bytes) -> bytes:
 
 
 def _letters_int(letters: bytes) -> int:
-    """A binary letter string as one integer, letter ``i`` at bit ``8*i``:
-    the input of :func:`_scan_b`."""
-    return int.from_bytes(letters, "little")
+    """A binary letter string as one integer, letter ``i`` at bit ``i``:
+    the input of :func:`_scan_b`.  The string ``a + b`` reads as
+    ``_letters_int(a) | _letters_int(b) << len(a)``."""
+    return int(letters[::-1].translate(Alphabet.BINARY.char_table) or b"0", 2)
 
 
 def _scan_b(x: int, y: int) -> int | None:
@@ -118,7 +119,7 @@ def _scan_b(x: int, y: int) -> int | None:
     shifts a bit beyond the last letter, where ``x & ~y`` has none.
     """
     blocks = ~x & y
-    if x & ~y != blocks << 8:
+    if x & ~y != blocks << 1:
         return None
     return blocks.bit_count()
 

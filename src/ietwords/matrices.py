@@ -33,15 +33,15 @@ from .amicability import (
 from .errors import DomainError, InfeasibleMatrixError, NotUnimodularError
 from .iet import coding_word_k
 from .morphisms import (
+    _binary_morphism,
     _rotation_index,
+    _sturmian_images,
     IntMatrix2,
     IntMatrix3,
     Morphism,
     compose,
-    enumerate_sturmian,
     incidence_matrix,
 )
-from .words import Alphabet, FiniteWord
 
 E_MATRIX = IntMatrix3(((0, 1, 1), (-1, 0, 1), (-1, -1, 0)))
 
@@ -50,34 +50,13 @@ _P_BLOCK = IntMatrix3(((1, 0, 0), (1, 1, 1), (0, 1, 0)))
 # the A<->C letter exchange and the ternarization of the Fibonacci
 # morphism 0->01, 1->0 with its right conjugate 0->10, 1->0; composing
 # with these two is what the membership probe exercises
-AC_SWAP = Morphism(
-    Alphabet.TERNARY,
-    (
-        FiniteWord(Alphabet.TERNARY, b"\x02"),
-        FiniteWord(Alphabet.TERNARY, b"\x01"),
-        FiniteWord(Alphabet.TERNARY, b"\x00"),
-    ),
-)
-FIBONACCI_TERNARY = Morphism(
-    Alphabet.TERNARY,
-    (
-        FiniteWord(Alphabet.TERNARY, b"\x01"),
-        FiniteWord(Alphabet.TERNARY, b"\x00\x02\x00"),
-        FiniteWord(Alphabet.TERNARY, b"\x00"),
-    ),
-)
+AC_SWAP = Morphism.parse("A->C,B->B,C->A")
+FIBONACCI_TERNARY = Morphism.parse("A->B,B->ACA,C->A")
 
-# classical 3iet-preserving morphism (A->B, B->CAC, C->C) that is not a
-# ternarization of any Sturmian pair: the ternarization monoid is a
-# proper sub-monoid of the preserving one
-PRESERVING_NONMEMBER = Morphism(
-    Alphabet.TERNARY,
-    (
-        FiniteWord(Alphabet.TERNARY, b"\x01"),
-        FiniteWord(Alphabet.TERNARY, b"\x02\x00\x02"),
-        FiniteWord(Alphabet.TERNARY, b"\x02"),
-    ),
-)
+# a classical 3iet-preserving morphism that is not a ternarization of
+# any Sturmian pair: the ternarization monoid is a proper sub-monoid of
+# the preserving one
+PRESERVING_NONMEMBER = Morphism.parse("A->B,B->CAC,C->C")
 
 
 def _require_unimodular(matrix: IntMatrix2) -> None:
@@ -119,9 +98,10 @@ def count_formula_b(matrix: IntMatrix2, b: int) -> int:
 
 def _amicable_decisions(
     matrix: IntMatrix2,
-) -> Iterator[tuple[int, Morphism, int, Morphism, int]]:
+) -> Iterator[tuple[int, tuple[bytes, bytes], int, tuple[bytes, bytes], int]]:
     """``(k, phi, kbar, psi, b)`` for every ordered amicable pair of
-    Sturmian morphisms with this matrix, in (k, kbar) order.
+    Sturmian morphisms with this matrix, in (k, kbar) order; ``phi`` and
+    ``psi`` are the letter strings of the images of 0 and 1.
 
     Each candidate pair is decided by the scan's bit test on the images
     of A, C and B, read as integers once per morphism.  Every image of
@@ -132,20 +112,20 @@ def _amicable_decisions(
     p, norm = matrix.p, matrix.norm
     c0 = coding_word_k(p, norm, 0).letters
     rows = []
-    for morphism in enumerate_sturmian(matrix):
-        left, right = (image.letters for image in morphism.images)
+    for left, right in _sturmian_images(matrix):
+        x0, x1 = _letters_int(left), _letters_int(right)
         rows.append(
             (
                 _rotation_index(left + right, c0, p, norm),
-                morphism,
-                _letters_int(left),
-                _letters_int(right),
-                _letters_int(left + right),
-                _letters_int(right + left),
+                (left, right),
+                x0,
+                x1,
+                x0 | x1 << len(left),
+                x1 | x0 << len(right),
             )
         )
     # k is one-to-one on the morphisms of one matrix, so this sort never
-    # compares two Morphisms and the pairs come out in order
+    # compares two image pairs and the pairs come out in order
     rows.sort()
     for k, phi, x0, x1, x01, _ in rows:
         for kbar, psi, y0, y1, _, y10 in rows:
@@ -165,8 +145,14 @@ def brute_force_pairs(matrix: IntMatrix2) -> tuple[AmicablePair, ...]:
     decided by the ternarization scan alone, through its bit test; the
     scan itself runs on the accepted pairs only, to build ``eta``.
     """
+    # each morphism in an accepted pair, built once, by its index k
+    built: dict[int, Morphism] = {}
     pairs = []
-    for k, phi, kbar, psi, _ in _amicable_decisions(matrix):
+    for k, phi_images, kbar, psi_images, _ in _amicable_decisions(matrix):
+        for index, images in ((k, phi_images), (kbar, psi_images)):
+            if index not in built:
+                built[index] = _binary_morphism(images)
+        phi, psi = built[k], built[kbar]
         eta = ternarize_morphisms(phi, psi)
         b0, b1, b = b_counts(eta)
         pairs.append(
@@ -177,7 +163,7 @@ def brute_force_pairs(matrix: IntMatrix2) -> tuple[AmicablePair, ...]:
 
 def brute_force_b_counts(matrix: IntMatrix2) -> tuple[int, ...]:
     """The B-count ``b`` of every ordered amicable pair with this matrix,
-    in the order of :func:`brute_force_pairs`, without building ``eta``."""
+    in the order of :func:`brute_force_pairs`, building no morphism."""
     return tuple(b for *_, b in _amicable_decisions(matrix))
 
 

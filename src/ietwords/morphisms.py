@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 import sys
+from typing import Iterator
 
 from ._value import Value
 from .errors import (
@@ -294,28 +295,42 @@ def _lr_reduction(rows: tuple[tuple[int, int], tuple[int, int]]) -> list[str]:
     return ops
 
 
-def standard_morphism(matrix: IntMatrix2) -> Morphism:
-    """The unique standard morphism with the given incidence matrix.
+def _sturmian_images(matrix: IntMatrix2) -> Iterator[tuple[bytes, bytes]]:
+    """The letter strings of the images of 0 and 1 of every Sturmian
+    morphism with this matrix, in the order of :func:`enumerate_sturmian`.
 
-    The matrix is reduced on the Parikh level to the base pair (0, 1);
-    replaying the recorded operators on actual words rebuilds the
-    standard pair ``(x, y)``.  For determinant +1 the images are
-    ``(x, y)``; for determinant -1 they are swapped.
+    Replaying the operators of :func:`_lr_reduction` on letter strings
+    builds the standard pair, swapped for determinant -1; while both
+    images start with the same letter, rotating it to their ends gives
+    the next right conjugate, as :func:`right_conjugate_step` does.
     """
     det = matrix.det
     if abs(det) != 1:
         raise NotUnimodularError(f"matrix {matrix} has determinant {det}")
     rows = matrix.rows() if det == 1 else (matrix.rows()[1], matrix.rows()[0])
-    ops = _lr_reduction(rows)
-    x = FiniteWord(Alphabet.BINARY, b"\x00")
-    y = FiniteWord(Alphabet.BINARY, b"\x01")
-    for op in reversed(ops):
+    x, y = b"\x00", b"\x01"
+    for op in reversed(_lr_reduction(rows)):
         if op == "L":
             y = x + y
         else:
             x = y + x
-    images = (x, y) if det == 1 else (y, x)
-    return Morphism(Alphabet.BINARY, images)
+    if det == -1:
+        x, y = y, x
+    for _ in range(matrix.norm):
+        yield x, y
+        if x[0] != y[0]:
+            return
+        x, y = x[1:] + x[:1], y[1:] + y[:1]
+    raise MatrixDecompositionError(f"conjugation chain for {matrix} exceeded expected length")
+
+
+def _binary_morphism(images: tuple[bytes, bytes]) -> Morphism:
+    return Morphism(Alphabet.BINARY, (FiniteWord(Alphabet.BINARY, w) for w in images))
+
+
+def standard_morphism(matrix: IntMatrix2) -> Morphism:
+    """The unique standard morphism with the given incidence matrix."""
+    return _binary_morphism(next(_sturmian_images(matrix)))
 
 
 def is_standard_morphism(morphism: Morphism) -> bool:
@@ -368,16 +383,7 @@ def enumerate_sturmian(matrix: IntMatrix2) -> tuple[Morphism, ...]:
     morphism; it contains exactly ``matrix.norm - 1`` distinct
     morphisms.
     """
-    chain = [standard_morphism(matrix)]
-    while True:
-        nxt = right_conjugate_step(chain[-1])
-        if nxt is None:
-            return tuple(chain)
-        chain.append(nxt)
-        if len(chain) > matrix.norm:
-            raise MatrixDecompositionError(
-                f"conjugation chain for {matrix} exceeded expected length"
-            )
+    return tuple(map(_binary_morphism, _sturmian_images(matrix)))
 
 
 _WORD_01 = FiniteWord(Alphabet.BINARY, b"\x00\x01")
@@ -420,4 +426,4 @@ def is_sturmian_morphism(morphism: Morphism) -> bool:
     matrix = incidence_matrix(morphism)
     if not matrix.is_unimodular:
         return False
-    return morphism in enumerate_sturmian(matrix)
+    return tuple(image.letters for image in morphism.images) in _sturmian_images(matrix)

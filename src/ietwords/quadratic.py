@@ -23,6 +23,7 @@ import re
 import sys
 from functools import total_ordering
 
+from ._value import Value
 from .errors import DomainError, FieldMismatchError, ParseError
 
 # largest radicand accepted on input: one trial-division split of a prime
@@ -82,10 +83,11 @@ def _surd_negative(p: int, q: int, d: int) -> bool:
 
 
 @total_ordering
-class QuadNumber:
+class QuadNumber(Value):
     """An exact real (a + b*sqrt(d)) / c with integer coefficients."""
 
-    __slots__ = ("a", "b", "c", "d")
+    # in the constructor's order, in which pickling rebuilds a value
+    __slots__ = ("a", "b", "d", "c")
 
     def __init__(
         self, a: int, b: int = 0, d: int = 0, c: int = 1, *, _squarefree: bool = False
@@ -119,10 +121,10 @@ class QuadNumber:
         g = math.gcd(math.gcd(abs(a), abs(b)), c)
         if g > 1:
             a, b, c = a // g, b // g, c // g
-        self.a = a
-        self.b = b
-        self.c = c
-        self.d = d
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
 
     # -- construction ----------------------------------------------------
 

@@ -51,6 +51,7 @@ ALPHA = QuadNumber(3, -1, 5, 2)
 QUARTER = QuadNumber(1, 0, 0, 4)
 
 ternary_texts = st.text(alphabet="ABC", max_size=40)
+letter_strings = st.lists(st.integers(0, 1), max_size=300).map(bytes)
 
 
 def scan_b(left, right):
@@ -198,6 +199,11 @@ class TestScanBitTest:
     def test_agrees_with_the_scan_on_coding_factors(self, pair):
         left, right = pair
         assert _scan_b(_letters_int(left), _letters_int(right)) == scan_b(left, right)
+
+    @given(letter_strings, letter_strings)
+    def test_letter_i_at_bit_i_and_concatenation(self, a, b):
+        assert _letters_int(a) == sum(letter << i for i, letter in enumerate(a))
+        assert _letters_int(a + b) == _letters_int(a) | _letters_int(b) << len(a)
 
 
 class TestAmicableMorphisms:

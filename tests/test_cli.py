@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
+import ietwords.cli
 import ietwords.matrices
 from ietwords import IntMatrix2, count_formula_total
-from ietwords.cli import main
+from ietwords.cli import MAX_COUNT_NORM, MAX_COUNTING_NORM, main
 from ietwords.errors import IetWordsError
 
 # the package's parent directory: ``python -m ietwords`` run from here
@@ -273,6 +274,24 @@ class TestInvalidInput:
         assert code == 2
         assert records[0]["status"] == "invalid-input"
         assert 0 < len(records[0]["error"]) < 200
+
+    @pytest.mark.parametrize(
+        "argv, cap",
+        [(["count"], MAX_COUNT_NORM), (["verify", "--suite", "counting"], MAX_COUNTING_NORM)],
+    )
+    def test_max_norm_above_the_cap_enumerates_nothing(self, capsys, monkeypatch, argv, cap):
+        def unreachable(max_norm):
+            raise AssertionError(f"matrices of norm <= {max_norm} enumerated")
+
+        monkeypatch.setattr(ietwords.cli, "unimodular_matrices", unreachable)
+        monkeypatch.setattr(ietwords.matrices, "unimodular_matrices", unreachable)
+        code, records, _ = run(capsys, *argv, "--max-norm", str(cap + 1))
+        assert code == 2
+        assert records == [{
+            "command": argv[0],
+            "error": f"--max-norm must be at most {cap}, got {cap + 1}",
+            "status": "invalid-input",
+        }]
 
     def test_unknown_command_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

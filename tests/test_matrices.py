@@ -24,9 +24,10 @@ from ietwords import (
     count_formula_b,
     count_formula_total,
     e_condition,
-    enumerate_sturmian,
     incidence_matrix,
     k_index,
+    right_conjugate_step,
+    standard_morphism,
     ternarization_matrices,
     ternarization_matrix,
     ternarize_morphisms,
@@ -81,10 +82,19 @@ class TestCountFormulas:
             )
 
 
+def conjugation_chain(matrix):
+    """The Sturmian morphisms with this matrix by iterated right
+    conjugation of the standard one, not through enumerate_sturmian."""
+    chain = [standard_morphism(matrix)]
+    while (nxt := right_conjugate_step(chain[-1])) is not None:
+        chain.append(nxt)
+    return chain
+
+
 def scan_loop_pairs(matrix):
     """The brute force as a letterwise scan of every candidate pair: the
     oracle of the bit test that decides the pairs in brute_force_pairs."""
-    indexed = sorted((k_index(m), m) for m in enumerate_sturmian(matrix))
+    indexed = sorted((k_index(m), m) for m in conjugation_chain(matrix))
     pairs = []
     for k, phi in indexed:
         for kbar, psi in indexed:
@@ -149,6 +159,23 @@ class TestBruteForcePairs:
             assert brute_force_b_counts(matrix) == tuple(
                 pair.b for pair in brute_force_pairs(matrix)
             ), str(matrix)
+
+    def test_morphisms_built(self, monkeypatch):
+        # brute_force_b_counts builds none; brute_force_pairs builds each
+        # morphism of an accepted pair once, plus one eta per pair
+        built = []
+        init = Morphism.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(Morphism, "__init__", counted)
+        for matrix in unimodular_matrices(12):
+            brute_force_b_counts(matrix)
+        assert built == []
+        pairs = brute_force_pairs(EXAMPLE)
+        assert len(built) == len({p.k for p in pairs} | {p.kbar for p in pairs}) + len(pairs)
 
     def test_b_counts_reject_non_unimodular(self):
         with pytest.raises(NotUnimodularError):

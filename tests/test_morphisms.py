@@ -170,6 +170,14 @@ class TestEnumeration:
         assert len(chain) == 7
         assert PHI in chain and PSI in chain
 
+    def test_equals_iterated_right_conjugation(self):
+        # the letter-level chain against right_conjugate_step, its oracle
+        for matrix in unimodular_matrices(30):
+            chain = [standard_morphism(matrix)]
+            while (nxt := right_conjugate_step(chain[-1])) is not None:
+                chain.append(nxt)
+            assert enumerate_sturmian(matrix) == tuple(chain), str(matrix)
+
     def test_census_small(self):
         for matrix in unimodular_matrices(9):
             chain = enumerate_sturmian(matrix)

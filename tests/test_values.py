@@ -50,6 +50,7 @@ CASES = {
     "IntMatrix2": (lambda i: IntMatrix2(2, 1, 3, 2 + i), ("p0", "q0", "p1", "q1")),
     "IntMatrix3": (lambda i: IntMatrix3(((1, 1, 0), (2, 3, 0), (2, 1, 1 + i))), ("entries",)),
     "Morphism": (lambda i: Morphism.parse((PHI, PSI)[i]), ("alphabet", "images")),
+    "QuadNumber": (lambda i: QuadNumber(3, -1, 5, 2 + i), ("a", "b", "c", "d")),
     "TwoIET": (lambda i: TwoIET(QuadNumber(1, 0, 0, 2 + i)), ("slope",)),
     "ThreeIET": (
         lambda i: ThreeIET(QuadNumber(3, -1, 5, 2), QuadNumber(1, 0, 0, 4 + i)),
