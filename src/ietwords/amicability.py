@@ -262,17 +262,26 @@ def _sturmian_prefix_violation(word: FiniteWord, kmax: int) -> str | None:
     ``p(m+1) <= p(m) + 1``; with ``p(0) == 1``, ``p(kmax) == kmax + 1``
     then forces ``p(m) == m + 1`` for every ``m <= kmax``.  The same fact
     gives ``p(m) <= m + 1``, so each count stops at its ``m + 1``-th
-    distinct factor.  Only a failing word is walked length by length, to
-    name the first ``m``; it reads all its factors at that ``m`` alone.
+    distinct factor.  Once ``p(m) < m + 1`` it stays so for every larger
+    ``m``, so a failing word's first ``m`` is found by bisection over
+    ``[1, kmax]``, in at most ``ceil(log2(kmax))`` more counts; it reads
+    all its factors at the failing lengths alone.
     """
     if not is_balanced(word):
         return "projection is not balanced"
     letters = word.letters
-    if _factor_count(letters, kmax) == kmax + 1:
+    c = _factor_count(letters, kmax)
+    if c == kmax + 1:
         return None
-    m = 1  # stops at m = kmax at the latest
-    while (c := _factor_count(letters, m)) == m + 1:
-        m += 1
+    # p(j) == j + 1 for every j < lo, and p(m) == c < m + 1
+    lo, m = 1, kmax
+    while lo < m:
+        mid = (lo + m) // 2
+        count = _factor_count(letters, mid)
+        if count == mid + 1:
+            lo = mid + 1
+        else:
+            m, c = mid, count
     return f"complexity {c} at factor length {m}, expected {m + 1}"
 
 

@@ -65,6 +65,14 @@ EXIT_CODES = {"ok": 0, "property-false": 1, "invalid-input": 2}
 # on a 2-core x86-64 host the two sweeps take about 53 s and 57 s there
 MAX_COUNT_NORM = 300
 MAX_COUNTING_NORM = 125
+# the largest --kmax of ``preserve`` and ``verify --suite preserve``, and
+# the largest --max-norm of the suite, where memory binds before time.  A
+# factor count holds up to kmax + 1 factors of kmax letters, 0.4 GB at
+# the cap; the slowest input found there, a constant image of the longest
+# coding, takes 21 s.  The suite keeps each distinct projection: at its
+# cap, with the default -n and --kmax, 0.4 GB and 30 s
+MAX_PRESERVE_KMAX = 20_000
+MAX_PRESERVE_NORM = 32
 
 # what a command handler yields (its records) and returns (its status and
 # the fields it adds to the summary)
@@ -95,7 +103,8 @@ def _require_at_least(value: int | None, minimum: int, flag: str) -> None:
 
 
 def _require_at_most(value: int | None, maximum: int, flag: str) -> None:
-    """Reject a sweep bound whose sweep would run for more than a minute."""
+    """Reject a sweep bound whose sweep would run for more than a minute,
+    or hold more than about 0.4 GB."""
     if value is not None and value > maximum:
         raise DomainError(f"{flag} must be at most {maximum}, got {value}")
 
@@ -237,6 +246,7 @@ def _cmd_word3(args) -> Records:
 
 
 def _cmd_preserve(args) -> Records:
+    _require_at_most(args.kmax, MAX_PRESERVE_KMAX, "--kmax")
     eta = _parse_ternary_morphism(args.eta, "--eta")
     transform = ThreeIET(QuadNumber.parse(args.alpha), QuadNumber.parse(args.beta))
     result = check_3iet_preservation(
@@ -294,98 +304,115 @@ def _cmd_verify(args) -> Records:
     _require_at_least(args.max_norm, 2, "--max-norm")
     if args.suite == "counting":
         _require_at_most(args.max_norm, MAX_COUNTING_NORM, "--max-norm")
+    if args.suite == "preserve":
+        _require_at_most(args.max_norm, MAX_PRESERVE_NORM, "--max-norm")
+        _require_at_most(args.kmax, MAX_PRESERVE_KMAX, "--kmax")
     _require_at_least(args.samples, 1, "--samples")
     _require_at_least(args.kmax, 1, "--kmax")
     ok, summary = yield from verification.SUITES[args.suite](**kwargs)
     return ("ok" if ok else "property-false"), {"suite": args.suite, **summary}
 
 
-_HANDLERS: dict[str, Callable] = {
-    "std": _cmd_std,
-    "enum": _cmd_enum,
-    "pairs": _cmd_pairs,
-    "count": _cmd_count,
-    "ternarize": _cmd_ternarize,
-    "member": _cmd_member,
-    "classify": _cmd_classify,
-    "word2": _cmd_word2,
-    "word3": _cmd_word3,
-    "preserve": _cmd_preserve,
-    "probe": _cmd_probe,
-    "verify": _cmd_verify,
+# each command's handler, help line and arguments, as (flag, keywords of
+# ``add_argument``); every command also takes --pretty
+_COMMANDS: dict[str, tuple[Callable, str, tuple[tuple[str, dict], ...]]] = {
+    "std": (_cmd_std, "standard morphism of a unimodular matrix", (
+        ("--matrix", {"required": True, "help": "matrix literal 'p0,q0;p1,q1'"}),
+    )),
+    "enum": (_cmd_enum, "all Sturmian morphisms with a given matrix", (
+        ("--matrix", {"required": True}),
+    )),
+    "pairs": (_cmd_pairs, "ordered amicable pairs and their ternarizations", (
+        ("--matrix", {"required": True}),
+        ("--b", {"type": int, "help": "restrict to one B-count"}),
+    )),
+    "count": (_cmd_count, "closed-formula pair counts over a norm sweep", (
+        ("--max-norm", {"type": int, "required": True}),
+    )),
+    "ternarize": (_cmd_ternarize, "ternarization of an amicable pair of morphisms", (
+        ("--phi", {"required": True, "help": "morphism literal '0->...,1->...'"}),
+        ("--psi", {"required": True}),
+    )),
+    "member": (
+        _cmd_member,
+        "membership of a ternary morphism in the ternarization monoid",
+        (("--eta", {"required": True, "help": "morphism literal 'A->...,B->...,C->...'"}),),
+    ),
+    "classify": (
+        _cmd_classify,
+        "classify a 3x3 matrix as a ternarization incidence matrix",
+        (("--matrix3", {"required": True, "help": "literal 'r00,r01,r02;...;...'"}),),
+    ),
+    "word2": (_cmd_word2, "coding word of a 2-interval exchange orbit", (
+        ("--slope", {"required": True, "help": "'(a+b*sqrt(d))/c' or 'p/q'"}),
+        ("--start", {"default": "0"}),
+        ("-n", {"type": int, "required": True}),
+    )),
+    "word3": (_cmd_word3, "coding word of a 3-interval exchange orbit", (
+        ("--alpha", {"required": True}),
+        ("--beta", {"required": True}),
+        ("--start", {"default": "0"}),
+        ("-n", {"type": int, "required": True}),
+    )),
+    "preserve": (_cmd_preserve, "prefix-scale 3iet preservation check", (
+        ("--eta", {"required": True}),
+        ("--alpha", {"required": True}),
+        ("--beta", {"required": True}),
+        ("--start", {"default": "0"}),
+        ("-n", {"type": int, "default": 1000}),
+        ("--kmax", {"type": int, "default": 20}),
+    )),
+    "probe": (_cmd_probe, "membership probe of a morphism and its companions", (
+        ("--eta", {"required": True}),
+    )),
+    "verify": (_cmd_verify, "run a verification suite", (
+        ("--suite", {"required": True, "choices": sorted(verification.SUITES)}),
+        ("--max-norm", {"type": int}),
+        ("--samples", {"type": int}),
+        ("--seed", {"type": int}),
+        ("-n", {"type": int}),
+        ("--kmax", {"type": int}),
+    )),
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of ``command`` alone, or with no command the full parser
+    of every command, which gives the top-level help and usage errors.
+
+    A command's parser is built as the full parser builds its sub-parser,
+    under the same ``prog``, so its help and errors read the same.
+    """
+
+    def add_arguments(parser: argparse.ArgumentParser, name: str) -> None:
+        parser.add_argument("--pretty", action="store_true", help="tabular output")
+        for flag, keywords in _COMMANDS[name][2]:
+            parser.add_argument(flag, **keywords)
+
+    if command is not None:
+        parser = argparse.ArgumentParser(prog=f"ietwords {command}")
+        add_arguments(parser, command)
+        return parser
     parser = argparse.ArgumentParser(
         prog="ietwords",
         description="Sturmian morphisms, 3iet words, amicability and ternarization",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--pretty", action="store_true", help="tabular output")
-        return p
-
-    p = add("std", "standard morphism of a unimodular matrix")
-    p.add_argument("--matrix", required=True, help="matrix literal 'p0,q0;p1,q1'")
-
-    p = add("enum", "all Sturmian morphisms with a given matrix")
-    p.add_argument("--matrix", required=True)
-
-    p = add("pairs", "ordered amicable pairs and their ternarizations")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--b", type=int, default=None, help="restrict to one B-count")
-
-    p = add("count", "closed-formula pair counts over a norm sweep")
-    p.add_argument("--max-norm", type=int, required=True)
-
-    p = add("ternarize", "ternarization of an amicable pair of morphisms")
-    p.add_argument("--phi", required=True, help="morphism literal '0->...,1->...'")
-    p.add_argument("--psi", required=True)
-
-    p = add("member", "membership of a ternary morphism in the ternarization monoid")
-    p.add_argument("--eta", required=True, help="morphism literal 'A->...,B->...,C->...'")
-
-    p = add("classify", "classify a 3x3 matrix as a ternarization incidence matrix")
-    p.add_argument("--matrix3", required=True, help="literal 'r00,r01,r02;...;...'")
-
-    p = add("word2", "coding word of a 2-interval exchange orbit")
-    p.add_argument("--slope", required=True, help="'(a+b*sqrt(d))/c' or 'p/q'")
-    p.add_argument("--start", default="0")
-    p.add_argument("-n", type=int, required=True)
-
-    p = add("word3", "coding word of a 3-interval exchange orbit")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--beta", required=True)
-    p.add_argument("--start", default="0")
-    p.add_argument("-n", type=int, required=True)
-
-    p = add("preserve", "prefix-scale 3iet preservation check")
-    p.add_argument("--eta", required=True)
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--beta", required=True)
-    p.add_argument("--start", default="0")
-    p.add_argument("-n", type=int, default=1000)
-    p.add_argument("--kmax", type=int, default=20)
-
-    p = add("probe", "membership probe of a morphism and its companions")
-    p.add_argument("--eta", required=True)
-
-    p = add("verify", "run a verification suite")
-    p.add_argument(
-        "--suite",
-        required=True,
-        choices=sorted(verification.SUITES),
-    )
-    p.add_argument("--max-norm", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("-n", type=int, default=None)
-    p.add_argument("--kmax", type=int, default=None)
-
+    for name, (_, help_text, _) in _COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_text), name)
     return parser
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv`` with the parser of the command it names.  Help, an
+    unknown command and stray arguments go to the full parser, which
+    reports them as it always has."""
+    if argv and argv[0] in _COMMANDS:
+        args, extras = _build_parser(argv[0]).parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return _build_parser().parse_args(argv)
 
 
 def _print_pretty(records: list[dict], summary: dict) -> None:
@@ -409,9 +436,8 @@ def _cell(value) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handler = _HANDLERS[args.command]
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
+    handler = _COMMANDS[args.command][0]
     buffered: list[dict] = []
     count = 0
 

@@ -129,6 +129,9 @@ def parikh(word: FiniteWord) -> ParikhVector:
 
 
 _SWAP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+# a derived word's letters: a short block ``0^lo 1`` (1 once its zeros
+# are deleted) gives 0, and a long one (replaced by 2) gives 1
+_DERIVE = bytes.maketrans(b"\x01\x02", b"\x00\x01")
 
 
 def is_balanced(word: FiniteWord) -> bool:
@@ -147,13 +150,17 @@ def is_balanced(word: FiniteWord) -> bool:
     end run is kept only when it is longer than ``lo`` (a shorter one
     can be the cut end of either kind).  The derived word is at most
     half as long, so the test takes linear time and a logarithmic number
-    of passes, each a few calls on ``bytes``.  Binary words only.
+    of levels.
+
+    Each level is a fixed handful of whole-word calls on ``bytes``, with
+    no object per run.  ``lo`` is the floor of the mean interior run,
+    which is the least run when the runs take two consecutive values;
+    when they do not, a run of ``lo + 2`` zeros or one of fewer than
+    ``lo`` shows it.  Binary words only.
     """
     if word.alphabet is not Alphabet.BINARY:
         raise AlphabetError("balance is defined for binary words only")
     letters = word.letters
-    # Sturmian run-length derivation: each pass is a few C calls on
-    # ``bytes`` and at least halves the word.
     while True:
         if b"\x00\x00" not in letters:
             if b"\x01\x01" not in letters:
@@ -161,20 +168,28 @@ def is_balanced(word: FiniteWord) -> bool:
             letters = letters.translate(_SWAP)
         elif b"\x01\x01" in letters:
             return False
-        # 1 is isolated: 0^first 1 0^a_1 1 ... 1 0^last
-        runs = letters.split(b"\x01")
-        if len(runs) < 3:  # at most one 1
+        # 1 is isolated: 0^first 1 0^a_1 1 ... 1 0^a_r 1 0^tail
+        first = letters.find(b"\x01")
+        last = letters.rfind(b"\x01")
+        if first == last:  # at most one 1
             return True
-        first, *interior, last = map(len, runs)
-        lo = min(interior)
-        if max(interior) - lo > 1 or first > lo + 1 or last > lo + 1:
+        tail = len(letters) - 1 - last
+        body = letters[first + 1 : last + 1]  # the blocks 0^a_i 1
+        runs = body.count(b"\x01")
+        lo = (len(body) - runs) // runs
+        if (
+            first > lo + 1
+            or tail > lo + 1
+            or b"\x00" * (lo + 2) + b"\x01" in body
+            or body.count(b"\x00" * lo + b"\x01") != runs
+        ):
             return False
-        # one letter per run: 1 for a long run, 0 for a short one; an end
-        # run no longer than lo may be a cut run of either kind
+        # one letter per run; an end run no longer than lo may be a cut
+        # run of either kind
         letters = (
             (b"\x01" if first > lo else b"")
-            + bytes(map(lo.__rsub__, interior))
-            + (b"\x01" if last > lo else b"")
+            + body.replace(b"\x00" * (lo + 1) + b"\x01", b"\x02").translate(_DERIVE, b"\x00")
+            + (b"\x01" if tail > lo else b"")
         )
 
 

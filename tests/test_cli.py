@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -7,10 +8,17 @@ from pathlib import Path
 
 import pytest
 
+import ietwords.amicability
 import ietwords.cli
 import ietwords.matrices
 from ietwords import IntMatrix2, count_formula_total
-from ietwords.cli import MAX_COUNT_NORM, MAX_COUNTING_NORM, main
+from ietwords.cli import (
+    MAX_COUNT_NORM,
+    MAX_COUNTING_NORM,
+    MAX_PRESERVE_KMAX,
+    MAX_PRESERVE_NORM,
+    main,
+)
 from ietwords.errors import IetWordsError
 
 # the package's parent directory: ``python -m ietwords`` run from here
@@ -223,6 +231,68 @@ class TestProbeCommand:
         assert rows["eta*ac_swap"]["psi"] == "0->1,1->10"
 
 
+# the identity and the reference parameters of ``preserve`` examples
+IDENTITY_AT_REFERENCE = ["--eta", "A->A,B->B,C->C", "--alpha", "(3-1*sqrt(5))/2", "--beta", "1/4"]
+
+# every flag of each command, with a value it accepts
+COMMAND_ARGV = {
+    "std": ["--matrix", "1,1;1,0"],
+    "enum": ["--matrix", "2,1;1,1"],
+    "pairs": ["--matrix", "1,1;1,0", "--b", "2"],
+    "count": ["--max-norm", "5"],
+    "ternarize": ["--phi", "0->01,1->0", "--psi", "0->10,1->0"],
+    "member": ["--eta", "A->B,B->ACA,C->A"],
+    "classify": ["--matrix3", "1,1,1;1,0,1;1,0,0"],
+    "word2": ["--slope", "1/3", "--start", "1/7", "-n", "5"],
+    "word3": ["--alpha", "1/3", "--beta", "1/5", "--start", "1/7", "-n", "5"],
+    "preserve": [*IDENTITY_AT_REFERENCE, "--start", "0", "-n", "40", "--kmax", "4"],
+    "probe": ["--eta", "A->B,B->CAC,C->C"],
+    "verify": ["--suite", "monoid", "--max-norm", "4", "--samples", "3", "--seed", "5",
+               "-n", "40", "--kmax", "4"],
+}
+
+
+class TestParser:
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        # one line per command, indented by four spaces, in table order
+        listed = [match[1] for match in re.finditer(r"^    (\w+) ", out, re.MULTILINE)]
+        assert listed == list(COMMAND_ARGV) == list(ietwords.cli._COMMANDS)
+
+    @pytest.mark.parametrize("name", list(COMMAND_ARGV))
+    def test_command_parser_reads_as_the_full_parser(self, capsys, name):
+        # the sample names every flag of the command
+        flags = {arg for arg in COMMAND_ARGV[name] if arg.startswith("-")}
+        assert flags == {flag for flag, _ in ietwords.cli._COMMANDS[name][2]}
+        full = ietwords.cli._build_parser()
+        for argv in ([name, *COMMAND_ARGV[name]], [name, *COMMAND_ARGV[name], "--pretty"]):
+            assert ietwords.cli._parse_args(argv) == full.parse_args(argv)
+        with pytest.raises(SystemExit):
+            full.parse_args([name, "--help"])
+        assert capsys.readouterr().out == ietwords.cli._build_parser(name).format_help()
+
+    def test_a_command_builds_only_its_own_parser(self, capsys, monkeypatch):
+        built = []
+        build = ietwords.cli._build_parser
+
+        def recording(command=None):
+            built.append(command)
+            return build(command)
+
+        monkeypatch.setattr(ietwords.cli, "_build_parser", recording)
+        assert main(["std", *COMMAND_ARGV["std"]]) == 0
+        assert built == ["std"]
+        # stray arguments go to the full parser, which names them
+        with pytest.raises(SystemExit) as exc:
+            main(["std", *COMMAND_ARGV["std"], "extra"])
+        assert exc.value.code == 2
+        assert built == ["std", "std", None]
+        assert "ietwords: error: unrecognized arguments: extra" in capsys.readouterr().err
+
+
 class TestInvalidInput:
     @pytest.mark.parametrize(
         "argv",
@@ -290,6 +360,31 @@ class TestInvalidInput:
         assert records == [{
             "command": argv[0],
             "error": f"--max-norm must be at most {cap}, got {cap + 1}",
+            "status": "invalid-input",
+        }]
+
+    @pytest.mark.parametrize(
+        "argv, flag, cap",
+        [
+            (["preserve", *IDENTITY_AT_REFERENCE, "-n", str(2 * MAX_PRESERVE_KMAX + 2)],
+             "--kmax", MAX_PRESERVE_KMAX),
+            (["verify", "--suite", "preserve", "-n", str(2 * MAX_PRESERVE_KMAX + 2)],
+             "--kmax", MAX_PRESERVE_KMAX),
+            (["verify", "--suite", "preserve"], "--max-norm", MAX_PRESERVE_NORM),
+        ],
+    )
+    def test_preserve_above_the_cap_codes_nothing(self, capsys, monkeypatch, argv, flag, cap):
+        def unreachable(*args):
+            raise AssertionError("an orbit prefix was coded")
+
+        monkeypatch.setattr(ietwords.cli, "three_iet_code", unreachable)
+        monkeypatch.setattr(ietwords.amicability, "three_iet_code", unreachable)
+        monkeypatch.setattr(ietwords.matrices, "unimodular_matrices", unreachable)
+        code, records, _ = run(capsys, *argv, flag, str(cap + 1))
+        assert code == 2
+        assert records == [{
+            "command": argv[0],
+            "error": f"{flag} must be at most {cap}, got {cap + 1}",
             "status": "invalid-input",
         }]
 

@@ -1,14 +1,16 @@
-"""The orbit coder and the quadratic numbers decide every comparison on
-integers: the fixed-point filter of :mod:`ietwords.iet` is exact only
-because its rounding error is bounded by integer arithmetic, and a
-float anywhere in those two modules would break that bound silently."""
+"""The orbit coder, the quadratic numbers and the word kernels decide
+every comparison on integers: the fixed-point filter of
+:mod:`ietwords.iet` is exact only because its rounding error is bounded
+by integer arithmetic, and the balance test of :mod:`ietwords.words`
+compares run lengths with a floor division of integers.  A float
+anywhere in those modules would break that exactness."""
 
 import ast
 from pathlib import Path
 
 import ietwords
 
-EXACT_MODULES = ("iet.py", "quadratic.py")
+EXACT_MODULES = ("iet.py", "quadratic.py", "words.py")
 
 
 def float_uses(tree):

@@ -26,6 +26,7 @@ from ietwords import (
     ternary_word,
     unimodular_matrices,
 )
+from ietwords import amicability
 from ietwords.amicability import _sturmian_prefix_violation
 from ietwords.iet import coding_word_k, three_iet_code
 from ietwords.verification import PRESERVE_ALPHA, PRESERVE_BETA
@@ -68,6 +69,34 @@ def dss_balanced(letters: bytes) -> bool:
         else:
             return False
     return True
+
+
+_SWAP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
+
+def split_balanced(letters: bytes) -> bool:
+    """Oracle: the same run-length derivation as :func:`is_balanced`, read
+    run by run: ``bytes.split`` into the runs of zeros, their least
+    length as ``lo``, and the derived word built from the run lengths."""
+    while True:
+        if b"\x00\x00" not in letters:
+            if b"\x01\x01" not in letters:
+                return True
+            letters = letters.translate(_SWAP)
+        elif b"\x01\x01" in letters:
+            return False
+        runs = letters.split(b"\x01")
+        if len(runs) < 3:  # at most one 1
+            return True
+        first, *interior, last = map(len, runs)
+        lo = min(interior)
+        if max(interior) - lo > 1 or first > lo + 1 or last > lo + 1:
+            return False
+        letters = (
+            (b"\x01" if first > lo else b"")
+            + bytes(map(lo.__rsub__, interior))
+            + (b"\x01" if last > lo else b"")
+        )
 
 
 def brute_balanced(text: str) -> bool:
@@ -205,6 +234,53 @@ class TestBalance:
         w = FiniteWord(Alphabet.BINARY, letters)
         assert is_balanced(w) == dss_balanced(letters)
 
+    def test_exhaustive_against_split_oracle(self):
+        for n in range(17):
+            for letters in itertools.product(b"\x00\x01", repeat=n):
+                w = FiniteWord(Alphabet.BINARY, bytes(letters))
+                assert is_balanced(w) == split_balanced(w.letters), w
+
+    @given(rotation_factors())
+    def test_perturbed_rotation_factors_against_split_oracle(self, s):
+        w = binary_word(s)
+        assert is_balanced(w) == split_balanced(w.letters)
+
+    @given(long_coding_factors())
+    def test_long_perturbed_coding_factors_against_split_oracle(self, letters):
+        assert is_balanced(FiniteWord(Alphabet.BINARY, letters)) == split_balanced(letters)
+
+    @pytest.mark.parametrize(
+        ("text", "balanced"),
+        [
+            # interior runs of lo >= 2 zeros (slope below 1/3)
+            ("000100010000100", True),
+            ("000100001000100001", True),
+            ("00010000010001", False),
+            # a run below the floor of the mean, and one two above it
+            ("10001010001000", False),
+            ("1010100010", False),
+            # every interior run long, so the mean is an integer
+            ("0100100100", True),
+            ("01001001000", True),
+            ("0100100000", False),
+            # end runs of lo, lo + 1 and lo + 2 zeros around interior runs
+            # lo, lo + 1, lo
+            ("0010010001001", True),
+            ("00010010001001", True),
+            ("000010010001001", False),
+            ("10001000010001000", True),
+            ("100010000100010000", True),
+            ("1000100001000100000", False),
+            # one 1, only zeros, the empty word
+            ("00000001", True),
+            ("0000", True),
+            ("", True),
+        ],
+    )
+    def test_pinned_derivation_cases(self, text, balanced):
+        w = binary_word(text)
+        assert is_balanced(w) == split_balanced(w.letters) == brute_balanced(text) == balanced
+
     def test_long_fibonacci_word(self):
         # golden-ratio mechanical word, balanced by construction
         fib = "0"
@@ -272,6 +348,37 @@ class TestOneComplexityValue:
     def test_perturbed_rotation_factors_against_per_length_definition(self, s, kmax):
         w = binary_word(s)
         assert _sturmian_prefix_violation(w, kmax) == first_complexity_violation(w, kmax)
+
+    @pytest.mark.parametrize(
+        ("text", "kmax"),
+        [
+            ("0" * 100, 50),  # fails at m = 1
+            ("01001" * 40, 30),  # periodic: fails at m = 5
+            ("01001" * 40, 5),  # fails at m = kmax
+            # sigma01 of a short 3iet prefix of n letters: too short a
+            # Sturmian word to show every factor, it fails at m = 17 and 269
+            (80, 20),
+            (900, 300),
+        ],
+    )
+    def test_failing_word_is_bisected(self, monkeypatch, text, kmax):
+        if isinstance(text, int):
+            prefix = three_iet_code(ThreeIET(PRESERVE_ALPHA, PRESERVE_BETA), ZERO, text)
+            w = sigma(prefix, "01")
+        else:
+            w = binary_word(text)
+        calls = []
+        count = amicability._factor_count
+
+        def counting(letters, m):
+            calls.append(m)
+            return count(letters, m)
+
+        monkeypatch.setattr(amicability, "_factor_count", counting)
+        expected = first_complexity_violation(w, kmax)
+        assert expected is not None
+        assert _sturmian_prefix_violation(w, kmax) == expected
+        assert len(calls) <= math.ceil(math.log2(kmax)) + 2, calls
 
     def test_preserve_suite_projections_against_per_length_definition(self):
         # the 146 projections that `verify --suite preserve` checks: both
