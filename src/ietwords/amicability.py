@@ -23,6 +23,7 @@ from .errors import (
     DegenerateParametersError,
     DomainError,
     NotAmicableError,
+    _require_range,
 )
 from .iet import ThreeIET, is_nondegenerate_params, three_iet_code
 from .morphisms import Morphism, is_sturmian_morphism
@@ -32,6 +33,13 @@ from .words import Alphabet, FiniteWord, is_balanced
 # the image of B under each projection; A (0) maps to 0 and C (2) to 1
 _SIGMA_B = {"01": b"\x00\x01", "10": b"\x01\x00"}
 
+# the largest kmax of a preservation check (``preserve --kmax`` and
+# ``verify --suite preserve --kmax``), where memory binds before time: a
+# factor count holds up to kmax + 1 factors of kmax letters, 0.4 GB at
+# the cap; the slowest input found there, a constant image of the longest
+# coding, takes 21 s
+MAX_PRESERVE_KMAX = 20_000
+
 
 def sigma(word: FiniteWord, which: str) -> FiniteWord:
     """Project a ternary word to a binary one; ``which`` selects whether
@@ -39,12 +47,15 @@ def sigma(word: FiniteWord, which: str) -> FiniteWord:
     if word.alphabet is not Alphabet.TERNARY:
         raise AlphabetError("sigma projections act on ternary words")
     try:
-        image_b = _SIGMA_B[which]
+        letters = _project(word.letters, which)
     except KeyError:
         raise ValueError(f"projection must be '01' or '10', got {which!r}") from None
-    return FiniteWord(
-        Alphabet.BINARY, word.letters.replace(b"\x01", image_b).replace(b"\x02", b"\x01")
-    )
+    return FiniteWord(Alphabet.BINARY, letters)
+
+
+def _project(letters: bytes, which: str) -> bytes:
+    """:func:`sigma` on the letter string of a ternary word."""
+    return letters.replace(b"\x01", _SIGMA_B[which]).replace(b"\x02", b"\x01")
 
 
 class AmicabilityWitness(Value):
@@ -308,11 +319,11 @@ def check_3iet_preservation(
 
     Codes the length-``n`` orbit prefix, applies ``eta``, and requires
     both binary projections of the image to be balanced with factor
-    complexity m+1 up to ``kmax``.  Degenerate parameters, a negative
-    ``kmax`` and ``n < 2*kmax`` are rejected outright: a balanced word of
-    length ``L`` has ``p(kmax) <= L - kmax + 1``, so a projection (at
-    least ``n`` letters long) shorter than ``2*kmax`` fails whatever
-    ``eta`` is.
+    complexity m+1 up to ``kmax``.  Degenerate parameters, a ``kmax``
+    outside ``[0, MAX_PRESERVE_KMAX]`` and ``n < 2*kmax`` are rejected
+    before any letter is coded: a balanced word of length ``L`` has
+    ``p(kmax) <= L - kmax + 1``, so a projection (at least ``n`` letters
+    long) shorter than ``2*kmax`` fails whatever ``eta`` is.
     """
     return _preservation_checker(transform, x0, n, kmax)(eta)
 
@@ -321,9 +332,15 @@ def _preservation_checker(
     transform: ThreeIET, x0: QuadNumber, n: int, kmax: int
 ) -> Callable[[Morphism], PreservationResult]:
     """:func:`check_3iet_preservation` as a function of ``eta``, coding the
-    prefix once and deciding each distinct projection once."""
+    prefix once and deciding each projection once.
+
+    A projection of ``eta(prefix)`` is fixed by the projections of the
+    three images of ``eta``, so those short words key the verdicts, and
+    ``eta(prefix)`` is built only for a projection not decided yet.
+    """
     if kmax < 0:
         raise DomainError(f"kmax must be non-negative, got {kmax}")
+    _require_range(kmax, 0, MAX_PRESERVE_KMAX, "--kmax")
     if n < 2 * kmax:
         raise DomainError(f"n must be at least 2*kmax = {2 * kmax}, got {n}")
     if not is_nondegenerate_params(transform):
@@ -332,16 +349,18 @@ def _preservation_checker(
         )
     prefix = three_iet_code(transform, x0, n)
     # pairs that share phi share the sigma01 projection of the image
-    verdicts: dict[FiniteWord, str | None] = {}
+    verdicts: dict[tuple[bytes, ...], str | None] = {}
 
     def check(eta: Morphism) -> PreservationResult:
-        image = eta(prefix)
+        image = None
         for which in ("01", "10"):
-            word = sigma(image, which)
-            if word not in verdicts:
-                verdicts[word] = _sturmian_prefix_violation(word, kmax)
-            if verdicts[word] is not None:
-                return PreservationResult(False, f"sigma{which}: {verdicts[word]}")
+            key = tuple(_project(letter_image.letters, which) for letter_image in eta.images)
+            if key not in verdicts:
+                if image is None:
+                    image = eta(prefix)
+                verdicts[key] = _sturmian_prefix_violation(sigma(image, which), kmax)
+            if verdicts[key] is not None:
+                return PreservationResult(False, f"sigma{which}: {verdicts[key]}")
         return PreservationResult(True, None)
 
     return check

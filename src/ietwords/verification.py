@@ -28,7 +28,7 @@ from .amicability import (
     sigma,
     ternarize_morphisms,
 )
-from .errors import DegenerateParametersError
+from .errors import DegenerateParametersError, _require_range
 from .iet import ThreeIET, coding_word_k
 from .morphisms import Morphism, compose, incidence_matrix
 from .quadratic import QuadNumber, ZERO
@@ -87,10 +87,16 @@ def run_suite(name: str, *args, **kwargs) -> SuiteResult:
     return SuiteResult(name, ok, records, summary)
 
 
+# each suite's caps, with the time a fresh process takes at the cap on a
+# 2-core x86-64 host
+MAX_COUNTING_NORM = 125  # 57 s
+
+
 def counting_suite(max_norm: int = 12) -> SuiteRecords:
     """Brute-force pair counts against the closed formulas, per matrix
     and per B-count.  A record whose per-B check fails names the smallest
     differing B with both of its counts."""
+    _require_range(max_norm, 2, MAX_COUNTING_NORM, "--max-norm")
     ok = True
     checked = 0
     for matrix in matrices.unimodular_matrices(max_norm):
@@ -119,10 +125,14 @@ def counting_suite(max_norm: int = 12) -> SuiteRecords:
     return ok, {"max_norm": max_norm, "matrices": checked}
 
 
+MAX_LEMMA_W_NORM = 140  # 53 s
+
+
 def lemma_w_suite(max_norm: int = 24) -> SuiteRecords:
     """Amicability of rational coding words: b-amicable exactly when the
     start-index difference b lies in [0, min(p, q)], for every length
     N = p + q up to ``max_norm`` (the norm of the matrices they code)."""
+    _require_range(max_norm, 2, MAX_LEMMA_W_NORM, "--max-norm")
     ok = True
     cases = 0
     for n_total in range(2, max_norm + 1):
@@ -148,10 +158,14 @@ def lemma_w_suite(max_norm: int = 24) -> SuiteRecords:
     return ok, {"max_n": max_norm, "cases": cases}
 
 
+MAX_MATRICES_NORM = 62  # 51 s
+
+
 def matrices_suite(max_norm: int = 10) -> SuiteRecords:
     """Set equality between brute-forced ternarization matrices and the
     condition-(a)/(b) construction, classification round trips, and the
     B*E*B^T necessity, plus its non-sufficiency witness."""
+    _require_range(max_norm, 2, MAX_MATRICES_NORM, "--max-norm")
     ok = True
     checked = 0
     for matrix in matrices.unimodular_matrices(max_norm):
@@ -205,11 +219,18 @@ def _intertwining_ok(eta: Morphism, phi: Morphism, psi: Morphism) -> bool:
     )
 
 
+# at both caps 53 s and 0.37 GB: the pool of pairs is most of both
+MAX_MONOID_NORM = 56
+MAX_MONOID_SAMPLES = 50_000
+
+
 def monoid_suite(
     max_norm: int = 8, samples: int = 200, seed: int = DEFAULT_SEED
 ) -> SuiteRecords:
     """Closure under composition and the projection intertwining law on
     a deterministic random sample of pairs of ternarizations."""
+    _require_range(max_norm, 2, MAX_MONOID_NORM, "--max-norm")
+    _require_range(samples, 1, MAX_MONOID_SAMPLES, "--samples")
     pool = [
         pair
         for matrix in matrices.unimodular_matrices(max_norm)
@@ -236,9 +257,17 @@ def monoid_suite(
     return ok, {"max_norm": max_norm, "samples": samples, "seed": seed, "pool": len(pool)}
 
 
+# 16 s and 22 MB with the default n and kmax: the checker keeps a verdict,
+# not a word, per distinct projection
+MAX_PRESERVE_NORM = 32
+
+
 def preserve_suite(max_norm: int = 6, n: int = 1000, kmax: int = 20) -> SuiteRecords:
     """Prefix-scale 3iet preservation for every brute-forced
-    ternarization, plus rejection of the degenerate parameter trap."""
+    ternarization, plus rejection of the degenerate parameter trap.
+    ``kmax`` is at least 1, and the checker caps it."""
+    _require_range(max_norm, 2, MAX_PRESERVE_NORM, "--max-norm")
+    _require_range(kmax, 1, None, "--kmax")
     check = _preservation_checker(ThreeIET(PRESERVE_ALPHA, PRESERVE_BETA), ZERO, n, kmax)
     ok = True
     checked = 0

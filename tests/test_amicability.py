@@ -494,7 +494,7 @@ class TestPreserveSuite:
         # it yields a record
         with pytest.raises(DomainError, match="2\\*kmax"):
             next(preserve_suite(2, 39, 20))
-        with pytest.raises(DomainError, match="non-negative"):
+        with pytest.raises(DomainError, match="--kmax must be at least 1, got -1"):
             next(preserve_suite(2, 10, -1))
 
 

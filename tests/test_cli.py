@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import re
 import subprocess
@@ -11,15 +12,11 @@ import pytest
 import ietwords.amicability
 import ietwords.cli
 import ietwords.matrices
-from ietwords import IntMatrix2, count_formula_total
-from ietwords.cli import (
-    MAX_COUNT_NORM,
-    MAX_COUNTING_NORM,
-    MAX_PRESERVE_KMAX,
-    MAX_PRESERVE_NORM,
-    main,
-)
+from ietwords import IntMatrix2, count_formula_total, verification
+from ietwords.amicability import MAX_PRESERVE_KMAX
+from ietwords.cli import MAX_COUNT_NORM, main
 from ietwords.errors import IetWordsError
+from ietwords.verification import MAX_COUNTING_NORM, MAX_PRESERVE_NORM
 
 # the package's parent directory: ``python -m ietwords`` run from here
 # imports this checkout whether or not it is installed
@@ -434,6 +431,14 @@ class TestVerifyCommand:
         )
         assert code == 2
         assert records[0]["error"] == "--suite monoid does not take -n, --kmax"
+
+    @pytest.mark.parametrize("name", sorted(verification.SUITES))
+    def test_flag_table_matches_the_suite_signatures(self, name):
+        # the table is written out, so that importing the CLI need not
+        # load inspect; this keeps it in step with the suites
+        parameters = set(inspect.signature(verification.SUITES[name]).parameters)
+        assert ietwords.cli._SUITE_FLAGS[name] == parameters
+        assert parameters <= set(ietwords.cli._VERIFY_FLAGS)
 
     def test_counting_at_benchmark_scale_is_deterministic(self, capsys):
         outputs = []
