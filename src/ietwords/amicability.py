@@ -126,11 +126,13 @@ def _scan_b(x: int, y: int) -> int | None:
     pair before looking at a letter, and this test does not.  The scan
     succeeds exactly when every 0-against-1 position is followed by a
     1-against-0 one and every 1-against-0 position is preceded by a
-    0-against-1 one: each such pair is one B.  An unpaired final block
-    shifts a bit beyond the last letter, where ``x & ~y`` has none.
+    0-against-1 one: each such pair is one B.  That is, ``~x & y``
+    shifted by one is ``x & ~y`` (an unpaired final block shifts a bit
+    beyond the last letter), or ``x - y == ~x & y``, as ``x - y`` is
+    ``(x & ~y) - (~x & y)``.
     """
     blocks = ~x & y
-    if x & ~y != blocks << 1:
+    if x - y != blocks:
         return None
     return blocks.bit_count()
 

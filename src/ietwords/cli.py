@@ -62,7 +62,7 @@ from .words import Alphabet
 EXIT_CODES = {"ok": 0, "property-false": 1, "invalid-input": 2}
 
 # the largest --max-norm of ``count``: on a 2-core x86-64 host the sweep
-# takes about 53 s there.  Each verification suite caps its own bounds
+# takes about 4 s there.  Each verification suite caps its own bounds
 MAX_COUNT_NORM = 300
 
 # what a command handler yields (its records) and returns (its status and

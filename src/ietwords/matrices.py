@@ -23,7 +23,6 @@ from typing import Iterator
 from ._value import Value
 from .amicability import (
     _letters_int,
-    _scan_b,
     AmicablePair,
     b_counts,
     ternarization_membership,
@@ -69,11 +68,14 @@ def unimodular_matrices(max_norm: int) -> Iterator[IntMatrix2]:
     ``max_norm``, in a fixed deterministic order."""
     for norm in range(2, max_norm + 1):
         for p0 in range(norm + 1):
-            for q0 in range(norm - p0 + 1):
-                for p1 in range(norm - p0 - q0 + 1):
-                    q1 = norm - p0 - q0 - p1
-                    if abs(p0 * q1 - q0 * p1) == 1:
-                        yield IntMatrix2(p0, q0, p1, q1)
+            # det = p0*rest - (p0+q0)*p1 is 1 or -1 for at most two p1,
+            # det 1 at the smaller; it is 0 if the first row is zero
+            for q0 in range(p0 == 0, norm - p0 + 1):
+                rest = norm - p0 - q0
+                for target in (p0 * rest - 1, p0 * rest + 1):
+                    p1, remainder = divmod(target, p0 + q0)
+                    if remainder == 0 and 0 <= p1 <= rest:
+                        yield IntMatrix2(p0, q0, p1, rest - p1)
 
 
 def count_formula_total(matrix: IntMatrix2) -> int:
@@ -87,13 +89,24 @@ def count_formula_total(matrix: IntMatrix2) -> int:
 
 def count_formula_b(matrix: IntMatrix2, b: int) -> int:
     """Closed-form number of ordered b-amicable pairs with this matrix."""
-    _require_unimodular(matrix)
-    m = min(matrix.p, matrix.q)
-    if matrix.det == 1 and 1 <= b <= m:
-        return matrix.norm - b
-    if matrix.det == -1 and 0 <= b <= m - 1:
-        return matrix.norm - b - 2
-    return 0
+    det = matrix.det
+    if det == 1:
+        return matrix.norm - b if 1 <= b <= min(matrix.p, matrix.q) else 0
+    if det == -1:
+        return matrix.norm - b - 2 if 0 <= b <= min(matrix.p, matrix.q) - 1 else 0
+    raise NotUnimodularError(f"matrix {matrix} has determinant {det}")
+
+
+def _packed(x0: int, x1: int, n0: int, n1: int) -> tuple[int, int]:
+    """A morphism's images of 0 and 1, read by ``_letters_int`` with
+    ``n0`` and ``n1`` letters, packed as the left and the right member of
+    a candidate pair: the image of 01 (left) or 10 (right), then those
+    of 0 and 1, each field followed by a zero guard bit.  The test of
+    ``_scan_b`` on the two packed integers is then the pair's three
+    scans at once, as an unpaired final block shifts its bit into its
+    own field's guard bit; the B-count is that of bits ``[0, n0+n1)``."""
+    fields = x0 << (n0 + n1 + 1) | x1 << (2 * n0 + n1 + 2)
+    return x0 | x1 << n0 | fields, x1 | x0 << n1 | fields
 
 
 def _amicable_decisions(
@@ -103,38 +116,38 @@ def _amicable_decisions(
     Sturmian morphisms with this matrix, in (k, kbar) order; ``phi`` and
     ``psi`` are the letter strings of the images of 0 and 1.
 
-    Each candidate pair is decided by the scan's bit test on the images
-    of A, C and B, read as integers once per morphism.  Every image of
-    ``0`` has length ``p0+q0`` and every image of ``1`` length
-    ``p1+q1``, so the test's equal-length precondition holds.
+    Only the first morphism of the chain is read from its letters: each
+    later one rotates both images by their shared first letter, so their
+    integers rotate by one bit and the image of 01 moves one place in the
+    coding word for 0, lowering ``k`` by ``p``.  Every image of ``0`` has
+    length ``p0+q0`` and every image of ``1`` length ``p1+q1``, so one
+    test on :func:`_packed` integers decides each candidate pair.
     """
     _require_unimodular(matrix)
     p, norm = matrix.p, matrix.norm
-    c0 = coding_word_k(p, norm, 0).letters
+    chain = list(_sturmian_images(matrix))
+    left, right = chain[0]
+    n0, n1 = len(left), len(right)
+    x0, x1 = _letters_int(left), _letters_int(right)
+    k = _rotation_index(left + right, coding_word_k(p, norm, 0).letters, p, norm)
     rows = []
-    for left, right in _sturmian_images(matrix):
-        x0, x1 = _letters_int(left), _letters_int(right)
-        rows.append(
-            (
-                _rotation_index(left + right, c0, p, norm),
-                (left, right),
-                x0,
-                x1,
-                x0 | x1 << len(left),
-                x1 | x0 << len(right),
-            )
-        )
+    for images in chain:
+        x, y = _packed(x0, x1, n0, n1)
+        rows.append((k, images, x, y))
+        x0 = x0 >> 1 | (x0 & 1) << (n0 - 1)
+        x1 = x1 >> 1 | (x1 & 1) << (n1 - 1)
+        k = (k - p) % norm
     # k is one-to-one on the morphisms of one matrix, so this sort never
     # compares two image pairs and the pairs come out in order
     rows.sort()
-    for k, phi, x0, x1, x01, _ in rows:
-        for kbar, psi, y0, y1, _, y10 in rows:
-            if (
-                _scan_b(x0, y0) is not None
-                and _scan_b(x1, y1) is not None
-                and (b := _scan_b(x01, y10)) is not None
-            ):
-                yield k, phi, kbar, psi, b
+    columns = [(j, y) for j, (*_, y) in enumerate(rows)]
+    # ~x on the bits of a packed integer, where & is faster than with ~x
+    full, mask = (1 << 2 * norm + 2) - 1, (1 << norm) - 1
+    for k, phi, x, _ in rows:
+        nx = x ^ full
+        for j in [j for j, y in columns if x - y == nx & y]:
+            kbar, psi, _, y = rows[j]
+            yield k, phi, kbar, psi, (nx & y & mask).bit_count()
 
 
 def brute_force_pairs(matrix: IntMatrix2) -> tuple[AmicablePair, ...]:
@@ -164,7 +177,7 @@ def brute_force_pairs(matrix: IntMatrix2) -> tuple[AmicablePair, ...]:
 def brute_force_b_counts(matrix: IntMatrix2) -> tuple[int, ...]:
     """The B-count ``b`` of every ordered amicable pair with this matrix,
     in the order of :func:`brute_force_pairs`, building no morphism."""
-    return tuple(b for *_, b in _amicable_decisions(matrix))
+    return tuple(b for _, _, _, _, b in _amicable_decisions(matrix))
 
 
 def ternarization_matrix(matrix: IntMatrix2, b0: int, b1: int) -> IntMatrix3:

@@ -89,7 +89,7 @@ def run_suite(name: str, *args, **kwargs) -> SuiteResult:
 
 # each suite's caps, with the time a fresh process takes at the cap on a
 # 2-core x86-64 host
-MAX_COUNTING_NORM = 125  # 57 s
+MAX_COUNTING_NORM = 125  # 17 s
 
 
 def counting_suite(max_norm: int = 12) -> SuiteRecords:
@@ -125,7 +125,7 @@ def counting_suite(max_norm: int = 12) -> SuiteRecords:
     return ok, {"max_norm": max_norm, "matrices": checked}
 
 
-MAX_LEMMA_W_NORM = 140  # 53 s
+MAX_LEMMA_W_NORM = 140  # 36 s
 
 
 def lemma_w_suite(max_norm: int = 24) -> SuiteRecords:
@@ -158,7 +158,7 @@ def lemma_w_suite(max_norm: int = 24) -> SuiteRecords:
     return ok, {"max_n": max_norm, "cases": cases}
 
 
-MAX_MATRICES_NORM = 62  # 51 s
+MAX_MATRICES_NORM = 62  # 40 s
 
 
 def matrices_suite(max_norm: int = 10) -> SuiteRecords:
@@ -219,7 +219,7 @@ def _intertwining_ok(eta: Morphism, phi: Morphism, psi: Morphism) -> bool:
     )
 
 
-# at both caps 53 s and 0.37 GB: the pool of pairs is most of both
+# at both caps 48 s and 0.37 GB: the pool of pairs is most of both
 MAX_MONOID_NORM = 56
 MAX_MONOID_SAMPLES = 50_000
 

@@ -2,6 +2,7 @@ import itertools
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ietwords import (
     AC_SWAP,
@@ -20,6 +21,7 @@ from ietwords import (
     brute_force_b_counts,
     brute_force_pairs,
     classify_matrix3,
+    coding_word_k,
     conjecture_probe,
     count_formula_b,
     count_formula_total,
@@ -33,7 +35,10 @@ from ietwords import (
     ternarize_morphisms,
     unimodular_matrices,
 )
-from ietwords.matrices import block_conjugated_matrix
+import ietwords.matrices
+from ietwords.amicability import _letters_int, _scan, _scan_b
+from ietwords.matrices import _amicable_decisions, _packed, block_conjugated_matrix
+from ietwords.morphisms import _rotation_index, _sturmian_images
 from ietwords.verification import run_suite
 
 EXAMPLE = IntMatrix2(2, 1, 3, 2)
@@ -72,6 +77,10 @@ class TestCountFormulas:
         for max_norm in (0, 1, 2, 3, 7, 30):
             assert list(unimodular_matrices(max_norm)) == product_filter(max_norm)
 
+    def test_per_b_rejects_non_unimodular(self):
+        with pytest.raises(NotUnimodularError, match="matrix 1,1;1,1 has determinant 0"):
+            count_formula_b(IntMatrix2(1, 1, 1, 1), 1)
+
     def test_per_b_sums_to_total(self):
         # pure arithmetic identity between the two closed formulas
         for matrix in unimodular_matrices(40):
@@ -107,6 +116,120 @@ def scan_loop_pairs(matrix):
                 AmicablePair(phi=phi, psi=psi, eta=eta, b0=b0, b1=b1, b=b, k=k, kbar=kbar)
             )
     return tuple(pairs)
+
+
+def three_scan_decisions(matrix):
+    """The decisions of the brute force by three bit tests per candidate
+    pair, on a chain whose every morphism is read from its letters and
+    indexed by a search: the oracle of the packed test and of the
+    chain-step k in _amicable_decisions."""
+    p, norm = matrix.p, matrix.norm
+    c0 = coding_word_k(p, norm, 0).letters
+    rows = []
+    for left, right in _sturmian_images(matrix):
+        x0, x1 = _letters_int(left), _letters_int(right)
+        k = _rotation_index(left + right, c0, p, norm)
+        rows.append((k, (left, right), x0, x1, x0 | x1 << len(left), x1 | x0 << len(right)))
+    rows.sort()
+    decisions = []
+    for k, phi, x0, x1, x01, _ in rows:
+        for kbar, psi, y0, y1, _, y10 in rows:
+            if (
+                _scan_b(x0, y0) is not None
+                and _scan_b(x1, y1) is not None
+                and (b := _scan_b(x01, y10)) is not None
+            ):
+                decisions.append((k, phi, kbar, psi, b))
+    return decisions
+
+
+def scan_b(left, right):
+    try:
+        return _scan(left, right).count(1)
+    except NotAmicableError:
+        return None
+
+
+def packed_pair(phi, psi):
+    """The packed left member phi and right member psi, each a pair of
+    letter strings for the images of 0 and 1."""
+    lengths = len(phi[0]), len(phi[1])
+    return (
+        _packed(*map(_letters_int, phi), *lengths)[0],
+        _packed(*map(_letters_int, psi), *lengths)[1],
+    )
+
+
+class TestPackedDecisions:
+    def test_agrees_with_three_scans_through_norm_40(self):
+        checked = list(unimodular_matrices(40))
+        assert len(checked) == 978
+        for matrix in checked:
+            assert list(_amicable_decisions(matrix)) == three_scan_decisions(matrix), str(matrix)
+
+    @settings(deadline=None)
+    @given(st.sampled_from([m for m in unimodular_matrices(80) if m.norm > 40]))
+    def test_agrees_with_three_scans_up_to_norm_80(self, matrix):
+        assert list(_amicable_decisions(matrix)) == three_scan_decisions(matrix)
+
+    def test_packed_test_is_the_three_scans(self):
+        # every pair of morphisms with images of 0 and 1 of n0 and n1
+        # letters, n0 + n1 <= 5: the test on the packed integers accepts
+        # exactly when the scans of the images of 0, of 1 and of 01
+        # against 10 all do, with the B-count of the last
+        for n0, n1 in itertools.product(range(1, 5), repeat=2):
+            if n0 + n1 > 5:
+                continue
+            morphisms = [
+                (bytes(w[:n0]), bytes(w[n0:]))
+                for w in itertools.product((0, 1), repeat=n0 + n1)
+            ]
+            for phi, psi in itertools.product(morphisms, repeat=2):
+                b = scan_b(phi[0] + phi[1], psi[1] + psi[0])
+                if scan_b(phi[0], psi[0]) is None or scan_b(phi[1], psi[1]) is None:
+                    b = None
+                x, y = packed_pair(phi, psi)
+                got = _scan_b(x, y)
+                assert (got is None) == (b is None), (phi, psi)
+                if b is not None:
+                    assert ((~x & y) & ((1 << n0 + n1) - 1)).bit_count() == b
+
+    def test_unpaired_final_block_of_the_image_of_0_is_rejected(self):
+        # 0 against 1 ends the image of 0, and 1 against 0 starts the
+        # image of 1: only the guard bit between them keeps the shifted
+        # bit of the first from pairing with the second
+        phi, psi = (b"\x00", b"\x01"), (b"\x01", b"\x00")
+        assert scan_b(phi[0] + phi[1], psi[1] + psi[0]) == 0
+        assert _scan_b(*packed_pair(phi, psi)) is None
+        # the same three fields with no guard bits pass, as 0101 against 0110
+        unguarded = phi[0] + phi[1] + phi[0] + phi[1], psi[1] + psi[0] + psi[0] + psi[1]
+        assert _scan_b(*map(_letters_int, unguarded)) == 1
+
+    def test_pair_failing_only_the_image_of_01_is_rejected(self):
+        # the conjugates 0->0,1->01 and 0->0,1->10 of the matrix 1,0;1,1:
+        # 0 against 0 and 01 against 10 pass, 001 against 100 does not
+        matrix = IntMatrix2(1, 0, 1, 1)
+        phi, psi = (b"\x00", b"\x00\x01"), (b"\x00", b"\x01\x00")
+        assert list(_sturmian_images(matrix)) == [phi, psi]
+        assert scan_b(phi[0], psi[0]) == 0 and scan_b(phi[1], psi[1]) == 1
+        assert scan_b(phi[0] + phi[1], psi[1] + psi[0]) is None
+        assert _scan_b(*packed_pair(phi, psi)) is None
+        assert (phi, psi) not in [(a, c) for _, a, _, c, _ in _amicable_decisions(matrix)]
+
+    def test_each_matrix_reads_one_morphism(self, monkeypatch):
+        # only the standard pair is read from its letters and indexed by
+        # a search; the rest of the chain follows from it
+        calls = Counter()
+        for name in ("_letters_int", "_rotation_index"):
+            def counted(*args, _name=name, _original=getattr(ietwords.matrices, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(ietwords.matrices, name, counted)
+        checked = list(unimodular_matrices(24))
+        for matrix in checked:
+            brute_force_b_counts(matrix)
+        assert calls == {"_letters_int": 2 * len(checked), "_rotation_index": len(checked)}
 
 
 class TestBruteForcePairs:
@@ -297,7 +420,24 @@ class TestConjectureProbe:
         ]
 
 
+def unimodular_matrices_by_scan(max_norm):
+    """The sweep as a scan over every p1: the oracle of the solved p1."""
+    for norm in range(2, max_norm + 1):
+        for p0 in range(norm + 1):
+            for q0 in range(norm - p0 + 1):
+                for p1 in range(norm - p0 - q0 + 1):
+                    q1 = norm - p0 - q0 - p1
+                    if abs(p0 * q1 - q0 * p1) == 1:
+                        yield IntMatrix2(p0, q0, p1, q1)
+
+
 class TestUnimodularSweep:
+    def test_agrees_with_the_scan_over_p1(self):
+        for max_norm in (0, 1, 2, 80):
+            assert list(unimodular_matrices(max_norm)) == list(
+                unimodular_matrices_by_scan(max_norm)
+            )
+
     def test_small_census(self):
         matrices = list(unimodular_matrices(3))
         assert matrices == [

@@ -237,6 +237,18 @@ class TestKIndex:
                 checked += 1
         assert checked == 10_646
 
+    def test_each_chain_step_lowers_k_by_p(self):
+        # rotating both images by their shared first letter rotates the
+        # image of 01, which moves it by one place in the coding word for
+        # 0: the fact by which the brute force indexes a chain read once
+        checked = 0
+        for matrix in unimodular_matrices(40):
+            indices = [k_index(m) for m in enumerate_sturmian(matrix)]
+            for k, following in zip(indices, indices[1:]):
+                assert following == (k - matrix.p) % matrix.norm, str(matrix)
+            checked += len(indices)
+        assert checked == 25_242
+
 
 class TestSturmianMembership:
     def test_examples(self):
