@@ -37,8 +37,22 @@ _SIGMA_B = {"01": b"\x00\x01", "10": b"\x01\x00"}
 # ``verify --suite preserve --kmax``), where memory binds before time: a
 # factor count holds up to kmax + 1 factors of kmax letters, 0.4 GB at
 # the cap; the slowest input found there, a constant image of the longest
-# coding, takes 21 s
+# coding (``A->A,B->A,C->A``, ``-n 1000000``), takes 17 s on a 2-core
+# x86-64 host, of which coding the prefix takes 0.01 s
 MAX_PRESERVE_KMAX = 20_000
+
+# a projection of ``eta(prefix)`` has at most ``n`` times as many letters
+# as the longest projected letter image of ``eta`` (``|sigma(eta(x))|``),
+# and a preservation check is bounded by that count.  For one projection
+# the failing complexity test binds: a word with few factors is read
+# whole at each tested length, so at ``kmax = MAX_PRESERVE_KMAX`` the
+# constant image ``A->AA,B->AA,C->AA`` of the longest coding, at the cap,
+# takes 38 s
+MAX_PROJECTION_LETTERS = 2 * 10**6
+# summed over the projections a check decides, time binds: ``verify
+# --suite preserve --max-norm 32 -n 4000`` (2.6e9 letters by this count)
+# takes 47 s
+MAX_PRESERVE_LETTERS = 3 * 10**9
 
 
 def sigma(word: FiniteWord, which: str) -> FiniteWord:
@@ -322,16 +336,18 @@ def check_3iet_preservation(
     Codes the length-``n`` orbit prefix, applies ``eta``, and requires
     both binary projections of the image to be balanced with factor
     complexity m+1 up to ``kmax``.  Degenerate parameters, a ``kmax``
-    outside ``[0, MAX_PRESERVE_KMAX]`` and ``n < 2*kmax`` are rejected
-    before any letter is coded: a balanced word of length ``L`` has
+    outside ``[0, MAX_PRESERVE_KMAX]``, ``n < 2*kmax`` and a projection
+    that may exceed :data:`MAX_PROJECTION_LETTERS` are rejected before
+    any letter is coded: a balanced word of length ``L`` has
     ``p(kmax) <= L - kmax + 1``, so a projection (at least ``n`` letters
     long) shorter than ``2*kmax`` fails whatever ``eta`` is.
     """
-    return _preservation_checker(transform, x0, n, kmax)(eta)
+    longest = max(len(image) + image.count(1) for image in eta.images)
+    return _preservation_checker(transform, x0, n, kmax, longest, 2 * longest)(eta)
 
 
 def _preservation_checker(
-    transform: ThreeIET, x0: QuadNumber, n: int, kmax: int
+    transform: ThreeIET, x0: QuadNumber, n: int, kmax: int, longest: int, summed: int
 ) -> Callable[[Morphism], PreservationResult]:
     """:func:`check_3iet_preservation` as a function of ``eta``, coding the
     prefix once and deciding each projection once.
@@ -339,12 +355,18 @@ def _preservation_checker(
     A projection of ``eta(prefix)`` is fixed by the projections of the
     three images of ``eta``, so those short words key the verdicts, and
     ``eta(prefix)`` is built only for a projection not decided yet.
+    ``longest`` bounds the projected letter images of every ``eta`` the
+    caller passes, and ``summed`` adds that bound up over the projections
+    it may decide: ``n`` times each is checked against its cap,
+    :data:`MAX_PROJECTION_LETTERS` and :data:`MAX_PRESERVE_LETTERS`.
     """
     if kmax < 0:
         raise DomainError(f"kmax must be non-negative, got {kmax}")
     _require_range(kmax, 0, MAX_PRESERVE_KMAX, "--kmax")
     if n < 2 * kmax:
         raise DomainError(f"n must be at least 2*kmax = {2 * kmax}, got {n}")
+    _require_range(n * longest, 0, MAX_PROJECTION_LETTERS, "projection length")
+    _require_range(n * summed, 0, MAX_PRESERVE_LETTERS, "summed projection length")
     if not is_nondegenerate_params(transform):
         raise DegenerateParametersError(
             "parameters are degenerate: (1-alpha)/(1+beta) is rational"

@@ -26,7 +26,8 @@ class DomainError(IetWordsError, ValueError):
 
 def _require_range(value: int, minimum: int, maximum: int | None, flag: str) -> None:
     """Reject a sweep bound below its smallest useful value or above its cap
-    (about a minute or 0.4 GB of work); ``flag`` is its command-line spelling."""
+    (about a minute or 0.4 GB of work); ``flag`` is its command-line
+    spelling, or says what it measures."""
     if value < minimum:
         raise DomainError(f"{flag} must be at least {minimum}, got {value}")
     if maximum is not None and value > maximum:

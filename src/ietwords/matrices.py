@@ -29,7 +29,7 @@ from .amicability import (
     ternarize_morphisms,
     TernarizationMembership,
 )
-from .errors import DomainError, InfeasibleMatrixError, NotUnimodularError
+from .errors import DomainError, InfeasibleMatrixError, NotUnimodularError, _require_range
 from .iet import coding_word_k
 from .morphisms import (
     _binary_morphism,
@@ -56,6 +56,14 @@ FIBONACCI_TERNARY = Morphism.parse("A->B,B->ACA,C->A")
 # any Sturmian pair: the ternarization monoid is a proper sub-monoid of
 # the preserving one
 PRESERVING_NONMEMBER = Morphism.parse("A->B,B->CAC,C->C")
+
+
+# the largest norm N of a matrix whose amicable pairs are brute-forced
+# (``pairs --matrix``): up to about N*N/2 pairs, each with a ternarization
+# of about N letters.  On a 2-core x86-64 host ``pairs --matrix
+# 124,125;125,126`` (norm 500, the most pairs there) takes 16 s and
+# 0.13 GB, and prints 180 MB
+MAX_PAIRS_NORM = 500
 
 
 def _require_unimodular(matrix: IntMatrix2) -> None:
@@ -124,6 +132,7 @@ def _amicable_decisions(
     test on :func:`_packed` integers decides each candidate pair.
     """
     _require_unimodular(matrix)
+    _require_range(matrix.norm, 2, MAX_PAIRS_NORM, "matrix norm")
     p, norm = matrix.p, matrix.norm
     chain = list(_sturmian_images(matrix))
     left, right = chain[0]
@@ -156,7 +165,9 @@ def brute_force_pairs(matrix: IntMatrix2) -> tuple[AmicablePair, ...]:
 
     Independent of the closed formulas above: each candidate pair is
     decided by the ternarization scan alone, through its bit test; the
-    scan itself runs on the accepted pairs only, to build ``eta``.
+    scan itself runs on the accepted pairs only, to build ``eta``.  A
+    norm above :data:`MAX_PAIRS_NORM` is rejected before the chain is
+    built.
     """
     # each morphism in an accepted pair, built once, by its index k
     built: dict[int, Morphism] = {}

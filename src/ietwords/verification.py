@@ -21,6 +21,7 @@ from typing import Callable, Generator
 from . import matrices
 from ._value import Value
 from .amicability import (
+    MAX_PRESERVE_KMAX,
     _letters_int,
     _preservation_checker,
     _scan_b,
@@ -265,10 +266,18 @@ MAX_PRESERVE_NORM = 32
 def preserve_suite(max_norm: int = 6, n: int = 1000, kmax: int = 20) -> SuiteRecords:
     """Prefix-scale 3iet preservation for every brute-forced
     ternarization, plus rejection of the degenerate parameter trap.
-    ``kmax`` is at least 1, and the checker caps it."""
+    ``kmax`` lies in ``[1, MAX_PRESERVE_KMAX]``, and the checker caps the
+    letters it projects."""
     _require_range(max_norm, 2, MAX_PRESERVE_NORM, "--max-norm")
-    _require_range(kmax, 1, None, "--kmax")
-    check = _preservation_checker(ThreeIET(PRESERVE_ALPHA, PRESERVE_BETA), ZERO, n, kmax)
+    _require_range(kmax, 1, MAX_PRESERVE_KMAX, "--kmax")
+    # a matrix of norm N has N - 1 Sturmian morphisms, each the key of at
+    # most one projection per side, with letter images of at most N letters
+    summed = sum(
+        2 * (matrix.norm - 1) * matrix.norm
+        for matrix in matrices.unimodular_matrices(max_norm)
+    )
+    transform = ThreeIET(PRESERVE_ALPHA, PRESERVE_BETA)
+    check = _preservation_checker(transform, ZERO, n, kmax, max_norm, summed)
     ok = True
     checked = 0
     for matrix in matrices.unimodular_matrices(max_norm):

@@ -4,10 +4,16 @@ direct call is bounded as the command line is."""
 
 import pytest
 
-from ietwords import ZERO, Morphism, ThreeIET, amicability, check_3iet_preservation, matrices
-from ietwords import verification
-from ietwords.amicability import MAX_PRESERVE_KMAX
+from ietwords import ZERO, IntMatrix2, Morphism, ThreeIET, amicability, check_3iet_preservation
+from ietwords import matrices, morphisms, verification
+from ietwords.amicability import (
+    MAX_PRESERVE_KMAX,
+    MAX_PRESERVE_LETTERS,
+    MAX_PROJECTION_LETTERS,
+)
 from ietwords.errors import DomainError
+from ietwords.matrices import MAX_PAIRS_NORM
+from ietwords.morphisms import MAX_ENUM_NORM
 from ietwords.verification import (
     MAX_COUNTING_NORM,
     MAX_LEMMA_W_NORM,
@@ -74,3 +80,77 @@ def test_preservation_kmax_above_the_cap_codes_nothing(no_enumeration):
         check_3iet_preservation(
             Morphism.parse("A->A,B->B,C->C"), transform, ZERO, n=40002, kmax=20001
         )
+
+
+class Coded(Exception):
+    """Raised in place of coding an orbit prefix."""
+
+
+@pytest.fixture
+def coding_raises(monkeypatch):
+    def coded(*args):
+        raise Coded
+
+    monkeypatch.setattr(amicability, "three_iet_code", coded)
+
+
+def test_preservation_projection_above_the_cap_codes_nothing(coding_raises):
+    transform = ThreeIET(PRESERVE_ALPHA, PRESERVE_BETA)
+    # every letter image projects to one letter, so the projection has n
+    constant = Morphism.parse("A->A,B->A,C->A")
+    with pytest.raises(Coded):
+        check_3iet_preservation(constant, transform, ZERO, MAX_PROJECTION_LETTERS, 20)
+    with pytest.raises(
+        DomainError,
+        match=f"projection length must be at most {MAX_PROJECTION_LETTERS}, "
+        f"got {MAX_PROJECTION_LETTERS + 1}",
+    ):
+        check_3iet_preservation(constant, transform, ZERO, MAX_PROJECTION_LETTERS + 1, 20)
+    # B projects to two letters
+    identity = Morphism.parse("A->A,B->B,C->C")
+    with pytest.raises(DomainError, match="projection length must be at most"):
+        check_3iet_preservation(identity, transform, ZERO, MAX_PROJECTION_LETTERS // 2 + 1, 20)
+
+
+def test_preserve_suite_letters_above_the_cap_code_nothing(coding_raises):
+    # the suite's bound at its norm cap: n * 660 824 letters
+    summed = sum(
+        2 * (matrix.norm - 1) * matrix.norm
+        for matrix in matrices.unimodular_matrices(MAX_PRESERVE_NORM)
+    )
+    n = MAX_PRESERVE_LETTERS // summed
+    with pytest.raises(Coded):
+        run_suite("preserve", max_norm=MAX_PRESERVE_NORM, n=n)
+    with pytest.raises(
+        DomainError,
+        match=f"summed projection length must be at most {MAX_PRESERVE_LETTERS}, "
+        f"got {(n + 1) * summed}",
+    ):
+        run_suite("preserve", max_norm=MAX_PRESERVE_NORM, n=n + 1)
+    # the longest letter image of the suite is max_norm letters
+    with pytest.raises(DomainError, match="projection length must be at most"):
+        run_suite("preserve", max_norm=2, n=MAX_PROJECTION_LETTERS // 2 + 1)
+
+
+@pytest.fixture
+def no_chain(monkeypatch):
+    def chain(matrix):
+        raise AssertionError(f"the chain of {matrix} was built")
+
+    monkeypatch.setattr(morphisms, "_sturmian_images", chain)
+    monkeypatch.setattr(matrices, "_sturmian_images", chain)
+
+
+@pytest.mark.parametrize(
+    "build, cap",
+    [
+        (matrices.brute_force_pairs, MAX_PAIRS_NORM),
+        (matrices.brute_force_b_counts, MAX_PAIRS_NORM),
+        (morphisms.enumerate_sturmian, MAX_ENUM_NORM),
+    ],
+)
+def test_matrix_norm_above_the_cap_builds_no_chain(build, cap, no_chain):
+    matrix = IntMatrix2(1, 0, cap - 1, 1)
+    assert (matrix.det, matrix.norm) == (1, cap + 1)
+    with pytest.raises(DomainError, match=f"matrix norm must be at most {cap}, got {cap + 1}"):
+        build(matrix)

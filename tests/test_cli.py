@@ -12,10 +12,13 @@ import pytest
 import ietwords.amicability
 import ietwords.cli
 import ietwords.matrices
+import ietwords.morphisms
 from ietwords import IntMatrix2, count_formula_total, verification
 from ietwords.amicability import MAX_PRESERVE_KMAX
 from ietwords.cli import MAX_COUNT_NORM, main
 from ietwords.errors import IetWordsError
+from ietwords.matrices import MAX_PAIRS_NORM
+from ietwords.morphisms import MAX_ENUM_NORM
 from ietwords.verification import MAX_COUNTING_NORM, MAX_PRESERVE_NORM
 
 # the package's parent directory: ``python -m ietwords`` run from here
@@ -382,6 +385,21 @@ class TestInvalidInput:
         assert records == [{
             "command": argv[0],
             "error": f"{flag} must be at most {cap}, got {cap + 1}",
+            "status": "invalid-input",
+        }]
+
+    @pytest.mark.parametrize("command, cap", [("pairs", MAX_PAIRS_NORM), ("enum", MAX_ENUM_NORM)])
+    def test_matrix_norm_above_the_cap_builds_no_chain(self, capsys, monkeypatch, command, cap):
+        def unreachable(matrix):
+            raise AssertionError(f"the chain of {matrix} was built")
+
+        monkeypatch.setattr(ietwords.morphisms, "_sturmian_images", unreachable)
+        monkeypatch.setattr(ietwords.matrices, "_sturmian_images", unreachable)
+        code, records, _ = run(capsys, command, "--matrix", f"1,0;{cap - 1},1")
+        assert code == 2
+        assert records == [{
+            "command": command,
+            "error": f"matrix norm must be at most {cap}, got {cap + 1}",
             "status": "invalid-input",
         }]
 

@@ -1,4 +1,6 @@
 import math
+import random
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 
@@ -591,6 +593,110 @@ class TestFixedPointFilter:
         shifts = ((1, 0), (-root - 1, 1), (root - 1, -1))
         for x in ((-1, 0), (0, 0), (-root, 1), (1 - root, 1), (1, 0), (2 * root, -2)):
             assert_filter_matches_sign_test(Alphabet.TERNARY, (d, x, cuts, shifts), 20)
+
+
+class TestPieceTable:
+    """``iet._exchange_code`` codes ``m`` letters per lookup in a table of
+    the pieces of ``T**m``; the sign test, one letter at a time, is its
+    oracle."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(quad_points(), quad_points(), st.integers(1, 5000))
+    def test_2iet(self, slope, x0, n):
+        assert_filter_matches_sign_test(Alphabet.BINARY, two_iet_inputs(slope, x0), n)
+
+    @settings(deadline=None, max_examples=60)
+    @given(quad_3iet_params(), quad_points(), st.integers(1, 5000))
+    def test_3iet(self, params, x0, n):
+        inputs = three_iet_inputs(*params, x0)
+        assert_filter_matches_sign_test(Alphabet.TERNARY, inputs, n)
+
+    @settings(deadline=None, max_examples=30)
+    @given(sqrt5_or_sqrt7_cases(), st.integers(0, 40), st.integers(1000, 5000))
+    def test_starts_on_a_cut_and_its_preimages(self, case, j, n):
+        # a start T**-j(cut) reaches the cut after j steps, inside a chunk
+        # or on its edge, and is itself the start of a piece when j < m
+        _, alpha, beta, _ = case
+        for cut in (alpha, alpha + beta):
+            x0 = cut
+            for _ in range(j):
+                x0 = three_iet_preimage(alpha, beta, x0)
+            inputs = three_iet_inputs(alpha, beta, x0)
+            assert_filter_matches_sign_test(Alphabet.TERNARY, inputs, n)
+
+    @pytest.mark.parametrize("slope, letter", [(ZERO, 1), (ONE, 0)])
+    def test_2iet_slopes_0_and_1(self, slope, letter):
+        # one interval is empty, and the other is translated by 0
+        for x0 in (ZERO, GOLDEN_SLOPE, QuadNumber(1, 0, 0, 3)):
+            assert two_iet_code(TwoIET(slope), x0, 3000).letters == bytes([letter]) * 3000
+            assert_filter_matches_sign_test(Alphabet.BINARY, two_iet_inputs(slope, x0), 3000)
+
+    @pytest.mark.parametrize("cases", [
+        list(coprime_cases(60)),
+        # from N = 216 on, a residue coding is coded m = 5 letters at a time
+        [(p, n) for n in (216, 241, 300) for p in (1, 2, 89, n - 2, n - 1)
+         if math.gcd(p, n) == 1],
+    ], ids=["up_to_60", "from_216"])
+    def test_rotation_residues(self, cases):
+        for p, n in cases:
+            shifts = ((n - p, 0), (-p, 0))
+            for k in range(n):
+                expected = exchange_by_sign_test(0, (k, 0), ((p, 0),), shifts, n)
+                assert coding_word_k(p, n, k).letters == expected
+
+    def test_small_integer_maps(self):
+        # cuts, shifts and starts of a few units: some maps are exchanges
+        # of [0, U) and start there, most are not and are coded letter by
+        # letter; a table built for those would code them wrongly
+        rng = random.Random(19)
+        for _ in range(1500):
+            cuts = tuple(sorted((rng.randint(0, 8), 0) for _ in range(rng.randint(1, 2))))
+            shifts = tuple((rng.randint(-8, 8), 0) for _ in range(len(cuts) + 1))
+            start = (rng.randint(-2, 9), 0)
+            n = 450  # m = 5 for two cuts, 6 for one
+            alphabet = Alphabet.BINARY if len(cuts) == 1 else Alphabet.TERNARY
+            assert_filter_matches_sign_test(alphabet, (0, start, cuts, shifts), n)
+
+    def test_letters_constant_on_each_piece(self):
+        # rational 3iets on the integers of [0, U): two neighbours in one
+        # piece of T**m have the same m letters
+        for alpha, beta, _ in rational_3iet_cases(9):
+            d, _, cuts, shifts = three_iet_inputs(alpha, beta, ZERO)
+            cut_values = [a for a, _ in cuts]
+            steps = [a for a, _ in shifts]
+            top = cut_values[0] + steps[0]
+            for m in range(1, 7):
+                starts = iet._piece_starts(cut_values, steps, 0, m)
+                codings = [exchange_by_sign_test(d, (v, 0), cuts, shifts, m)
+                           for v in range(top)]
+                for v in range(1, top):
+                    if v not in starts:
+                        assert codings[v] == codings[v - 1]
+
+    def test_piece_starts_only_for_an_exchange(self):
+        # the 3iet 2/5, 1/5 over L = 5: cuts 2 and 3, U = 5, and T**-1
+        # takes 2 to 2 and 3 to 0, then 0 to 3
+        cut_values, steps = [2, 3], [3, 0, -3]
+        assert iet._piece_starts(cut_values, steps, 0, 1) == [2, 3]
+        assert iet._piece_starts(cut_values, steps, 4, 3) == [0, 2, 3]
+        assert iet._piece_starts(cut_values, steps, -1, 3) is None
+        assert iet._piece_starts(cut_values, steps, 5, 3) is None
+        assert iet._piece_starts([3, 2], [3, 0, -3], 0, 3) is None
+        assert iet._piece_starts([2, 3], [3, 1, -3], 0, 3) is None
+
+    def test_one_bisection_per_chunk(self, monkeypatch):
+        # a fall-back to one bisection per letter would make 50 000
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return bisect_right(*args)
+
+        monkeypatch.setattr(iet, "bisect_right", counting)
+        t = ThreeIET(TestIntegerEngine.SEED1_ALPHA, TestIntegerEngine.SEED1_BETA)
+        coded = three_iet_code(t, TestIntegerEngine.SEED1_START3, 50_000)
+        assert len(coded) == 50_000
+        assert len(calls) < 10_000
 
 
 class TestProjectionsOfThreeIETCodings:
