@@ -1,12 +1,13 @@
 """Amicability of binary words and Sturmian morphisms, and ternarization.
 
 A ternary word projects to two binary words through ``sigma01`` (A->0,
-B->01, C->1) and ``sigma10`` (A->0, B->10, C->1).  Two binary words are
-amicable when they arise as the two projections of a common ternary word
-that is a factor of a 3iet word; that ternary word -- their
-ternarization -- is unique and is recovered here by a single synchronous
-scan.  Lifting the construction letterwise to Sturmian morphisms yields
-ternary morphisms that preserve the set of 3iet words.
+B->01, C->1) and ``sigma10`` (A->0, B->10, C->1), each one whole-word
+substitution.  Two binary words are amicable when they arise as the two
+projections of a common ternary word that is a factor of a 3iet word;
+that ternary word -- their ternarization -- is unique and is recovered
+by a synchronous scan, decided on the words read as integers by one bit
+identity.  Lifting the construction letterwise to Sturmian morphisms
+yields ternary morphisms that preserve the set of 3iet words.
 
 Finite surrogate used throughout: a binary word is accepted as a factor
 of some 3iet-projected word exactly when it is balanced; prefix-scale
@@ -28,31 +29,35 @@ from .errors import (
 from .iet import ThreeIET, is_nondegenerate_params, three_iet_code
 from .morphisms import Morphism, is_sturmian_morphism
 from .quadratic import QuadNumber
-from .words import Alphabet, FiniteWord, is_balanced
+from .words import Alphabet, FiniteWord, _substitute, is_balanced
 
-# the image of B under each projection; A (0) maps to 0 and C (2) to 1
-_SIGMA_B = {"01": b"\x00\x01", "10": b"\x01\x00"}
+# the letter images of each projection: A to 0, B to 01 or 10, C to 1
+_SIGMA = {"01": (b"\x00", b"\x00\x01", b"\x01"), "10": (b"\x00", b"\x01\x00", b"\x01")}
 
 # the largest kmax of a preservation check (``preserve --kmax`` and
 # ``verify --suite preserve --kmax``), where memory binds before time: a
 # factor count holds up to kmax + 1 factors of kmax letters, 0.4 GB at
 # the cap; the slowest input found there, a constant image of the longest
-# coding (``A->A,B->A,C->A``, ``-n 1000000``), takes 17 s on a 2-core
-# x86-64 host, of which coding the prefix takes 0.01 s
+# coding (``A->A,B->A,C->A``, ``-n 1000000``), takes 21 s and 18 MB on
+# a 2-core x86-64 host, of which coding the prefix takes 0.01 s
 MAX_PRESERVE_KMAX = 20_000
 
 # a projection of ``eta(prefix)`` has at most ``n`` times as many letters
 # as the longest projected letter image of ``eta`` (``|sigma(eta(x))|``),
 # and a preservation check is bounded by that count.  For one projection
 # the failing complexity test binds: a word with few factors is read
-# whole at each tested length, so at ``kmax = MAX_PRESERVE_KMAX`` the
-# constant image ``A->AA,B->AA,C->AA`` of the longest coding, at the cap,
-# takes 38 s
+# whole at each tested length, so the constant image ``A->AA,B->AA,C->AA``
+# of the longest coding, at the cap, takes 30 s at ``kmax = 11600``, the
+# largest that :data:`MAX_FACTOR_BYTES` lets it reach
 MAX_PROJECTION_LETTERS = 2 * 10**6
 # summed over the projections a check decides, time binds: ``verify
 # --suite preserve --max-norm 32 -n 4000`` (2.6e9 letters by this count)
-# takes 47 s
+# takes 38 s
 MAX_PRESERVE_LETTERS = 3 * 10**9
+# a check makes at most 1 + ceil(log2(kmax)) factor counts, each copying up
+# to kmax bytes per projected letter: ``verify --suite preserve --max-norm 4
+# -n 24600 --kmax 12300`` (6.9e11 bytes by this count) takes 55 s
+MAX_FACTOR_BYTES = 7 * 10**11
 
 
 def sigma(word: FiniteWord, which: str) -> FiniteWord:
@@ -61,15 +66,10 @@ def sigma(word: FiniteWord, which: str) -> FiniteWord:
     if word.alphabet is not Alphabet.TERNARY:
         raise AlphabetError("sigma projections act on ternary words")
     try:
-        letters = _project(word.letters, which)
+        images = _SIGMA[which]
     except KeyError:
         raise ValueError(f"projection must be '01' or '10', got {which!r}") from None
-    return FiniteWord(Alphabet.BINARY, letters)
-
-
-def _project(letters: bytes, which: str) -> bytes:
-    """:func:`sigma` on the letter string of a ternary word."""
-    return letters.replace(b"\x01", _SIGMA_B[which]).replace(b"\x02", b"\x01")
+    return FiniteWord(Alphabet.BINARY, _substitute(word.letters, images))
 
 
 class AmicabilityWitness(Value):
@@ -101,28 +101,25 @@ def ternarize_words(word: FiniteWord, other: FiniteWord) -> AmicabilityWitness:
 def _scan(left: bytes, right: bytes) -> bytes:
     """The synchronous scan of two binary letter strings: A for 0/0, C
     for 1/1 and B for a 01-against-10 block; any other mismatch raises
-    :class:`NotAmicableError`.  Balance is the caller's to check."""
-    if len(left) != len(right):
-        raise NotAmicableError(
-            f"words of different lengths {len(left)} and {len(right)}"
-        )
-    out = bytearray()
-    i, n = 0, len(left)
-    while i < n:
-        x, y = left[i], right[i]
-        if x == y:
-            out.append(0 if x == 0 else 2)
-            i += 1
-            continue
-        if x == 1:
+    :class:`NotAmicableError`.  Balance is the caller's to check.  The
+    identity of :func:`_scan_b`, read at one byte per letter, puts the
+    first mismatch at the lowest bit of ``bad``, and the letterwise sums
+    spell the ternarization with each B doubled."""
+    n = len(left)
+    if n != len(right):
+        raise NotAmicableError(f"words of different lengths {n} and {len(right)}")
+    x, y = int.from_bytes(left, "little"), int.from_bytes(right, "little")
+    closers = x & ~y
+    bad = closers ^ (~x & y) << 8
+    if bad:
+        low = bad & -bad
+        i = (low.bit_length() - 1) // 8
+        if closers & low:
             raise NotAmicableError(f"mismatch 1 against 0 at position {i}")
-        if i + 1 == n:
-            raise NotAmicableError(f"unpaired 01/10 block at final position {i}")
-        if left[i + 1] != 1 or right[i + 1] != 0:
-            raise NotAmicableError(f"broken 01/10 block at position {i}")
-        out.append(1)
-        i += 2
-    return bytes(out)
+        if i == n:
+            raise NotAmicableError(f"unpaired 01/10 block at final position {i - 1}")
+        raise NotAmicableError(f"broken 01/10 block at position {i - 1}")
+    return (x + y).to_bytes(n, "little").replace(b"\x01\x01", b"\x01")
 
 
 def _letters_int(letters: bytes) -> int:
@@ -336,11 +333,11 @@ def check_3iet_preservation(
     Codes the length-``n`` orbit prefix, applies ``eta``, and requires
     both binary projections of the image to be balanced with factor
     complexity m+1 up to ``kmax``.  Degenerate parameters, a ``kmax``
-    outside ``[0, MAX_PRESERVE_KMAX]``, ``n < 2*kmax`` and a projection
-    that may exceed :data:`MAX_PROJECTION_LETTERS` are rejected before
-    any letter is coded: a balanced word of length ``L`` has
-    ``p(kmax) <= L - kmax + 1``, so a projection (at least ``n`` letters
-    long) shorter than ``2*kmax`` fails whatever ``eta`` is.
+    outside ``[0, MAX_PRESERVE_KMAX]``, ``n < 2*kmax`` and projections
+    past their letter and factor-byte caps are rejected before any letter
+    is coded: a balanced word of length ``L`` has ``p(kmax) <= L - kmax +
+    1``, so a projection (at least ``n`` letters long) shorter than
+    ``2*kmax`` fails whatever ``eta`` is.
     """
     longest = max(len(image) + image.count(1) for image in eta.images)
     return _preservation_checker(transform, x0, n, kmax, longest, 2 * longest)(eta)
@@ -353,12 +350,13 @@ def _preservation_checker(
     prefix once and deciding each projection once.
 
     A projection of ``eta(prefix)`` is fixed by the projections of the
-    three images of ``eta``, so those short words key the verdicts, and
-    ``eta(prefix)`` is built only for a projection not decided yet.
+    three images of ``eta``, so those short words key the verdicts and,
+    substituted into the prefix, give a projection not decided yet.
     ``longest`` bounds the projected letter images of every ``eta`` the
     caller passes, and ``summed`` adds that bound up over the projections
     it may decide: ``n`` times each is checked against its cap,
-    :data:`MAX_PROJECTION_LETTERS` and :data:`MAX_PRESERVE_LETTERS`.
+    :data:`MAX_PROJECTION_LETTERS` and :data:`MAX_PRESERVE_LETTERS`, and
+    the factor bytes of the second against :data:`MAX_FACTOR_BYTES`.
     """
     if kmax < 0:
         raise DomainError(f"kmax must be non-negative, got {kmax}")
@@ -367,6 +365,8 @@ def _preservation_checker(
         raise DomainError(f"n must be at least 2*kmax = {2 * kmax}, got {n}")
     _require_range(n * longest, 0, MAX_PROJECTION_LETTERS, "projection length")
     _require_range(n * summed, 0, MAX_PRESERVE_LETTERS, "summed projection length")
+    counts = (kmax - 1).bit_length() + 1
+    _require_range(n * summed * kmax * counts, 0, MAX_FACTOR_BYTES, "factor bytes")
     if not is_nondegenerate_params(transform):
         raise DegenerateParametersError(
             "parameters are degenerate: (1-alpha)/(1+beta) is rational"
@@ -376,13 +376,11 @@ def _preservation_checker(
     verdicts: dict[tuple[bytes, ...], str | None] = {}
 
     def check(eta: Morphism) -> PreservationResult:
-        image = None
         for which in ("01", "10"):
-            key = tuple(_project(letter_image.letters, which) for letter_image in eta.images)
+            key = tuple(_substitute(image.letters, _SIGMA[which]) for image in eta.images)
             if key not in verdicts:
-                if image is None:
-                    image = eta(prefix)
-                verdicts[key] = _sturmian_prefix_violation(sigma(image, which), kmax)
+                projection = FiniteWord(Alphabet.BINARY, _substitute(prefix.letters, key))
+                verdicts[key] = _sturmian_prefix_violation(projection, kmax)
             if verdicts[key] is not None:
                 return PreservationResult(False, f"sigma{which}: {verdicts[key]}")
         return PreservationResult(True, None)

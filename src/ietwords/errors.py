@@ -24,13 +24,13 @@ class DomainError(IetWordsError, ValueError):
     """A numeric argument is outside the documented domain."""
 
 
-def _require_range(value: int, minimum: int, maximum: int | None, flag: str) -> None:
+def _require_range(value: int, minimum: int, maximum: int, flag: str) -> None:
     """Reject a sweep bound below its smallest useful value or above its cap
     (about a minute or 0.4 GB of work); ``flag`` is its command-line
     spelling, or says what it measures."""
     if value < minimum:
         raise DomainError(f"{flag} must be at least {minimum}, got {value}")
-    if maximum is not None and value > maximum:
+    if value > maximum:
         raise DomainError(f"{flag} must be at most {maximum}, got {value}")
 
 

@@ -61,7 +61,7 @@ PRESERVING_NONMEMBER = Morphism.parse("A->B,B->CAC,C->C")
 # the largest norm N of a matrix whose amicable pairs are brute-forced
 # (``pairs --matrix``): up to about N*N/2 pairs, each with a ternarization
 # of about N letters.  On a 2-core x86-64 host ``pairs --matrix
-# 124,125;125,126`` (norm 500, the most pairs there) takes 16 s and
+# 124,125;125,126`` (norm 500, the most pairs there) takes 9 s and
 # 0.13 GB, and prints 180 MB
 MAX_PAIRS_NORM = 500
 

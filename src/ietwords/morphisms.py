@@ -24,7 +24,7 @@ from .errors import (
     _require_range,
 )
 from .iet import coding_word_k
-from .words import Alphabet, FiniteWord, parikh
+from .words import Alphabet, FiniteWord, _substitute, parikh
 
 
 class IntMatrix2(Value):
@@ -239,8 +239,8 @@ class Morphism(Value):
     def __call__(self, word: FiniteWord) -> FiniteWord:
         if word.alphabet is not self.alphabet:
             raise AlphabetError("word over the wrong alphabet for this morphism")
-        table = [image.letters for image in self.images]
-        return FiniteWord(self.alphabet, b"".join(map(table.__getitem__, word.letters)))
+        images = [image.letters for image in self.images]
+        return FiniteWord(self.alphabet, _substitute(word.letters, images))
 
     def __str__(self) -> str:
         chars = self.alphabet.chars

@@ -73,10 +73,9 @@ def _common_radicand(d: int, e: int) -> int:
 
 def _surd_negative(p: int, q: int, d: int) -> bool:
     """Whether ``p + q*sqrt(d) < 0``, for integers ``p``, ``q`` and
-    ``d >= 0``: the one sign rule, behind ``QuadNumber.__lt__`` and the
-    orbit loop of :mod:`ietwords.iet`.  Integer comparisons decide it:
-    with ``p`` and ``q`` of opposite signs, the larger of ``p*p`` and
-    ``q*q*d`` wins."""
+    ``d >= 0``: the one sign rule, behind ``QuadNumber.__lt__``.
+    Integer comparisons decide it: with ``p`` and ``q`` of opposite
+    signs, the larger of ``p*p`` and ``q*q*d`` wins."""
     if p < 0:
         return q <= 0 or p * p > q * q * d
     return q < 0 and q * q * d > p * p

@@ -159,7 +159,7 @@ def lemma_w_suite(max_norm: int = 24) -> SuiteRecords:
     return ok, {"max_n": max_norm, "cases": cases}
 
 
-MAX_MATRICES_NORM = 62  # 40 s
+MAX_MATRICES_NORM = 62  # 37 s
 
 
 def matrices_suite(max_norm: int = 10) -> SuiteRecords:
@@ -220,7 +220,7 @@ def _intertwining_ok(eta: Morphism, phi: Morphism, psi: Morphism) -> bool:
     )
 
 
-# at both caps 48 s and 0.37 GB: the pool of pairs is most of both
+# at both caps 30 s and 0.37 GB: the pool of pairs is most of both
 MAX_MONOID_NORM = 56
 MAX_MONOID_SAMPLES = 50_000
 
@@ -258,7 +258,7 @@ def monoid_suite(
     return ok, {"max_norm": max_norm, "samples": samples, "seed": seed, "pool": len(pool)}
 
 
-# 16 s and 22 MB with the default n and kmax: the checker keeps a verdict,
+# 14 s and 23 MB with the default n and kmax: the checker keeps a verdict,
 # not a word, per distinct projection
 MAX_PRESERVE_NORM = 32
 

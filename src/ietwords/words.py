@@ -12,7 +12,7 @@ All functions here are pure; words can be shared freely across threads.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from ._value import Value
 from .errors import AlphabetError, DomainError, ParseError
@@ -126,6 +126,19 @@ def ternary_word(text: str | Iterable[int]) -> FiniteWord:
 def parikh(word: FiniteWord) -> ParikhVector:
     """Letter-count vector of ``word``, one entry per alphabet letter."""
     return tuple(word.letters.count(i) for i in range(word.alphabet.size))
+
+
+# letters 0, 1 and 2 parked at 3, 4 and 5, which no image contains
+_PARK = bytes.maketrans(b"\x00\x01\x02", b"\x03\x04\x05")
+
+
+def _substitute(letters: bytes, images: Sequence[bytes]) -> bytes:
+    """``letters`` with each letter ``i`` replaced by ``images[i]``, in one
+    whole-word pass per letter over the parked letters."""
+    letters = letters.translate(_PARK)
+    for parked, image in enumerate(images, 3):
+        letters = letters.replace(bytes((parked,)), image)
+    return letters
 
 
 _SWAP = bytes.maketrans(b"\x00\x01", b"\x01\x00")

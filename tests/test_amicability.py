@@ -41,6 +41,7 @@ from ietwords.verification import (
     preserve_suite,
     run_suite,
 )
+from scan_loop import scan_loop, scan_loop_b
 
 PHI = Morphism.parse("0->001,1->00101")
 PSI = Morphism.parse("0->010,1->01001")
@@ -52,15 +53,6 @@ QUARTER = QuadNumber(1, 0, 0, 4)
 
 ternary_texts = st.text(alphabet="ABC", max_size=40)
 letter_strings = st.lists(st.integers(0, 1), max_size=300).map(bytes)
-
-
-def scan_b(left, right):
-    """The B-count of the letterwise scan, or None when it fails: the
-    oracle of the bit test."""
-    try:
-        return _scan(left, right).count(1)
-    except NotAmicableError:
-        return None
 
 
 @st.composite
@@ -184,6 +176,57 @@ class TestTernarizeWords:
                     assert parikh(left) == parikh(right)
 
 
+def scan_outcome(scan, left, right):
+    """The word a scan gives, or the message it fails with."""
+    try:
+        return scan(left, right)
+    except NotAmicableError as error:
+        return str(error)
+
+
+MOD_3 = bytes(i % 3 for i in range(256))
+
+
+@st.composite
+def flipped_amicable_pairs(draw):
+    """A ternary word of up to 2 000 letters and its two projections, an
+    amicable pair, with at most one letter flipped on one side."""
+    v = draw(st.binary(min_size=1, max_size=2000)).translate(MOD_3)
+    pair = [bytearray(join_sigma(v, which)) for which in ("01", "10")]
+    if draw(st.booleans()):
+        side = draw(st.sampled_from((0, 1)))
+        pair[side][draw(st.integers(0, len(pair[side]) - 1))] ^= 1
+    return v, bytes(pair[0]), bytes(pair[1])
+
+
+class TestScanAgainstLoop:
+    def test_exhaustively_with_messages(self):
+        # every ordered pair of equal-length binary words of length <= 8:
+        # the same word, or the same message at the same position
+        for n in range(9):
+            words = [bytes(w) for w in itertools.product((0, 1), repeat=n)]
+            for left, right in itertools.product(words, repeat=2):
+                assert scan_outcome(_scan, left, right) == scan_outcome(
+                    scan_loop, left, right
+                ), (left, right)
+
+    def test_unequal_lengths(self):
+        words = [bytes(w) for n in range(5) for w in itertools.product((0, 1), repeat=n)]
+        for left, right in itertools.product(words, repeat=2):
+            if len(left) != len(right):
+                message = scan_outcome(_scan, left, right)
+                assert message == scan_outcome(scan_loop, left, right)
+                assert message == f"words of different lengths {len(left)} and {len(right)}"
+
+    @given(flipped_amicable_pairs())
+    def test_long_pairs_with_one_flip(self, case):
+        v, left, right = case
+        got = scan_outcome(_scan, left, right)
+        assert got == scan_outcome(scan_loop, left, right)
+        if (left, right) == (join_sigma(v, "01"), join_sigma(v, "10")):
+            assert got == v
+
+
 class TestScanBitTest:
     def test_agrees_with_the_scan_exhaustively(self):
         # every ordered pair of equal-length binary words of length <= 10:
@@ -193,12 +236,12 @@ class TestScanBitTest:
             ints = [_letters_int(w) for w in words]
             for left, x in zip(words, ints):
                 for right, y in zip(words, ints):
-                    assert _scan_b(x, y) == scan_b(left, right), (left, right)
+                    assert _scan_b(x, y) == scan_loop_b(left, right), (left, right)
 
     @given(flipped_coding_factors())
     def test_agrees_with_the_scan_on_coding_factors(self, pair):
         left, right = pair
-        assert _scan_b(_letters_int(left), _letters_int(right)) == scan_b(left, right)
+        assert _scan_b(_letters_int(left), _letters_int(right)) == scan_loop_b(left, right)
 
     @given(letter_strings, letter_strings)
     def test_letter_i_at_bit_i_and_concatenation(self, a, b):
@@ -480,6 +523,17 @@ class TestPreserveSuite:
             for record in records
         )
         assert len(decided) < asked
+
+    def test_no_morphism_is_applied_to_a_word(self, monkeypatch):
+        # each projection is the prefix with the letters of its key
+        # substituted: no image of the prefix is built
+        def applied(morphism, word):
+            raise AssertionError(f"{morphism} was applied to a word")
+
+        monkeypatch.setattr(Morphism, "__call__", applied)
+        result = run_suite("preserve")
+        assert result.ok
+        assert result.summary["checked"] == 73
 
     def test_verdicts_do_not_outlive_their_checker(self):
         # the verdict on a projection depends on kmax: a memo shared by

@@ -595,6 +595,28 @@ class TestByteIdentity:
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    # exit code and sha256 of stdout of commands that scan, substitute or
+    # project words, pinned with the letter-by-letter scan and
+    # substitution that the whole-word ones replaced
+    @pytest.mark.parametrize(
+        ("argv", "code", "digest"),
+        [
+            (["pairs", "--matrix", "13,8;8,5"], 0,
+             "e1079b337163f14359e23b33087b3e66b09defc554fd438aab8d6495545c1d2c"),
+            (["preserve", "--eta", "A->AB,B->ACA,C->B", "--alpha", "(3-1*sqrt(5))/2",
+              "--beta", "1/4", "-n", "5000"], 1,
+             "31e39e61e647a3995ef441279389655b1f483a740f7c4f38bdb867306333fd1b"),
+            (["ternarize", "--phi", "0->001,1->00101", "--psi", "0->010,1->01001"], 0,
+             "ddc456d75aa67207f0a986522661ab02e8044342bb4b0148ebd8e24c7d9e8f21"),
+            (["ternarize", "--phi", "0->010,1->01001", "--psi", "0->001,1->00101"], 1,
+             "a688ec4b8924fec74ea247563ac85a3775af6aedb3b7f50a1d3d9281f7f34932"),
+        ],
+    )
+    def test_command_stdout_is_pinned(self, capsys, argv, code, digest):
+        assert main(argv) == code
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestPrettyOutput:
     def test_pretty_renders_table(self, capsys):

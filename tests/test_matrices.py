@@ -6,11 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from ietwords import (
     AC_SWAP,
+    Alphabet,
     AmicablePair,
     ClassificationWitness,
     DomainError,
     E_MATRIX,
     FIBONACCI_TERNARY,
+    FiniteWord,
     InfeasibleMatrixError,
     IntMatrix2,
     IntMatrix3,
@@ -32,14 +34,14 @@ from ietwords import (
     standard_morphism,
     ternarization_matrices,
     ternarization_matrix,
-    ternarize_morphisms,
     unimodular_matrices,
 )
 import ietwords.matrices
-from ietwords.amicability import _letters_int, _scan, _scan_b
+from ietwords.amicability import _letters_int, _scan_b
 from ietwords.matrices import _amicable_decisions, _packed, block_conjugated_matrix
 from ietwords.morphisms import _rotation_index, _sturmian_images
 from ietwords.verification import run_suite
+from scan_loop import scan_loop, scan_loop_b
 
 EXAMPLE = IntMatrix2(2, 1, 3, 2)
 IDENTITY_2 = IntMatrix2(1, 0, 0, 1)
@@ -100,6 +102,19 @@ def conjugation_chain(matrix):
     return chain
 
 
+def loop_ternarization(phi, psi):
+    """``ternarize_morphisms`` by three letterwise scans."""
+    (phi0, phi1), (psi0, psi1) = (
+        [image.letters for image in m.images] for m in (phi, psi)
+    )
+    images = (
+        scan_loop(phi0, psi0),
+        scan_loop(phi0 + phi1, psi1 + psi0),
+        scan_loop(phi1, psi1),
+    )
+    return Morphism(Alphabet.TERNARY, [FiniteWord(Alphabet.TERNARY, v) for v in images])
+
+
 def scan_loop_pairs(matrix):
     """The brute force as a letterwise scan of every candidate pair: the
     oracle of the bit test that decides the pairs in brute_force_pairs."""
@@ -108,7 +123,7 @@ def scan_loop_pairs(matrix):
     for k, phi in indexed:
         for kbar, psi in indexed:
             try:
-                eta = ternarize_morphisms(phi, psi)
+                eta = loop_ternarization(phi, psi)
             except NotAmicableError:
                 continue
             b0, b1, b = b_counts(eta)
@@ -141,13 +156,6 @@ def three_scan_decisions(matrix):
             ):
                 decisions.append((k, phi, kbar, psi, b))
     return decisions
-
-
-def scan_b(left, right):
-    try:
-        return _scan(left, right).count(1)
-    except NotAmicableError:
-        return None
 
 
 def packed_pair(phi, psi):
@@ -185,8 +193,8 @@ class TestPackedDecisions:
                 for w in itertools.product((0, 1), repeat=n0 + n1)
             ]
             for phi, psi in itertools.product(morphisms, repeat=2):
-                b = scan_b(phi[0] + phi[1], psi[1] + psi[0])
-                if scan_b(phi[0], psi[0]) is None or scan_b(phi[1], psi[1]) is None:
+                b = scan_loop_b(phi[0] + phi[1], psi[1] + psi[0])
+                if scan_loop_b(phi[0], psi[0]) is None or scan_loop_b(phi[1], psi[1]) is None:
                     b = None
                 x, y = packed_pair(phi, psi)
                 got = _scan_b(x, y)
@@ -199,7 +207,7 @@ class TestPackedDecisions:
         # image of 1: only the guard bit between them keeps the shifted
         # bit of the first from pairing with the second
         phi, psi = (b"\x00", b"\x01"), (b"\x01", b"\x00")
-        assert scan_b(phi[0] + phi[1], psi[1] + psi[0]) == 0
+        assert scan_loop_b(phi[0] + phi[1], psi[1] + psi[0]) == 0
         assert _scan_b(*packed_pair(phi, psi)) is None
         # the same three fields with no guard bits pass, as 0101 against 0110
         unguarded = phi[0] + phi[1] + phi[0] + phi[1], psi[1] + psi[0] + psi[0] + psi[1]
@@ -211,8 +219,8 @@ class TestPackedDecisions:
         matrix = IntMatrix2(1, 0, 1, 1)
         phi, psi = (b"\x00", b"\x00\x01"), (b"\x00", b"\x01\x00")
         assert list(_sturmian_images(matrix)) == [phi, psi]
-        assert scan_b(phi[0], psi[0]) == 0 and scan_b(phi[1], psi[1]) == 1
-        assert scan_b(phi[0] + phi[1], psi[1] + psi[0]) is None
+        assert scan_loop_b(phi[0], psi[0]) == 0 and scan_loop_b(phi[1], psi[1]) == 1
+        assert scan_loop_b(phi[0] + phi[1], psi[1] + psi[0]) is None
         assert _scan_b(*packed_pair(phi, psi)) is None
         assert (phi, psi) not in [(a, c) for _, a, _, c, _ in _amicable_decisions(matrix)]
 

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
 from ietwords import (
     Alphabet,
     AlphabetError,
+    FiniteWord,
     IntMatrix2,
     IntMatrix3,
     Morphism,
@@ -65,6 +68,23 @@ class TestApplyCompose:
     def test_composition_is_pointwise(self, outer, inner, text):
         word = binary_word(text)
         assert compose(outer, inner)(word) == outer(inner(word))
+
+    @pytest.mark.parametrize(
+        "eta", ["A->A,B->B,C->C", "A->AB,B->ABABB,C->ABAC", "A->,B->,C->"]
+    )
+    def test_memory_is_a_few_bytes_per_letter(self, eta):
+        # the join over a map this replaced held about 88 bytes per input
+        # letter, whatever the images: 17.6 MB here
+        eta = Morphism.parse(eta)
+        word = FiniteWord(Alphabet.TERNARY, bytes(range(3)) * 66_667)
+        tracemalloc.start()
+        try:
+            image = eta(word)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(word) > 2 * 10**5
+        assert peak <= 2 * (len(word) + len(image)) + 2**16, peak
 
 
 class TestIncidence:

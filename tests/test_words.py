@@ -29,6 +29,7 @@ from ietwords import (
 from ietwords import amicability
 from ietwords.amicability import _sturmian_prefix_violation
 from ietwords.iet import coding_word_k, three_iet_code
+from ietwords.words import _substitute
 from ietwords.verification import PRESERVE_ALPHA, PRESERVE_BETA
 
 binary_texts = st.text(alphabet="01", max_size=48)
@@ -187,6 +188,40 @@ class TestParikh:
         assert parikh(u + v) == tuple(
             a + b for a, b in zip(parikh(u), parikh(v))
         )
+
+
+def join_substitute(letters: bytes, images) -> bytes:
+    """The letter-by-letter substitution that ``_substitute`` replaced,
+    kept as its oracle."""
+    return b"".join(map(list(images).__getitem__, letters))
+
+
+@st.composite
+def substitutions(draw):
+    """A word of up to 300 letters over either alphabet, with one image
+    of up to 6 letters, possibly empty, per letter."""
+    size = draw(st.sampled_from((2, 3)))
+    letters = st.integers(0, size - 1)
+    word = bytes(draw(st.lists(letters, max_size=300)))
+    images = [bytes(draw(st.lists(letters, max_size=6))) for _ in range(size)]
+    return word, images
+
+
+class TestSubstitute:
+    def test_exhaustive_against_join(self):
+        # every image tuple with images of at most two letters, empty ones
+        # included, on every word of at most four letters, both alphabets
+        for size in (2, 3):
+            short = [bytes(w) for n in range(3) for w in itertools.product(range(size), repeat=n)]
+            words = [bytes(w) for n in range(5) for w in itertools.product(range(size), repeat=n)]
+            for images in itertools.product(short, repeat=size):
+                for letters in words:
+                    assert _substitute(letters, images) == join_substitute(letters, images)
+
+    @given(substitutions())
+    def test_against_join(self, case):
+        letters, images = case
+        assert _substitute(letters, images) == join_substitute(letters, images)
 
 
 class TestBalance:
