@@ -120,7 +120,8 @@ def _cmd_enum(args) -> Records:
             ),
             "standard": is_standard_morphism(m),
         }
-    return "ok", {"count": len(chain), "expected": matrix.norm - 1}
+    status = "ok" if len(chain) == matrix.norm - 1 else "property-false"
+    return status, {"count": len(chain), "expected": matrix.norm - 1}
 
 
 def _cmd_pairs(args) -> Records:
@@ -132,7 +133,8 @@ def _cmd_pairs(args) -> Records:
     else:
         expected = count_formula_total(matrix)
     yield from map(_pair_record, pairs)
-    return "ok", {"matrix": str(matrix), "total": len(pairs), "formula": expected}
+    status = "ok" if len(pairs) == expected else "property-false"
+    return status, {"matrix": str(matrix), "total": len(pairs), "formula": expected}
 
 
 def _cmd_count(args) -> Records:

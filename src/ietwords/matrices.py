@@ -6,8 +6,10 @@ For a non-negative matrix A with determinant +-1 there are exactly
 
 ordered amicable pairs of Sturmian morphisms with incidence matrix A,
 refined per B-count b by ``count_formula_b``.  ``brute_force_pairs``
-re-derives the same set by exhaustively testing the conjugation chain
-against itself, which keeps the closed formulas honest.
+re-derives the same set by testing, within the conjugation chain, every
+candidate the bit identity ``x - y == ~x & y`` of the scan could accept,
+which keeps the closed formulas honest: ``x - y`` is then made of 0s of
+``x`` just below a 1, so ``y`` lies in ``[x - (~x & x >> 1), x]``.
 
 A 3x3 non-negative matrix is the incidence matrix of a ternarization
 exactly when it has the block shape produced by ``ternarization_matrix``
@@ -18,6 +20,8 @@ witnessed by the permutation matrix swapping A and C.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from typing import Iterator
 
 from ._value import Value
@@ -29,7 +33,13 @@ from .amicability import (
     ternarize_morphisms,
     TernarizationMembership,
 )
-from .errors import DomainError, InfeasibleMatrixError, NotUnimodularError, _require_range
+from .errors import (
+    DomainError,
+    InfeasibleMatrixError,
+    MatrixDecompositionError,
+    NotUnimodularError,
+    _require_range,
+)
 from .iet import coding_word_k
 from .morphisms import (
     _binary_morphism,
@@ -117,6 +127,51 @@ def _packed(x0: int, x1: int, n0: int, n1: int) -> tuple[int, int]:
     return x0 | x1 << n0 | fields, x1 | x0 << n1 | fields
 
 
+def _packed_chain(
+    matrix: IntMatrix2, left: bytes, right: bytes
+) -> tuple[list[int], list[int]]:
+    """The :func:`_packed` left and right members of every Sturmian
+    morphism with this matrix, in the order of ``_sturmian_images``, from
+    its standard pair ``left, right`` alone.
+
+    Each later morphism rotates both images by their shared first letter,
+    which shifts every packed field down one bit: the letter leaves the
+    bottom of each field for the bit below, and must enter at its top.
+    For a 0 that is the plain shift.  For a 1 it is the shift with the
+    five ``carry`` bits flipped: the top bits of the three fields, which
+    the shift filled from a guard bit or from above the last field, and
+    the two guard bits, which it filled from a field.  The chain ends at
+    the first morphism whose images start with different letters, within
+    ``norm`` morphisms as ``_sturmian_images`` checks.
+    """
+    norm, n0 = matrix.norm, len(left)
+    x, y = _packed(_letters_int(left), _letters_int(right), n0, len(right))
+    carry = 3 << norm - 1 | 3 << norm + n0 | 1 << 2 * norm + 1
+    lefts, rights = [], []
+    for _ in range(norm):
+        lefts.append(x)
+        rights.append(y)
+        # the first letters of the images of 0 and 1: bits 0 and n0 of x
+        if (x ^ x >> n0) & 1:
+            return lefts, rights
+        if x & 1:
+            x, y = x >> 1 ^ carry, y >> 1 ^ carry
+        else:
+            x, y = x >> 1, y >> 1
+    raise MatrixDecompositionError(f"conjugation chain for {matrix} exceeded expected length")
+
+
+def _window(rights: list[int], x: int, nx: int) -> list[int]:
+    """The sorted right members ``y`` that the left member ``x``, with
+    ``nx == ~x`` on their bits, could accept.
+
+    The test ``x - y == ~x & y`` makes ``x - y`` the set of B positions,
+    each a 0 of ``x`` just below a 1, so a subset of ``~x & (x >> 1)``:
+    every accepted ``y`` lies in ``[x - (~x & x >> 1), x]``.
+    """
+    return rights[bisect_left(rights, x - (nx & x >> 1)):bisect_right(rights, x)]
+
+
 def _amicable_decisions(
     matrix: IntMatrix2,
 ) -> Iterator[tuple[int, tuple[bytes, bytes], int, tuple[bytes, bytes], int]]:
@@ -125,37 +180,31 @@ def _amicable_decisions(
     ``psi`` are the letter strings of the images of 0 and 1.
 
     Only the first morphism of the chain is read from its letters: each
-    later one rotates both images by their shared first letter, so their
-    integers rotate by one bit and the image of 01 moves one place in the
-    coding word for 0, lowering ``k`` by ``p``.  Every image of ``0`` has
-    length ``p0+q0`` and every image of ``1`` length ``p1+q1``, so one
-    test on :func:`_packed` integers decides each candidate pair.
+    later one is its rotation by one bit (:func:`_packed_chain`), which
+    moves the image of 01 one place in the coding word for 0, lowering
+    ``k`` by ``p``.  Every image of ``0`` has length ``p0+q0`` and every
+    image of ``1`` length ``p1+q1``, so one test on :func:`_packed`
+    integers decides each candidate pair in the row's :func:`_window`.
     """
     _require_unimodular(matrix)
     _require_range(matrix.norm, 2, MAX_PAIRS_NORM, "matrix norm")
     p, norm = matrix.p, matrix.norm
     chain = list(_sturmian_images(matrix))
     left, right = chain[0]
-    n0, n1 = len(left), len(right)
-    x0, x1 = _letters_int(left), _letters_int(right)
-    k = _rotation_index(left + right, coding_word_k(p, norm, 0).letters, p, norm)
-    rows = []
-    for images in chain:
-        x, y = _packed(x0, x1, n0, n1)
-        rows.append((k, images, x, y))
-        x0 = x0 >> 1 | (x0 & 1) << (n0 - 1)
-        x1 = x1 >> 1 | (x1 & 1) << (n1 - 1)
-        k = (k - p) % norm
-    # k is one-to-one on the morphisms of one matrix, so this sort never
-    # compares two image pairs and the pairs come out in order
-    rows.sort()
-    columns = [(j, y) for j, (*_, y) in enumerate(rows)]
+    lefts, rights = _packed_chain(matrix, left, right)
+    k0 = _rotation_index(left + right, coding_word_k(p, norm, 0).letters, p, norm)
+    ks = [(k0 - i * p) % norm for i in range(len(chain))]
+    # k is one-to-one on the morphisms of one matrix, so these sorts never
+    # compare two image pairs and the pairs come out in order
+    rows = sorted(zip(ks, chain, lefts))
+    columns = {y: (kbar, psi, y) for kbar, psi, y in zip(ks, chain, rights)}
+    rights.sort()
     # ~x on the bits of a packed integer, where & is faster than with ~x
     full, mask = (1 << 2 * norm + 2) - 1, (1 << norm) - 1
-    for k, phi, x, _ in rows:
+    for k, phi, x in rows:
         nx = x ^ full
-        for j in [j for j, y in columns if x - y == nx & y]:
-            kbar, psi, _, y = rows[j]
+        hits = sorted([columns[y] for y in _window(rights, x, nx) if x - y == nx & y])
+        for kbar, psi, y in hits:
             yield k, phi, kbar, psi, (nx & y & mask).bit_count()
 
 
@@ -185,10 +234,21 @@ def brute_force_pairs(matrix: IntMatrix2) -> tuple[AmicablePair, ...]:
     return tuple(pairs)
 
 
-def brute_force_b_counts(matrix: IntMatrix2) -> tuple[int, ...]:
-    """The B-count ``b`` of every ordered amicable pair with this matrix,
-    in the order of :func:`brute_force_pairs`, building no morphism."""
-    return tuple(b for _, _, _, _, b in _amicable_decisions(matrix))
+def brute_force_b_counts(matrix: IntMatrix2) -> Counter[int]:
+    """The number of ordered amicable pairs with this matrix per B-count,
+    the pairs of :func:`brute_force_pairs`, building no morphism and
+    indexing none."""
+    _require_unimodular(matrix)
+    _require_range(matrix.norm, 2, MAX_PAIRS_NORM, "matrix norm")
+    lefts, rights = _packed_chain(matrix, *next(_sturmian_images(matrix)))
+    rights.sort()
+    full, mask = (1 << 2 * matrix.norm + 2) - 1, (1 << matrix.norm) - 1
+    b_values = []
+    for x in lefts:
+        nx = x ^ full
+        window = _window(rights, x, nx)
+        b_values += [(nx & y & mask).bit_count() for y in window if x - y == nx & y]
+    return Counter(b_values)
 
 
 def ternarization_matrix(matrix: IntMatrix2, b0: int, b1: int) -> IntMatrix3:

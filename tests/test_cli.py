@@ -4,7 +4,6 @@ import json
 import re
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -129,6 +128,28 @@ class TestEnumerationCommands:
         assert summary["total_pairs"] == sum(
             count_formula_total(IntMatrix2.parse(row["matrix"])) for row in rows
         )
+
+    def test_pairs_count_off_the_formula_is_property_false(self, capsys, monkeypatch):
+        true_formula = ietwords.cli.count_formula_total
+        monkeypatch.setattr(
+            ietwords.cli, "count_formula_total", lambda matrix: true_formula(matrix) + 1
+        )
+        code, records, _ = run(capsys, "pairs", "--matrix", "2,1;1,1")
+        assert code == 1
+        summary = records[-1]
+        assert (summary["total"], summary["formula"]) == (7, 8)
+        assert summary["status"] == "property-false"
+
+    def test_enum_count_off_the_norm_is_property_false(self, capsys, monkeypatch):
+        true_enumerate = ietwords.cli.enumerate_sturmian
+        monkeypatch.setattr(
+            ietwords.cli, "enumerate_sturmian", lambda matrix: true_enumerate(matrix)[:-1]
+        )
+        code, records, _ = run(capsys, "enum", "--matrix", "2,1;1,1")
+        assert code == 1
+        summary = records[-1]
+        assert (summary["count"], summary["expected"]) == (3, 4)
+        assert summary["status"] == "property-false"
 
     def test_byte_identical_reruns(self, capsys):
         main(["pairs", "--matrix", "2,1;3,2"])
@@ -502,7 +523,7 @@ class TestVerifyCommand:
         assert failing and len(failing) == len(rows)
         for row in failing:
             matrix = IntMatrix2.parse(row["matrix"])
-            brute = Counter(ietwords.matrices.brute_force_b_counts(matrix))[2]
+            brute = ietwords.matrices.brute_force_b_counts(matrix)[2]
             assert row["first_b_mismatch"] == {
                 "b": 2, "brute": brute, "formula": true_formula(matrix, 2) + 1
             }

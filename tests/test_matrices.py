@@ -15,6 +15,7 @@ from ietwords import (
     FiniteWord,
     InfeasibleMatrixError,
     IntMatrix2,
+    MatrixDecompositionError,
     IntMatrix3,
     Morphism,
     NotAmicableError,
@@ -38,7 +39,13 @@ from ietwords import (
 )
 import ietwords.matrices
 from ietwords.amicability import _letters_int, _scan_b
-from ietwords.matrices import _amicable_decisions, _packed, block_conjugated_matrix
+from ietwords.matrices import (
+    _amicable_decisions,
+    _packed,
+    _packed_chain,
+    _window,
+    block_conjugated_matrix,
+)
 from ietwords.morphisms import _rotation_index, _sturmian_images
 from ietwords.verification import run_suite
 from scan_loop import scan_loop, scan_loop_b
@@ -225,8 +232,9 @@ class TestPackedDecisions:
         assert (phi, psi) not in [(a, c) for _, a, _, c, _ in _amicable_decisions(matrix)]
 
     def test_each_matrix_reads_one_morphism(self, monkeypatch):
-        # only the standard pair is read from its letters and indexed by
-        # a search; the rest of the chain follows from it
+        # only the standard pair is read from its letters, and it is
+        # indexed by a search only where the pairs are labelled; the rest
+        # of the chain follows from it
         calls = Counter()
         for name in ("_letters_int", "_rotation_index"):
             def counted(*args, _name=name, _original=getattr(ietwords.matrices, name)):
@@ -237,7 +245,82 @@ class TestPackedDecisions:
         checked = list(unimodular_matrices(24))
         for matrix in checked:
             brute_force_b_counts(matrix)
+        assert calls == {"_letters_int": 2 * len(checked)}
+        calls.clear()
+        for matrix in checked:
+            list(_amicable_decisions(matrix))
         assert calls == {"_letters_int": 2 * len(checked), "_rotation_index": len(checked)}
+
+    def test_a_chain_past_its_length_is_rejected(self):
+        # images that always start with the same letter never end the
+        # chain: the integer rotation stops after norm morphisms, as the
+        # letter one does
+        with pytest.raises(MatrixDecompositionError, match="exceeded expected length"):
+            _packed_chain(EXAMPLE, b"\x00\x00\x00", b"\x00\x00\x00\x00\x00")
+
+    def test_the_integer_chain_is_the_letter_chain(self):
+        for matrix in unimodular_matrices(40):
+            chain = list(_sturmian_images(matrix))
+            packed = [
+                _packed(_letters_int(a), _letters_int(b), len(a), len(b)) for a, b in chain
+            ]
+            assert list(zip(*_packed_chain(matrix, *chain[0]))) == packed, str(matrix)
+
+
+class TestCandidateWindow:
+    @given(st.integers(1, 200).flatmap(
+        lambda width: st.tuples(
+            st.just(width),
+            st.integers(0, 2**width - 1),
+            st.integers(0, 2**width - 1),
+            st.booleans(),
+        )
+    ))
+    def test_every_accepted_right_member_lies_in_the_window(self, case):
+        # y is drawn at random, or x less some of its 0s, so that the
+        # identity holds often enough to test the window
+        width, x, y, near = case
+        full = (1 << width) - 1
+        if near:
+            y = max(0, x - (~x & y & full))
+        if x - y == (x ^ full) & y:
+            assert x - (~x & x >> 1 & full) <= y <= x
+
+    @given(st.integers(1, 16).flatmap(
+        lambda width: st.tuples(
+            st.just(width),
+            st.integers(0, 2**width - 1),
+            st.lists(st.integers(0, 2**width - 1), max_size=20),
+        )
+    ))
+    def test_the_window_holds_every_accepted_right_member(self, case):
+        # y = x - d passes for every d made of 0s of x just below a 1,
+        # both ends of the window among them; the other right members
+        # are drawn at random
+        width, x, others = case
+        full = (1 << width) - 1
+        blocks = ~x & x >> 1 & full
+        built, d = [x - blocks], blocks
+        while d:
+            d = (d - 1) & blocks
+            built.append(x - d)
+        rights = sorted(set(built + others))
+        nx = x ^ full
+        accepted = [y for y in rights if x - y == nx & y]
+        assert set(built) <= set(accepted)
+        assert [y for y in _window(rights, x, nx) if x - y == nx & y] == accepted
+
+    def test_b_histogram_is_the_three_scans_through_norm_40(self):
+        for matrix in unimodular_matrices(40):
+            assert brute_force_b_counts(matrix) == Counter(
+                b for *_, b in three_scan_decisions(matrix)
+            ), str(matrix)
+
+    @settings(deadline=None)
+    @given(st.sampled_from([m for m in unimodular_matrices(80) if m.norm > 40]))
+    def test_b_histogram_is_the_three_scans_up_to_norm_80(self, matrix):
+        expected = Counter(b for *_, b in three_scan_decisions(matrix))
+        assert brute_force_b_counts(matrix) == expected
 
 
 class TestBruteForcePairs:
@@ -287,7 +370,7 @@ class TestBruteForcePairs:
         matrices = list(unimodular_matrices(16))
         assert len(matrices) == 158
         for matrix in matrices:
-            assert brute_force_b_counts(matrix) == tuple(
+            assert brute_force_b_counts(matrix) == Counter(
                 pair.b for pair in brute_force_pairs(matrix)
             ), str(matrix)
 
