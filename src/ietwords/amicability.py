@@ -9,13 +9,17 @@ by a synchronous scan, decided on the words read as integers by one bit
 identity.  Lifting the construction letterwise to Sturmian morphisms
 yields ternary morphisms that preserve the set of 3iet words.
 
-Finite surrogate used throughout: a binary word is accepted as a factor
-of some 3iet-projected word exactly when it is balanced; prefix-scale
-Sturmian behaviour additionally demands factor complexity m+1.
+Preservation is witnessed at prefix scale by one exact test per
+projection: each projection of the image of a 3iet coding must be a
+factor of a Sturmian word of the slope that the morphism predicts,
+decided by the run-length derivation of :mod:`words` with the slope's
+partial quotients (Lothaire, *Algebraic Combinatorics on Words*,
+ch. 2).  Balance alone would accept a factor of any slope.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 from ._value import Value
@@ -28,36 +32,23 @@ from .errors import (
 )
 from .iet import ThreeIET, is_nondegenerate_params, three_iet_code
 from .morphisms import Morphism, is_sturmian_morphism
-from .quadratic import QuadNumber
-from .words import Alphabet, FiniteWord, _substitute, is_balanced
+from .quadratic import QuadNumber, _partial_quotients
+from .words import Alphabet, FiniteWord, _is_sturmian_factor, _substitute, is_balanced
 
 # the letter images of each projection: A to 0, B to 01 or 10, C to 1
 _SIGMA = {"01": (b"\x00", b"\x00\x01", b"\x01"), "10": (b"\x00", b"\x01\x00", b"\x01")}
 
-# the largest kmax of a preservation check (``preserve --kmax`` and
-# ``verify --suite preserve --kmax``), where memory binds before time: a
-# factor count holds up to kmax + 1 factors of kmax letters, 0.4 GB at
-# the cap; the slowest input found there, a constant image of the longest
-# coding (``A->A,B->A,C->A``, ``-n 1000000``), takes 21 s and 18 MB on
-# a 2-core x86-64 host, of which coding the prefix takes 0.01 s
-MAX_PRESERVE_KMAX = 20_000
-
 # a projection of ``eta(prefix)`` has at most ``n`` times as many letters
 # as the longest projected letter image of ``eta`` (``|sigma(eta(x))|``),
-# and a preservation check is bounded by that count.  For one projection
-# the failing complexity test binds: a word with few factors is read
-# whole at each tested length, so the constant image ``A->AA,B->AA,C->AA``
-# of the longest coding, at the cap, takes 30 s at ``kmax = 11600``, the
-# largest that :data:`MAX_FACTOR_BYTES` lets it reach
+# and a preservation check is bounded by that count.  A verdict is linear
+# in it: the slowest inputs found at the cap take 0.2 s on a 2-core x86-64
+# host, the identity at ``-n 1000000`` passing and ``A->AAB,B->AAB,C->AAAC``
+# at ``-n 500000`` failing on its rational slope
 MAX_PROJECTION_LETTERS = 2 * 10**6
-# summed over the projections a check decides, time binds: ``verify
-# --suite preserve --max-norm 32 -n 4000`` (2.6e9 letters by this count)
-# takes 38 s
+# summed over the projections a check decides: ``verify --suite preserve
+# --max-norm 24 -n 14931`` (3.0e9 letters by this count) passes in 40 s;
+# only that suite reaches this cap, and none of its inputs fails
 MAX_PRESERVE_LETTERS = 3 * 10**9
-# a check makes at most 1 + ceil(log2(kmax)) factor counts, each copying up
-# to kmax bytes per projected letter: ``verify --suite preserve --max-norm 4
-# -n 24600 --kmax 12300`` (6.9e11 bytes by this count) takes 55 s
-MAX_FACTOR_BYTES = 7 * 10**11
 
 
 def sigma(word: FiniteWord, which: str) -> FiniteWord:
@@ -277,49 +268,6 @@ class PreservationResult(Value):
     detail: str | None
 
 
-def _sturmian_prefix_violation(word: FiniteWord, kmax: int) -> str | None:
-    """First reason ``word`` fails the finite Sturmian test, if any:
-    balance plus factor complexity m+1 for 1 <= m <= kmax.
-
-    A balanced word has at most one right special factor of each length
-    (Lothaire, *Algebraic Combinatorics on Words*, ch. 2), so
-    ``p(m+1) <= p(m) + 1``; with ``p(0) == 1``, ``p(kmax) == kmax + 1``
-    then forces ``p(m) == m + 1`` for every ``m <= kmax``.  The same fact
-    gives ``p(m) <= m + 1``, so each count stops at its ``m + 1``-th
-    distinct factor.  Once ``p(m) < m + 1`` it stays so for every larger
-    ``m``, so a failing word's first ``m`` is found by bisection over
-    ``[1, kmax]``, in at most ``ceil(log2(kmax))`` more counts; it reads
-    all its factors at the failing lengths alone.
-    """
-    if not is_balanced(word):
-        return "projection is not balanced"
-    letters = word.letters
-    c = _factor_count(letters, kmax)
-    if c == kmax + 1:
-        return None
-    # p(j) == j + 1 for every j < lo, and p(m) == c < m + 1
-    lo, m = 1, kmax
-    while lo < m:
-        mid = (lo + m) // 2
-        count = _factor_count(letters, mid)
-        if count == mid + 1:
-            lo = mid + 1
-        else:
-            m, c = mid, count
-    return f"complexity {c} at factor length {m}, expected {m + 1}"
-
-
-def _factor_count(letters: bytes, m: int) -> int:
-    """``min(p(m), m + 1)`` for the letter string of a word: the distinct
-    length-``m`` factors, read left to right until there are ``m + 1``."""
-    seen = set()
-    for i in range(len(letters) - m + 1):
-        seen.add(letters[i : i + m])
-        if len(seen) > m:
-            break
-    return len(seen)
-
-
 def check_3iet_preservation(
     eta: Morphism,
     transform: ThreeIET,
@@ -327,62 +275,89 @@ def check_3iet_preservation(
     n: int = 1000,
     kmax: int = 20,
 ) -> PreservationResult:
-    """Empirical prefix-scale test that ``eta`` maps a 3iet word to a
-    3iet word.
+    """Prefix-scale test that ``eta`` maps a 3iet word to a 3iet word.
 
-    Codes the length-``n`` orbit prefix, applies ``eta``, and requires
-    both binary projections of the image to be balanced with factor
-    complexity m+1 up to ``kmax``.  Degenerate parameters, a ``kmax``
-    outside ``[0, MAX_PRESERVE_KMAX]``, ``n < 2*kmax`` and projections
-    past their letter and factor-byte caps are rejected before any letter
-    is coded: a balanced word of length ``L`` has ``p(kmax) <= L - kmax +
-    1``, so a projection (at least ``n`` letters long) shorter than
-    ``2*kmax`` fails whatever ``eta`` is.
+    Codes the length-``n`` orbit prefix ``u`` and requires each binary
+    projection of ``eta(u)`` to be a factor of a Sturmian word of the
+    slope ``eta`` predicts for it.  A 3iet word's projections are such
+    words, so the test is necessary, not sufficient: it does not see how
+    the two fit together.  A morphism whose images miss a letter fails
+    first, as a non-degenerate coding has all three.  ``kmax`` must be
+    non-negative, but no verdict reads it.  Degenerate parameters and
+    projections past their letter caps are rejected before any letter
+    is coded.
     """
+    if kmax < 0:
+        raise DomainError(f"kmax must be non-negative, got {kmax}")
     longest = max(len(image) + image.count(1) for image in eta.images)
-    return _preservation_checker(transform, x0, n, kmax, longest, 2 * longest)(eta)
+    return _preservation_checker(transform, x0, n, longest, 2 * longest)(eta)
 
 
 def _preservation_checker(
-    transform: ThreeIET, x0: QuadNumber, n: int, kmax: int, longest: int, summed: int
+    transform: ThreeIET, x0: QuadNumber, n: int, longest: int, summed: int
 ) -> Callable[[Morphism], PreservationResult]:
     """:func:`check_3iet_preservation` as a function of ``eta``, coding the
     prefix once and deciding each projection once.
 
     A projection of ``eta(prefix)`` is fixed by the projections of the
     three images of ``eta``, so those short words key the verdicts and,
-    substituted into the prefix, give a projection not decided yet.
-    ``longest`` bounds the projected letter images of every ``eta`` the
-    caller passes, and ``summed`` adds that bound up over the projections
-    it may decide: ``n`` times each is checked against its cap,
-    :data:`MAX_PROJECTION_LETTERS` and :data:`MAX_PRESERVE_LETTERS`, and
-    the factor bytes of the second against :data:`MAX_FACTOR_BYTES`.
+    substituted into the prefix, give a projection not decided yet.  They
+    fix its predicted slope too: a coding's letters have the frequencies
+    ``lambda = (alpha, beta, 1 - alpha - beta)``, so ``1`` has the
+    frequency ``sum(lambda_a * ones(key_a)) / sum(lambda_a *
+    len(key_a))``.  ``longest`` bounds the projected letter images of
+    every ``eta`` the caller passes, and ``summed`` adds that bound up
+    over the projections it may decide: ``n`` times each is checked
+    against its cap, :data:`MAX_PROJECTION_LETTERS` and
+    :data:`MAX_PRESERVE_LETTERS`.
     """
-    if kmax < 0:
-        raise DomainError(f"kmax must be non-negative, got {kmax}")
-    _require_range(kmax, 0, MAX_PRESERVE_KMAX, "--kmax")
-    if n < 2 * kmax:
-        raise DomainError(f"n must be at least 2*kmax = {2 * kmax}, got {n}")
     _require_range(n * longest, 0, MAX_PROJECTION_LETTERS, "projection length")
     _require_range(n * summed, 0, MAX_PRESERVE_LETTERS, "summed projection length")
-    counts = (kmax - 1).bit_length() + 1
-    _require_range(n * summed * kmax * counts, 0, MAX_FACTOR_BYTES, "factor bytes")
     if not is_nondegenerate_params(transform):
         raise DegenerateParametersError(
             "parameters are degenerate: (1-alpha)/(1+beta) is rational"
         )
     prefix = three_iet_code(transform, x0, n)
+    # lambda over a common denominator, which cancels from the slope, as
+    # the numerator pairs (p, q) of p + q*sqrt(d)
+    lengths = (transform.alpha, transform.beta, 1 - transform.alpha - transform.beta)
+    d = max(x.d for x in lengths)
+    scale = math.lcm(*(x.c for x in lengths))
+    weights = [(x.a * scale // x.c, x.b * scale // x.c) for x in lengths]
     # pairs that share phi share the sigma01 projection of the image
     verdicts: dict[tuple[bytes, ...], str | None] = {}
 
+    def slope(key: tuple[bytes, ...]) -> QuadNumber:
+        ones = [image.count(1) for image in key]
+        sizes = [len(image) for image in key]
+        p, q = (sum(w[i] * k for w, k in zip(weights, ones)) for i in (0, 1))
+        r, s = (sum(w[i] * k for w, k in zip(weights, sizes)) for i in (0, 1))
+        # (p + q*sqrt(d)) / (r + s*sqrt(d)), with r + s*sqrt(d) > 0 as some
+        # image is not empty; times the conjugate of the divisor over itself
+        return QuadNumber(p * r - q * s * d, q * r - p * s, d, r * r - s * s * d, _squarefree=True)
+
     def check(eta: Morphism) -> PreservationResult:
+        for letter, char in enumerate(Alphabet.TERNARY.chars):
+            if all(letter not in image.letters for image in eta.images):
+                return PreservationResult(False, f"letter {char} occurs in no image of eta")
         for which in ("01", "10"):
             key = tuple(_substitute(image.letters, _SIGMA[which]) for image in eta.images)
             if key not in verdicts:
-                projection = FiniteWord(Alphabet.BINARY, _substitute(prefix.letters, key))
-                verdicts[key] = _sturmian_prefix_violation(projection, kmax)
+                verdicts[key] = _projection_verdict(_substitute(prefix.letters, key), slope(key))
             if verdicts[key] is not None:
                 return PreservationResult(False, f"sigma{which}: {verdicts[key]}")
         return PreservationResult(True, None)
 
     return check
+
+
+def _projection_verdict(letters: bytes, slope: QuadNumber) -> str | None:
+    """Why a projection is no factor of a Sturmian word of the predicted
+    ``slope``, or None; balance is tested on the failing path alone."""
+    if not slope.is_rational and _is_sturmian_factor(letters, _partial_quotients(slope)):
+        return None
+    if not is_balanced(FiniteWord(Alphabet.BINARY, letters)):
+        return "projection is not balanced"
+    if slope.is_rational:
+        return f"predicted slope {slope} is rational"
+    return f"projection is no factor of a Sturmian word of slope {slope}"

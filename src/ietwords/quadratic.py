@@ -22,6 +22,7 @@ import math
 import re
 import sys
 from functools import total_ordering
+from typing import Iterator
 
 from ._value import Value
 from .errors import DomainError, FieldMismatchError, ParseError
@@ -298,6 +299,26 @@ class QuadNumber(Value):
 
     def __repr__(self) -> str:
         return f"QuadNumber({self.a}, {self.b}, {self.d}, {self.c})"
+
+
+def _partial_quotients(value: QuadNumber) -> Iterator[int]:
+    """The partial quotients ``a_1, a_2, ...`` of an irrational value
+    ``[a_0; a_1, ...]``, without end: the integer recurrence on
+    ``x = (p + sqrt(n))/q`` with ``q`` dividing ``n - p*p``, where
+    ``1/(x - a)`` is ``(p' + sqrt(n))/q'`` for ``p' = a*q - p`` and
+    ``q' = (n - p'*p')/q``.  No :class:`QuadNumber` is built per level.
+    """
+    # x = (s*a*c + sqrt(b*b*d*c*c))/(s*c*c) for the sign s of b
+    s = 1 if value.b > 0 else -1
+    p, n, q = s * value.a * value.c, (value.b * value.c) ** 2 * value.d, s * value.c**2
+    root = math.isqrt(n)
+    # floor(x): sqrt(n) lies strictly between root and root + 1
+    a = (p + root + (q < 0)) // q
+    while True:
+        p = a * q - p
+        q = (n - p * p) // q
+        a = (p + root + (q < 0)) // q
+        yield a
 
 
 ZERO = QuadNumber(0)

@@ -154,22 +154,13 @@ def is_balanced(word: FiniteWord) -> bool:
     Decided by the Sturmian run-length derivation (Lothaire, *Algebraic
     Combinatorics on Words*, ch. 2).  A word containing both ``00`` and
     ``11`` is unbalanced, one containing neither is balanced.  Otherwise
-    one letter, say ``1`` after exchanging the letters, is isolated, and
-    the word is ``0^f 1 0^a_1 1 ... 1 0^a_r 1 0^l``.  It is balanced
-    exactly when the interior runs ``a_i`` take two consecutive values
-    ``lo``, ``lo + 1`` (or one), the end runs are at most ``lo + 1``
-    long, and the derived word is balanced: one letter per run, ``1``
-    for a run of ``lo + 1`` zeros and ``0`` for one of ``lo``, where an
-    end run is kept only when it is longer than ``lo`` (a shorter one
-    can be the cut end of either kind).  The derived word is at most
-    half as long, so the test takes linear time and a logarithmic number
-    of levels.
-
-    Each level is a fixed handful of whole-word calls on ``bytes``, with
-    no object per run.  ``lo`` is the floor of the mean interior run,
-    which is the least run when the runs take two consecutive values;
-    when they do not, a run of ``lo + 2`` zeros or one of fewer than
-    ``lo`` shows it.  Binary words only.
+    ``1``, after exchanging the letters, is isolated, and the word is
+    balanced exactly when it has at most one ``1`` or its
+    :func:`_derive` at ``lo``, the floor of the mean run of zeros between
+    two ``1``, is balanced.  That ``lo`` is the least run when the runs
+    take two consecutive values; when they do not, :func:`_derive` meets
+    a run it cannot place.  Each level at least halves the word, so the
+    test takes linear time.  Binary words only.
     """
     if word.alphabet is not Alphabet.BINARY:
         raise AlphabetError("balance is defined for binary words only")
@@ -181,29 +172,67 @@ def is_balanced(word: FiniteWord) -> bool:
             letters = letters.translate(_SWAP)
         elif b"\x01\x01" in letters:
             return False
-        # 1 is isolated: 0^first 1 0^a_1 1 ... 1 0^a_r 1 0^tail
-        first = letters.find(b"\x01")
-        last = letters.rfind(b"\x01")
-        if first == last:  # at most one 1
+        ones = letters.count(b"\x01")
+        if ones < 2:
             return True
-        tail = len(letters) - 1 - last
-        body = letters[first + 1 : last + 1]  # the blocks 0^a_i 1
-        runs = body.count(b"\x01")
-        lo = (len(body) - runs) // runs
-        if (
-            first > lo + 1
-            or tail > lo + 1
-            or b"\x00" * (lo + 2) + b"\x01" in body
-            or body.count(b"\x00" * lo + b"\x01") != runs
-        ):
+        interior = letters.rfind(b"\x01") - letters.find(b"\x01") + 1 - ones
+        letters = _derive(letters, interior // (ones - 1))
+        if letters is None:
             return False
-        # one letter per run; an end run no longer than lo may be a cut
-        # run of either kind
-        letters = (
-            (b"\x01" if first > lo else b"")
-            + body.replace(b"\x00" * (lo + 1) + b"\x01", b"\x02").translate(_DERIVE, b"\x00")
-            + (b"\x01" if tail > lo else b"")
-        )
+
+
+def _derive(letters: bytes, lo: int) -> bytes | None:
+    """The derived word of ``0^f 1 0^a_1 1 ... 1 0^a_r 1 0^l``, which has
+    a ``1`` and no ``11``: ``0`` for each run ``a_i = lo``, ``1`` for each
+    ``a_i = lo + 1`` or end run of ``lo + 1`` (a shorter end run can be
+    cut from either block), or None when a run fits neither.  A handful
+    of whole-word calls on ``bytes``, with no object per run."""
+    first = letters.find(b"\x01")
+    last = letters.rfind(b"\x01")
+    tail = len(letters) - 1 - last
+    body = letters[first + 1 : last + 1]  # the blocks 0^a_i 1
+    if (
+        first > lo + 1
+        or tail > lo + 1
+        or b"\x00" * (lo + 2) + b"\x01" in body
+        or body.count(b"\x00" * lo + b"\x01") != body.count(b"\x01")
+    ):
+        return None
+    return (
+        (b"\x01" if first > lo else b"")
+        + body.replace(b"\x00" * (lo + 1) + b"\x01", b"\x02").translate(_DERIVE, b"\x00")
+        + (b"\x01" if tail > lo else b"")
+    )
+
+
+def _is_sturmian_factor(letters: bytes, quotients: Iterable[int]) -> bool:
+    """Whether a binary letter string is a factor of a Sturmian word of
+    irrational slope ``theta = [0; a_1, a_2, ...]``, the frequency of
+    ``1``, given the partial quotients ``a_1, a_2, ...``.
+
+    For ``a = a_1 > 1`` such a word is made of the blocks ``0^(a-1) 1``
+    and ``0^a 1``, and its derived word is Sturmian of slope
+    ``[0; a_2, ...]``; substituting the blocks maps each of those back
+    (Lothaire, ch. 2).  So :func:`_derive` at ``lo = a - 1`` recurses,
+    down to a word with no ``1`` and at most ``a`` letters.  For
+    ``a_1 = 1`` the letters are exchanged: ``1 - theta`` is
+    ``[0; a_2 + 1, a_3, ...]``.  A quotient above ``len(letters) + 1``
+    is read as that, which no run reaches, so it costs no more.
+    """
+    quotients = iter(quotients)
+    while True:
+        a = next(quotients)
+        if a == 1:
+            letters = letters.translate(_SWAP)
+            a = next(quotients) + 1
+        a = min(a, len(letters) + 1)
+        if b"\x01\x01" in letters:
+            return False
+        if b"\x01" not in letters:
+            return len(letters) <= a
+        letters = _derive(letters, a - 1)
+        if letters is None:
+            return False
 
 
 def factor_complexity(word: FiniteWord, n: int) -> int:

@@ -2,7 +2,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ietwords import (
     Alphabet,
@@ -407,22 +407,40 @@ class TestPreservation:
         assert check_3iet_preservation(ETA, t, ZERO, 500, 10).ok
 
     def test_collapsing_morphism_fails_complexity(self):
+        # every letter has the image ACB, whose projections are 0101 and
+        # 0110: sigma01 of the image is (01)^n, of rational slope
         t = ThreeIET(ALPHA, QUARTER)
         result = check_3iet_preservation(
-            Morphism.parse("A->B,B->B,C->B"), t, ZERO, 500, 10
-        )
-        assert not result.ok
-        assert "complexity 2 at factor length 2" in result.detail
-
-    def test_periodic_projection_reports_first_failing_length(self):
-        # sigma01 of the image is (0001)^n: balanced, p(m) = m + 1 up to
-        # m = 3 and p(4) = 4
-        t = ThreeIET(ALPHA, QUARTER)
-        result = check_3iet_preservation(
-            Morphism.parse("A->AAB,B->AAB,C->AAB"), t, ZERO, 500, 10
+            Morphism.parse("A->ACB,B->ACB,C->ACB"), t, ZERO, 500, 10
         )
         assert result == PreservationResult(
-            False, "sigma01: complexity 4 at factor length 4, expected 5"
+            False, "sigma01: predicted slope 1/2 is rational"
+        )
+
+    def test_periodic_projection_reports_first_failing_length(self):
+        # sigma01 of the image is (0001)^n: balanced, of rational slope
+        t = ThreeIET(ALPHA, QUARTER)
+        result = check_3iet_preservation(
+            Morphism.parse("A->AAB,B->AAB,C->AAAC"), t, ZERO, 500, 10
+        )
+        assert result == PreservationResult(
+            False, "sigma01: predicted slope 1/4 is rational"
+        )
+
+    def test_balanced_projection_of_another_slope_fails(self):
+        # sigma01 of the image stays balanced over 1 000 letters, but no
+        # Sturmian word of the predicted slope has it as a factor; it is
+        # unbalanced by 3 000
+        t = ThreeIET(ALPHA, QUARTER)
+        eta = Morphism.parse("A->A,B->CBA,C->C")
+        for n in (500, 1000):
+            assert check_3iet_preservation(eta, t, ZERO, n) == PreservationResult(
+                False,
+                "sigma01: projection is no factor of a Sturmian word of slope "
+                "(-1+2*sqrt(5))/7",
+            )
+        assert check_3iet_preservation(eta, t, ZERO, 3000) == PreservationResult(
+            False, "sigma01: projection is not balanced"
         )
 
     def test_sigma10_failure_is_named(self):
@@ -435,29 +453,48 @@ class TestPreservation:
             False, "sigma10: projection is not balanced"
         )
 
-    def test_prefix_too_short_for_kmax_rejected(self):
-        # a balanced word of length L has p(kmax) <= L - kmax + 1, so a
-        # prefix shorter than 2*kmax would fail even the identity
-        t = ThreeIET(ALPHA, QUARTER)
-        for n in (5, 39):
-            with pytest.raises(DomainError, match="2\\*kmax"):
-                check_3iet_preservation(TERNARY_IDENTITY, t, ZERO, n, 20)
-        # the bound is necessary, not sufficient: n = 2*kmax is checked,
-        # and this orbit shows every factor up to length 20 by n = 100
-        check_3iet_preservation(TERNARY_IDENTITY, t, ZERO, 40, 20)
-        assert check_3iet_preservation(TERNARY_IDENTITY, t, ZERO, 100, 20).ok
-
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="a short prefix of a Sturmian word need not show all m + 1 "
-        "factors of length m, so the finite complexity check rejects the "
-        "identity (n = 80: sigma01: complexity 17 at factor length 17)",
+    @pytest.mark.parametrize(
+        ("eta", "letter"),
+        [("A->A,B->AB,C->B", "C"), ("A->A,B->,C->C", "B"), ("A->B,B->B,C->B", "A")],
     )
+    def test_morphism_missing_a_letter_fails(self, monkeypatch, eta, letter):
+        # its projections can be Sturmian factors of their predicted
+        # slopes, but a 3iet coding has all three letters; no projection
+        # is decided
+        def decided(letters, slope):
+            raise AssertionError("a projection was decided")
+
+        monkeypatch.setattr(amicability, "_projection_verdict", decided)
+        t = ThreeIET(PRESERVE_ALPHA, PRESERVE_BETA)
+        result = check_3iet_preservation(Morphism.parse(eta), t, ZERO, 300, 10)
+        assert result == PreservationResult(False, f"letter {letter} occurs in no image of eta")
+
+    def test_short_prefixes_pass(self):
+        # no prefix is too short for the exact test, whatever kmax is
+        t = ThreeIET(ALPHA, QUARTER)
+        for n in (1, 2, 5, 19, 39, 40, 100):
+            assert check_3iet_preservation(TERNARY_IDENTITY, t, ZERO, n, 20).ok, n
+            assert check_3iet_preservation(ETA, t, ZERO, n, 20).ok, n
+
+    def test_kmax_is_checked_but_not_read(self):
+        t = ThreeIET(ALPHA, QUARTER)
+        with pytest.raises(DomainError, match="kmax must be non-negative, got -1"):
+            check_3iet_preservation(TERNARY_IDENTITY, t, ZERO, 100, -1)
+        for kmax in (0, 20, 10**9):
+            assert check_3iet_preservation(TERNARY_IDENTITY, t, ZERO, 100, kmax).ok
+
     @pytest.mark.parametrize("n", [40, 60, 80])
     def test_identity_passes_on_prefixes_above_2_kmax(self, n):
         t = ThreeIET(PRESERVE_ALPHA, PRESERVE_BETA)
         assert check_3iet_preservation(TERNARY_IDENTITY, t, ZERO, n, 20).ok
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=400))
+    def test_every_ternarization_of_norm_4_passes(self, n):
+        t = ThreeIET(PRESERVE_ALPHA, PRESERVE_BETA)
+        for matrix in unimodular_matrices(4):
+            for pair in brute_force_pairs(matrix):
+                assert check_3iet_preservation(pair.eta, t, ZERO, n).ok, (pair.eta, n)
 
     def test_degenerate_parameters_rejected(self):
         trap = ThreeIET(ALPHA, QuadNumber(-2, 1, 5))
@@ -508,13 +545,13 @@ class TestPreserveSuite:
 
     def test_each_distinct_projection_is_decided_once(self, monkeypatch):
         decided = []
-        original = amicability._sturmian_prefix_violation
+        original = amicability._projection_verdict
 
-        def recording(word, kmax):
-            decided.append(word.letters)
-            return original(word, kmax)
+        def recording(letters, slope):
+            decided.append(letters)
+            return original(letters, slope)
 
-        monkeypatch.setattr(amicability, "_sturmian_prefix_violation", recording)
+        monkeypatch.setattr(amicability, "_projection_verdict", recording)
         records = run_suite("preserve", 5, 60, 20).records[:-1]
         assert len(decided) == len(set(decided))
         # a check stops at a failing sigma01; pairs sharing phi share it
@@ -536,21 +573,28 @@ class TestPreserveSuite:
         assert result.summary["checked"] == 73
 
     def test_verdicts_do_not_outlive_their_checker(self):
-        # the verdict on a projection depends on kmax: a memo shared by
-        # two calls would hand the first call's verdict to the second
-        t = ThreeIET(ALPHA, QUARTER)
-        periodic = Morphism.parse("A->AAB,B->AAB,C->AAB")
-        assert not check_3iet_preservation(periodic, t, ZERO, 500, 10).ok
-        assert check_3iet_preservation(periodic, t, ZERO, 500, 3).ok
+        # the verdict on a projection depends on the transform, through
+        # the prefix and the predicted slope: a memo shared by two calls
+        # would hand the first call's verdict to the second
+        eta = Morphism.parse("A->A,B->CBA,C->C")
+        first = ThreeIET(ALPHA, QUARTER)
+        second = ThreeIET(QuadNumber(1, 0, 0, 5), QuadNumber(-1, 1, 2, 2))
+        expected = {
+            first: "sigma01: projection is no factor of a Sturmian word of slope "
+            "(-1+2*sqrt(5))/7",
+            second: "sigma01: projection is not balanced",
+        }
+        for order in ((first, second), (second, first)):
+            for t in order:
+                assert check_3iet_preservation(eta, t, ZERO, 500).detail == expected[t]
 
     def test_invalid_arguments_raise_before_any_pair(self):
         # the suite is a generator: it raises on its first step, before
         # it yields a record
-        with pytest.raises(DomainError, match="2\\*kmax"):
-            next(preserve_suite(2, 39, 20))
+        with pytest.raises(DomainError, match="coding length must be a positive integer"):
+            next(preserve_suite(2, 0, 20))
         with pytest.raises(DomainError, match="--kmax must be at least 1, got -1"):
             next(preserve_suite(2, 10, -1))
-
 
 def test_lemma_w_suite_matches_the_scan():
     # the suite decides each pair with the bit test; the scan decides it

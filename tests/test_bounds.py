@@ -6,12 +6,7 @@ import pytest
 
 from ietwords import ZERO, IntMatrix2, Morphism, ThreeIET, amicability, check_3iet_preservation
 from ietwords import matrices, morphisms, verification
-from ietwords.amicability import (
-    MAX_FACTOR_BYTES,
-    MAX_PRESERVE_KMAX,
-    MAX_PRESERVE_LETTERS,
-    MAX_PROJECTION_LETTERS,
-)
+from ietwords.amicability import MAX_PRESERVE_LETTERS, MAX_PROJECTION_LETTERS
 from ietwords.errors import DomainError
 from ietwords.matrices import MAX_PAIRS_NORM
 from ietwords.morphisms import MAX_ENUM_NORM
@@ -64,23 +59,11 @@ def test_max_norm_below_2_raises_before_any_record(name, no_enumeration):
         ("preserve", {"max_norm": MAX_PRESERVE_NORM + 1},
          f"--max-norm must be at most {MAX_PRESERVE_NORM}, got {MAX_PRESERVE_NORM + 1}"),
         ("preserve", {"kmax": 0}, "--kmax must be at least 1, got 0"),
-        ("preserve", {"n": 2 * MAX_PRESERVE_KMAX + 2, "kmax": MAX_PRESERVE_KMAX + 1},
-         f"--kmax must be at most {MAX_PRESERVE_KMAX}, got {MAX_PRESERVE_KMAX + 1}"),
     ],
 )
 def test_run_suite_out_of_range_enumerates_nothing(name, kwargs, message, no_enumeration):
     with pytest.raises(DomainError, match=message):
         run_suite(name, **kwargs)
-
-
-def test_preservation_kmax_above_the_cap_codes_nothing(no_enumeration):
-    transform = ThreeIET(PRESERVE_ALPHA, PRESERVE_BETA)
-    with pytest.raises(
-        DomainError, match=f"--kmax must be at most {MAX_PRESERVE_KMAX}, got 20001"
-    ):
-        check_3iet_preservation(
-            Morphism.parse("A->A,B->B,C->C"), transform, ZERO, n=40002, kmax=20001
-        )
 
 
 class Coded(Exception):
@@ -131,34 +114,6 @@ def test_preserve_suite_letters_above_the_cap_code_nothing(coding_raises):
     # the longest letter image of the suite is max_norm letters
     with pytest.raises(DomainError, match="projection length must be at most"):
         run_suite("preserve", max_norm=2, n=MAX_PROJECTION_LETTERS // 2 + 1)
-
-
-def test_factor_bytes_above_the_cap_code_nothing(coding_raises):
-    # a check counts up to kmax bytes per projected letter for each of
-    # its 1 + ceil(log2(kmax)) factor counts: 16 at the kmax cap
-    transform = ThreeIET(PRESERVE_ALPHA, PRESERVE_BETA)
-    identity = Morphism.parse("A->A,B->B,C->C")
-    # two projections of at most 2n letters each
-    per_letter = 2 * 2 * MAX_PRESERVE_KMAX * 16
-    n = MAX_FACTOR_BYTES // per_letter
-    with pytest.raises(Coded):
-        check_3iet_preservation(identity, transform, ZERO, n, MAX_PRESERVE_KMAX)
-    with pytest.raises(
-        DomainError,
-        match=f"factor bytes must be at most {MAX_FACTOR_BYTES}, got {(n + 1) * per_letter}",
-    ):
-        check_3iet_preservation(identity, transform, ZERO, n + 1, MAX_PRESERVE_KMAX)
-    # the suite at norm 3 counts 56 letters per letter of the prefix, and
-    # 15 counts at kmax 10 000
-    per_letter = 56 * 10_000 * 15
-    n = MAX_FACTOR_BYTES // per_letter
-    with pytest.raises(Coded):
-        run_suite("preserve", max_norm=3, n=n, kmax=10_000)
-    with pytest.raises(
-        DomainError,
-        match=f"factor bytes must be at most {MAX_FACTOR_BYTES}, got {(n + 1) * per_letter}",
-    ):
-        run_suite("preserve", max_norm=3, n=n + 1, kmax=10_000)
 
 
 @pytest.fixture

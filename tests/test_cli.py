@@ -13,7 +13,6 @@ import ietwords.cli
 import ietwords.matrices
 import ietwords.morphisms
 from ietwords import IntMatrix2, count_formula_total, verification
-from ietwords.amicability import MAX_PRESERVE_KMAX
 from ietwords.cli import MAX_COUNT_NORM, main
 from ietwords.errors import IetWordsError
 from ietwords.matrices import MAX_PAIRS_NORM
@@ -209,6 +208,10 @@ class TestWordCommands:
         assert records[0]["word"] == "ABB"
 
 
+# the identity and the reference parameters of ``preserve`` examples
+IDENTITY_AT_REFERENCE = ["--eta", "A->A,B->B,C->C", "--alpha", "(3-1*sqrt(5))/2", "--beta", "1/4"]
+
+
 class TestPreserveCommand:
     def test_identity_preserves(self, capsys):
         code, records, _ = run(
@@ -223,12 +226,40 @@ class TestPreserveCommand:
     def test_collapse_fails(self, capsys):
         code, records, _ = run(
             capsys,
-            "preserve", "--eta", "A->B,B->B,C->B",
+            "preserve", "--eta", "A->ACB,B->ACB,C->ACB",
             "--alpha", "(3-1*sqrt(5))/2", "--beta", "1/4",
             "-n", "300", "--kmax", "8",
         )
         assert code == 1
-        assert "complexity" in records[0]["detail"]
+        assert records[0]["detail"] == "sigma01: predicted slope 1/2 is rational"
+
+    def test_missing_letter_fails(self, capsys):
+        code, records, _ = run(
+            capsys,
+            "preserve", "--eta", "A->A,B->AB,C->B",
+            "--alpha", "(3-1*sqrt(5))/2", "--beta", "1/4",
+            "-n", "300", "--kmax", "10",
+        )
+        assert code == 1
+        assert records[0] == {
+            "preserved": False,
+            "detail": "letter C occurs in no image of eta",
+            "eta": "A->A,B->AB,C->B",
+        }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["preserve", *IDENTITY_AT_REFERENCE, "-n", "5", "--kmax", "20"],
+            ["preserve", *IDENTITY_AT_REFERENCE, "-n", "80", "--kmax", "20"],
+            ["verify", "--suite", "preserve", "--max-norm", "2", "-n", "1", "--kmax", "1"],
+        ],
+    )
+    def test_short_prefixes_pass(self, capsys, argv):
+        code, records, _ = run(capsys, *argv)
+        assert code == 0
+        assert records[-1]["status"] == "ok"
+        assert all(record["preserved"] for record in records[:-1])
 
     def test_degenerate_parameters_invalid(self, capsys):
         code, records, _ = run(
@@ -251,9 +282,6 @@ class TestProbeCommand:
         assert rows["eta*ac_swap"]["phi"] == "0->1,1->01"
         assert rows["eta*ac_swap"]["psi"] == "0->1,1->10"
 
-
-# the identity and the reference parameters of ``preserve`` examples
-IDENTITY_AT_REFERENCE = ["--eta", "A->A,B->B,C->C", "--alpha", "(3-1*sqrt(5))/2", "--beta", "1/4"]
 
 # every flag of each command, with a value it accepts
 COMMAND_ARGV = {
@@ -343,13 +371,13 @@ class TestInvalidInput:
             ["verify", "--suite", "matrices", "-n", "5"],
             ["verify", "--suite", "monoid", "--kmax", "3"],
             ["verify", "--suite", "preserve", "--samples", "4"],
-            # a prefix too short to show complexity kmax + 1
+            # a prefix of no letter
             [
                 "preserve", "--eta", "A->A,B->B,C->C",
                 "--alpha", "(3-1*sqrt(5))/2", "--beta", "1/4",
-                "-n", "5", "--kmax", "20",
+                "-n", "0", "--kmax", "20",
             ],
-            ["verify", "--suite", "preserve", "--max-norm", "2", "-n", "1", "--kmax", "1"],
+            ["verify", "--suite", "preserve", "--max-norm", "2", "-n", "0", "--kmax", "1"],
             # a coding longer than iet.MAX_CODING_LENGTH
             ["word2", "--slope", "(-1+1*sqrt(5))/2", "-n", "1000001"],
             ["word3", "--alpha", "(3-1*sqrt(5))/2", "--beta", "1/4", "-n", "1000001"],
@@ -384,28 +412,19 @@ class TestInvalidInput:
             "status": "invalid-input",
         }]
 
-    @pytest.mark.parametrize(
-        "argv, flag, cap",
-        [
-            (["preserve", *IDENTITY_AT_REFERENCE, "-n", str(2 * MAX_PRESERVE_KMAX + 2)],
-             "--kmax", MAX_PRESERVE_KMAX),
-            (["verify", "--suite", "preserve", "-n", str(2 * MAX_PRESERVE_KMAX + 2)],
-             "--kmax", MAX_PRESERVE_KMAX),
-            (["verify", "--suite", "preserve"], "--max-norm", MAX_PRESERVE_NORM),
-        ],
-    )
-    def test_preserve_above_the_cap_codes_nothing(self, capsys, monkeypatch, argv, flag, cap):
+    def test_preserve_above_the_cap_codes_nothing(self, capsys, monkeypatch):
         def unreachable(*args):
             raise AssertionError("an orbit prefix was coded")
 
         monkeypatch.setattr(ietwords.cli, "three_iet_code", unreachable)
         monkeypatch.setattr(ietwords.amicability, "three_iet_code", unreachable)
         monkeypatch.setattr(ietwords.matrices, "unimodular_matrices", unreachable)
-        code, records, _ = run(capsys, *argv, flag, str(cap + 1))
+        cap = MAX_PRESERVE_NORM
+        code, records, _ = run(capsys, "verify", "--suite", "preserve", "--max-norm", str(cap + 1))
         assert code == 2
         assert records == [{
-            "command": argv[0],
-            "error": f"{flag} must be at most {cap}, got {cap + 1}",
+            "command": "verify",
+            "error": f"--max-norm must be at most {cap}, got {cap + 1}",
             "status": "invalid-input",
         }]
 
@@ -555,7 +574,7 @@ class TestStreaming:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["verify", "--suite", "preserve", "-n", "30", "--kmax", "20"],
+            ["verify", "--suite", "preserve", "-n", "0", "--kmax", "20"],
             ["verify", "--suite", "counting", "--max-norm", "1"],
         ],
     )

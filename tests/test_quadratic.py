@@ -14,7 +14,7 @@ from ietwords import (
     ZERO,
     quadratic,
 )
-from ietwords.quadratic import MAX_RADICAND, _surd_negative
+from ietwords.quadratic import MAX_RADICAND, _partial_quotients, _surd_negative
 
 RADICANDS = [0, 2, 3, 5, 6, 7, 10, 11]
 
@@ -167,6 +167,49 @@ class TestOrderAndFloor:
         assert a * a - 5 * b * b == 1
         expected = 1 / (a + b * math.sqrt(5))
         assert abs(float(QuadNumber(a, -b, 5)) - expected) <= 1e-15 * expected
+
+
+def gauss_digits(x: QuadNumber, count: int) -> list[int]:
+    """The first ``count`` digits ``floor(1/x)`` of the Gauss map
+    ``x -> frac(1/x)`` from ``frac(x)``, on :class:`QuadNumber` values."""
+    digits = []
+    x = x.frac()
+    for _ in range(count):
+        x = 1 / x
+        digits.append(x.floor())
+        x = x.frac()
+    return digits
+
+
+class TestPartialQuotients:
+    @pytest.mark.parametrize(
+        "value",
+        [
+            QuadNumber(3, -1, 5, 2),
+            QuadNumber(-1, 1, 5, 2),
+            QuadNumber(-2, 2, 5, 5),  # the identity's predicted slope
+            QuadNumber(1, 1, 5, -3),  # a negative c, and so a negative b
+            QuadNumber(-7, -3, 2, 4),
+            QuadNumber(-100, 3, 7, -11),
+            QuadNumber(5, 1, 13, 7),
+            QuadNumber(2, 1, 3),
+            QuadNumber(1, 0, 0, 1) / QuadNumber(10**40, 1, 2),
+        ],
+    )
+    def test_examples_against_the_gauss_map(self, value):
+        digits = _partial_quotients(value)
+        assert [next(digits) for _ in range(20)] == gauss_digits(value, 20)
+
+    @given(
+        st.sampled_from([2, 3, 5, 6, 7, 10, 11]),
+        coefficients,
+        coefficients.filter(bool),
+        st.integers(min_value=-40, max_value=40).filter(bool),
+    )
+    def test_against_the_gauss_map(self, d, a, b, c):
+        value = QuadNumber(a, b, d, c)
+        digits = _partial_quotients(value)
+        assert [next(digits) for _ in range(20)] == gauss_digits(value, 20)
 
 
 class TestArithmetic:

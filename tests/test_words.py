@@ -14,23 +14,20 @@ from ietwords import (
     AlphabetError,
     FiniteWord,
     ParseError,
-    ThreeIET,
+    QuadNumber,
+    TwoIET,
     ZERO,
     binary_word,
-    brute_force_pairs,
     factor_complexity,
     is_balanced,
     is_conjugate_word,
     parikh,
-    sigma,
     ternary_word,
-    unimodular_matrices,
 )
-from ietwords import amicability
-from ietwords.amicability import _sturmian_prefix_violation
-from ietwords.iet import coding_word_k, three_iet_code
-from ietwords.words import _substitute
-from ietwords.verification import PRESERVE_ALPHA, PRESERVE_BETA
+from ietwords.iet import coding_word_k, two_iet_code
+from ietwords.quadratic import _partial_quotients
+from ietwords.words import _is_sturmian_factor, _substitute
+from sturmian_loop import sturmian_loop
 
 binary_texts = st.text(alphabet="01", max_size=48)
 ternary_texts = st.text(alphabet="ABC", max_size=48)
@@ -343,96 +340,88 @@ class TestFactorComplexity:
             assert factor_complexity(w, n) <= min(2**n, len(w) - n + 1)
 
 
-def first_complexity_violation(w: FiniteWord, kmax: int) -> str | None:
-    """Oracle for the finite Sturmian test: balance, then ``p(m) == m + 1``
-    read for every ``1 <= m <= kmax`` in turn."""
-    if not is_balanced(w):
-        return "projection is not balanced"
-    for m in range(1, kmax + 1):
-        c = factor_complexity(w, m)
-        if c != m + 1:
-            return f"complexity {c} at factor length {m}, expected {m + 1}"
-    return None
+# slopes on both sides of 1/2, with partial quotients above 1 early on:
+# (-2+2*sqrt(5))/5 is [0; 2, 44, 2, 1, ...], the identity's projection
+SLOPES = [
+    QuadNumber(3, -1, 5, 2),
+    QuadNumber(-1, 1, 5, 2),
+    QuadNumber(-2, 2, 5, 5),
+    QuadNumber(7, -2, 5, 5),
+    QuadNumber(3, -1, 2, 7),
+    QuadNumber(4, 1, 2, 7),
+    QuadNumber(5, -1, 7, 18),
+    QuadNumber(13, 1, 7, 18),
+    QuadNumber(2, -1, 3),
+]
 
 
-class TestOneComplexityValue:
-    """The finite Sturmian test reads ``p(kmax)`` alone on a balanced
-    word; a balanced word gains at most one factor per length."""
+def sturmian_factor(letters: bytes, theta: QuadNumber) -> bool:
+    return _is_sturmian_factor(letters, _partial_quotients(theta))
 
-    KMAX = 16
 
-    def test_balanced_words_gain_at_most_one_factor_per_length(self):
-        for n in range(15):
-            for letters in itertools.product(range(2), repeat=n):
+@st.composite
+def perturbed_codings(draw):
+    """A prefix of up to 1 500 letters of a rotation coding with slope
+    one of :data:`SLOPES`, perhaps with one letter flipped, and the slope
+    it is tested at: its own, or one 1/200 away."""
+    theta = draw(st.sampled_from(SLOPES))
+    n = draw(st.integers(min_value=1, max_value=1500))
+    start = QuadNumber(draw(st.integers(min_value=0, max_value=99)), 0, 0, 100)
+    # two_iet_code codes 0 on [0, slope): 1 has frequency 1 - slope
+    letters = bytearray(two_iet_code(TwoIET(1 - theta), start, n).letters)
+    if draw(st.booleans()):
+        letters[draw(st.integers(min_value=0, max_value=n - 1))] ^= 1
+    shift = draw(st.sampled_from([0, 1, -1]))
+    return bytes(letters), theta + QuadNumber(shift, 0, 0, 200)
+
+
+class TestSturmianFactor:
+    """The whole-word derivation at a slope's partial quotients against
+    the letter-by-letter oracle ``sturmian_loop``."""
+
+    def test_oracle_accepts_exactly_the_factors_of_a_long_coding(self):
+        # a Sturmian word has m + 1 factors of each length m, and a coding
+        # of 3 000 letters shows every one up to length 10 at these slopes
+        for theta in SLOPES:
+            coding = str(two_iet_code(TwoIET(1 - theta), ZERO, 3000))
+            for m in range(11):
+                factors = {coding[i : i + m] for i in range(len(coding) - m + 1)}
+                accepted = {
+                    "".join(bits)
+                    for bits in itertools.product("01", repeat=m)
+                    if sturmian_loop(binary_word("".join(bits)).letters, theta)
+                }
+                assert accepted == factors and len(factors) == m + 1, (theta, m)
+
+    def test_exhaustive_against_the_oracle(self):
+        for theta in SLOPES:
+            for n in range(13):
+                for letters in itertools.product(b"\x00\x01", repeat=n):
+                    letters = bytes(letters)
+                    assert sturmian_factor(letters, theta) == sturmian_loop(letters, theta), (
+                        theta, letters,
+                    )
+
+    @given(perturbed_codings())
+    def test_perturbed_codings_against_the_oracle(self, case):
+        letters, theta = case
+        assert sturmian_factor(letters, theta) == sturmian_loop(letters, theta)
+
+    def test_huge_partial_quotient_costs_no_more_than_the_word(self):
+        # [0; 10**40 + 1, 2, 2, ...]: the first block would be 10**40
+        # letters long; the quotient is read as len + 1
+        theta = QuadNumber(1) / QuadNumber(10**40, 1, 2)
+        assert next(_partial_quotients(theta)) == 10**40 + 1
+        for text in ("", "0", "1", "0" * 200, "0" * 99 + "1" + "0" * 100, "0101", "1001"):
+            letters = binary_word(text).letters
+            assert sturmian_factor(letters, theta) == sturmian_loop(letters, theta), text
+
+    def test_a_factor_is_balanced(self):
+        for n in range(13):
+            for letters in itertools.product(b"\x00\x01", repeat=n):
                 w = FiniteWord(Alphabet.BINARY, bytes(letters))
-                if not is_balanced(w):
-                    continue
-                p = [factor_complexity(w, m) for m in range(n + 2)]
-                for m in range(n + 1):
-                    assert p[m + 1] <= p[m] + 1, (w, m)
-
-    def test_exhaustive_against_per_length_definition(self):
-        for n in range(15):
-            for letters in itertools.product(range(2), repeat=n):
-                w = FiniteWord(Alphabet.BINARY, bytes(letters))
-                for kmax in range(self.KMAX + 1):
-                    expected = first_complexity_violation(w, kmax)
-                    assert _sturmian_prefix_violation(w, kmax) == expected, (w, kmax)
-
-    @given(rotation_factors(), st.integers(min_value=0, max_value=40))
-    def test_perturbed_rotation_factors_against_per_length_definition(self, s, kmax):
-        w = binary_word(s)
-        assert _sturmian_prefix_violation(w, kmax) == first_complexity_violation(w, kmax)
-
-    @pytest.mark.parametrize(
-        ("text", "kmax"),
-        [
-            ("0" * 100, 50),  # fails at m = 1
-            ("01001" * 40, 30),  # periodic: fails at m = 5
-            ("01001" * 40, 5),  # fails at m = kmax
-            # sigma01 of a short 3iet prefix of n letters: too short a
-            # Sturmian word to show every factor, it fails at m = 17 and 269
-            (80, 20),
-            (900, 300),
-        ],
-    )
-    def test_failing_word_is_bisected(self, monkeypatch, text, kmax):
-        if isinstance(text, int):
-            prefix = three_iet_code(ThreeIET(PRESERVE_ALPHA, PRESERVE_BETA), ZERO, text)
-            w = sigma(prefix, "01")
-        else:
-            w = binary_word(text)
-        calls = []
-        count = amicability._factor_count
-
-        def counting(letters, m):
-            calls.append(m)
-            return count(letters, m)
-
-        monkeypatch.setattr(amicability, "_factor_count", counting)
-        expected = first_complexity_violation(w, kmax)
-        assert expected is not None
-        assert _sturmian_prefix_violation(w, kmax) == expected
-        assert len(calls) <= math.ceil(math.log2(kmax)) + 2, calls
-
-    def test_preserve_suite_projections_against_per_length_definition(self):
-        # the 146 projections that `verify --suite preserve` checks: both
-        # sigma images of the suite's orbit prefix under each of its 73
-        # ternarizations
-        prefix = three_iet_code(ThreeIET(PRESERVE_ALPHA, PRESERVE_BETA), ZERO, 1000)
-        projections = [
-            sigma(pair.eta(prefix), which)
-            for matrix in unimodular_matrices(6)
-            for pair in brute_force_pairs(matrix)
-            for which in ("01", "10")
-        ]
-        assert len(projections) == 146
-        for w in projections:
-            # the oracle at kmax runs the first kmax steps of its loop at
-            # 20, so its None at 20 is its verdict at every smaller kmax
-            assert first_complexity_violation(w, 20) is None
-            for kmax in range(1, 21):
-                assert _sturmian_prefix_violation(w, kmax) is None, (w, kmax)
+                if any(sturmian_factor(w.letters, theta) for theta in SLOPES):
+                    assert is_balanced(w), w
 
 
 class TestConjugacy:
