@@ -75,6 +75,7 @@ from .matrices import (
     count_formula_b,
     count_formula_total,
     e_condition,
+    formula_b_counts,
     ternarization_matrices,
     ternarization_matrix,
     unimodular_matrices,

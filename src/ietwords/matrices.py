@@ -5,7 +5,7 @@ For a non-negative matrix A with determinant +-1 there are exactly
     m*(norm(A) - 1) + m*(det(A) - m)/2,    m = min(p0+p1, q0+q1)
 
 ordered amicable pairs of Sturmian morphisms with incidence matrix A,
-refined per B-count b by ``count_formula_b``.  ``brute_force_pairs``
+refined per B-count b by ``formula_b_counts``.  ``brute_force_pairs``
 re-derives the same set by testing, within the conjugation chain, every
 candidate the bit identity ``x - y == ~x & y`` of the scan could accept,
 which keeps the closed formulas honest: ``x - y`` is then made of 0s of
@@ -105,14 +105,21 @@ def count_formula_total(matrix: IntMatrix2) -> int:
     return m * (matrix.norm - 1) + correction // 2
 
 
+def formula_b_counts(matrix: IntMatrix2) -> Counter[int]:
+    """Closed-form number of ordered amicable pairs with this matrix per
+    B-count: ``norm - 1 + det - b`` for each b in ``[1, m]`` at
+    determinant 1 and in ``[0, m - 1]`` at determinant -1, where
+    ``m = min(p, q)``."""
+    _require_unimodular(matrix)
+    norm, det = matrix.norm, matrix.det
+    lo = (1 + det) // 2
+    # unary + drops the one zero count, that of b = 0 for 0,1;1,0
+    return +Counter({b: norm - 1 + det - b for b in range(lo, lo + min(matrix.p, matrix.q))})
+
+
 def count_formula_b(matrix: IntMatrix2, b: int) -> int:
     """Closed-form number of ordered b-amicable pairs with this matrix."""
-    det = matrix.det
-    if det == 1:
-        return matrix.norm - b if 1 <= b <= min(matrix.p, matrix.q) else 0
-    if det == -1:
-        return matrix.norm - b - 2 if 0 <= b <= min(matrix.p, matrix.q) - 1 else 0
-    raise NotUnimodularError(f"matrix {matrix} has determinant {det}")
+    return formula_b_counts(matrix)[b]
 
 
 def _packed(x0: int, x1: int, n0: int, n1: int) -> tuple[int, int]:
@@ -161,51 +168,28 @@ def _packed_chain(
     raise MatrixDecompositionError(f"conjugation chain for {matrix} exceeded expected length")
 
 
-def _window(rights: list[int], x: int, nx: int) -> list[int]:
-    """The sorted right members ``y`` that the left member ``x``, with
-    ``nx == ~x`` on their bits, could accept.
+def _accepted(matrix: IntMatrix2) -> tuple[list[int], list[int], list[list[int]]]:
+    """The :func:`_packed_chain` left and right members of this matrix,
+    in chain order, and for each chain place the right members its left
+    member ``x`` accepts by ``x - y == ~x & y``, in increasing order.
 
-    The test ``x - y == ~x & y`` makes ``x - y`` the set of B positions,
-    each a 0 of ``x`` just below a 1, so a subset of ``~x & (x >> 1)``:
-    every accepted ``y`` lies in ``[x - (~x & x >> 1), x]``.
-    """
-    return rights[bisect_left(rights, x - (nx & x >> 1)):bisect_right(rights, x)]
-
-
-def _amicable_decisions(
-    matrix: IntMatrix2,
-) -> Iterator[tuple[int, tuple[bytes, bytes], int, tuple[bytes, bytes], int]]:
-    """``(k, phi, kbar, psi, b)`` for every ordered amicable pair of
-    Sturmian morphisms with this matrix, in (k, kbar) order; ``phi`` and
-    ``psi`` are the letter strings of the images of 0 and 1.
-
-    Only the first morphism of the chain is read from its letters: each
-    later one is its rotation by one bit (:func:`_packed_chain`), which
-    moves the image of 01 one place in the coding word for 0, lowering
-    ``k`` by ``p``.  Every image of ``0`` has length ``p0+q0`` and every
-    image of ``1`` length ``p1+q1``, so one test on :func:`_packed`
-    integers decides each candidate pair in the row's :func:`_window`.
+    That test makes ``x - y`` the set of B positions, each a 0 of ``x``
+    just below a 1, so a subset of ``~x & (x >> 1)``: only the right
+    members in the window ``[x - (~x & x >> 1), x]`` are tested.  A norm
+    above :data:`MAX_PAIRS_NORM` is rejected before the chain is built.
     """
     _require_unimodular(matrix)
     _require_range(matrix.norm, 2, MAX_PAIRS_NORM, "matrix norm")
-    p, norm = matrix.p, matrix.norm
-    chain = list(_sturmian_images(matrix))
-    left, right = chain[0]
-    lefts, rights = _packed_chain(matrix, left, right)
-    k0 = _rotation_index(left + right, coding_word_k(p, norm, 0).letters, p, norm)
-    ks = [(k0 - i * p) % norm for i in range(len(chain))]
-    # k is one-to-one on the morphisms of one matrix, so these sorts never
-    # compare two image pairs and the pairs come out in order
-    rows = sorted(zip(ks, chain, lefts))
-    columns = {y: (kbar, psi, y) for kbar, psi, y in zip(ks, chain, rights)}
-    rights.sort()
+    lefts, rights = _packed_chain(matrix, *next(_sturmian_images(matrix)))
+    ordered = sorted(rights)
     # ~x on the bits of a packed integer, where & is faster than with ~x
-    full, mask = (1 << 2 * norm + 2) - 1, (1 << norm) - 1
-    for k, phi, x in rows:
+    full = (1 << 2 * matrix.norm + 2) - 1
+    accepted = []
+    for x in lefts:
         nx = x ^ full
-        hits = sorted([columns[y] for y in _window(rights, x, nx) if x - y == nx & y])
-        for kbar, psi, y in hits:
-            yield k, phi, kbar, psi, (nx & y & mask).bit_count()
+        window = ordered[bisect_left(ordered, x - (nx & x >> 1)):bisect_right(ordered, x)]
+        accepted.append([y for y in window if x - y == nx & y])
+    return lefts, rights, accepted
 
 
 def brute_force_pairs(matrix: IntMatrix2) -> tuple[AmicablePair, ...]:
@@ -213,19 +197,32 @@ def brute_force_pairs(matrix: IntMatrix2) -> tuple[AmicablePair, ...]:
     Sturmian morphisms with this matrix, sorted by (k, kbar).
 
     Independent of the closed formulas above: each candidate pair is
-    decided by the ternarization scan alone, through its bit test; the
-    scan itself runs on the accepted pairs only, to build ``eta``.  A
-    norm above :data:`MAX_PAIRS_NORM` is rejected before the chain is
-    built.
+    decided by the ternarization scan alone, through its bit test in
+    :func:`_accepted`; the scan itself runs on the accepted pairs only,
+    to build ``eta``.  Only the first morphism of the chain is indexed by
+    a search: each later one is its rotation by one letter, which moves
+    the image of 01 one place in the coding word for 0, lowering ``k`` by
+    ``p``.
     """
-    # each morphism in an accepted pair, built once, by its index k
+    _, rights, accepted = _accepted(matrix)
+    p, norm = matrix.p, matrix.norm
+    chain = list(_sturmian_images(matrix))
+    k0 = _rotation_index(b"".join(chain[0]), coding_word_k(p, norm, 0).letters, p, norm)
+    ks = [(k0 - i * p) % norm for i in range(len(chain))]
+    columns = {y: (kbar, j) for j, (kbar, y) in enumerate(zip(ks, rights))}
+    # k is one-to-one on the chain places, so this sort never compares
+    # two places and the pairs come out in (k, kbar) order
+    labelled = sorted(
+        (k, *columns[y], i) for i, (k, ys) in enumerate(zip(ks, accepted)) for y in ys
+    )
+    # each morphism in an accepted pair, built once, by its chain place
     built: dict[int, Morphism] = {}
     pairs = []
-    for k, phi_images, kbar, psi_images, _ in _amicable_decisions(matrix):
-        for index, images in ((k, phi_images), (kbar, psi_images)):
+    for k, kbar, j, i in labelled:
+        for index in (i, j):
             if index not in built:
-                built[index] = _binary_morphism(images)
-        phi, psi = built[k], built[kbar]
+                built[index] = _binary_morphism(chain[index])
+        phi, psi = built[i], built[j]
         eta = ternarize_morphisms(phi, psi)
         b0, b1, b = b_counts(eta)
         pairs.append(
@@ -237,18 +234,11 @@ def brute_force_pairs(matrix: IntMatrix2) -> tuple[AmicablePair, ...]:
 def brute_force_b_counts(matrix: IntMatrix2) -> Counter[int]:
     """The number of ordered amicable pairs with this matrix per B-count,
     the pairs of :func:`brute_force_pairs`, building no morphism and
-    indexing none."""
-    _require_unimodular(matrix)
-    _require_range(matrix.norm, 2, MAX_PAIRS_NORM, "matrix norm")
-    lefts, rights = _packed_chain(matrix, *next(_sturmian_images(matrix)))
-    rights.sort()
-    full, mask = (1 << 2 * matrix.norm + 2) - 1, (1 << matrix.norm) - 1
-    b_values = []
-    for x in lefts:
-        nx = x ^ full
-        window = _window(rights, x, nx)
-        b_values += [(nx & y & mask).bit_count() for y in window if x - y == nx & y]
-    return Counter(b_values)
+    indexing none: the B-count of an accepted pair is that of the bits
+    ``[0, norm)`` of ``x - y``."""
+    lefts, _, accepted = _accepted(matrix)
+    mask = (1 << matrix.norm) - 1
+    return Counter([((x - y) & mask).bit_count() for x, ys in zip(lefts, accepted) for y in ys])
 
 
 def ternarization_matrix(matrix: IntMatrix2, b0: int, b1: int) -> IntMatrix3:

@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -527,25 +528,49 @@ class TestVerifyCommand:
         assert records[-1]["status"] == "property-false"
 
     def test_failing_per_b_check_names_the_smallest_differing_b(self, capsys, monkeypatch):
-        true_formula = ietwords.matrices.count_formula_b
+        true_formula = ietwords.matrices.formula_b_counts
         monkeypatch.setattr(
             ietwords.matrices,
-            "count_formula_b",
-            lambda matrix, b: true_formula(matrix, b) + (b in (2, 3)),
+            "formula_b_counts",
+            lambda matrix: true_formula(matrix) + Counter({2: 1, 3: 1}),
         )
         code, records, _ = run(capsys, "verify", "--suite", "counting", "--max-norm", "5")
         assert code == 1
         rows = records[:-1]
-        # every matrix checks b = 0 .. norm + 1, which holds both faulty
-        # buckets: each record fails, and names b = 2
+        # both faulty buckets are off on every matrix: each record fails,
+        # and names b = 2
         failing = [row for row in rows if not row["per_b_match"]]
         assert failing and len(failing) == len(rows)
         for row in failing:
             matrix = IntMatrix2.parse(row["matrix"])
             brute = ietwords.matrices.brute_force_b_counts(matrix)[2]
             assert row["first_b_mismatch"] == {
-                "b": 2, "brute": brute, "formula": true_formula(matrix, 2) + 1
+                "b": 2, "brute": brute, "formula": true_formula(matrix)[2] + 1
             }
+
+    @pytest.mark.parametrize(
+        ("side", "brute", "formula"),
+        [("brute_force_b_counts", 1, 0), ("formula_b_counts", 0, 1)],
+    )
+    def test_a_bucket_above_norm_plus_1_fails_the_per_b_check(
+        self, capsys, monkeypatch, side, brute, formula
+    ):
+        # a B-count no pair of the matrix can have, on one side only: the
+        # per-B check compares every key of both histograms, not only
+        # b = 0 .. norm + 1
+        true_counts = getattr(ietwords.matrices, side)
+        monkeypatch.setattr(
+            ietwords.matrices,
+            side,
+            lambda matrix: true_counts(matrix) + Counter({matrix.norm + 2: 1}),
+        )
+        code, records, _ = run(capsys, "verify", "--suite", "counting", "--max-norm", "5")
+        assert code == 1
+        rows = records[:-1]
+        assert rows and all(not row["per_b_match"] and not row["match"] for row in rows)
+        for row in rows:
+            b = IntMatrix2.parse(row["matrix"]).norm + 2
+            assert row["first_b_mismatch"] == {"b": b, "brute": brute, "formula": formula}
 
     def test_passing_records_carry_no_witness(self, capsys):
         code, records, _ = run(capsys, "verify", "--suite", "counting", "--max-norm", "6")
@@ -650,6 +675,14 @@ class TestByteIdentity:
              "ddc456d75aa67207f0a986522661ab02e8044342bb4b0148ebd8e24c7d9e8f21"),
             (["ternarize", "--phi", "0->010,1->01001", "--psi", "0->001,1->00101"], 1,
              "a688ec4b8924fec74ea247563ac85a3775af6aedb3b7f50a1d3d9281f7f34932"),
+            # the order and labels of brute_force_pairs at determinant -1,
+            # pinned before its two window loops became one
+            (["pairs", "--matrix", "4,11;7,19"], 0,
+             "e8e26fd5961a182319c0dcda910bfe3569ee1da3b8660d2f7a336944e365da6b"),
+            (["pairs", "--matrix", "4,11;7,19", "--b", "3"], 0,
+             "075561fac0d3e8b3b034e13ae0187769674477011d428da84d33133091cf7985"),
+            (["pairs", "--matrix", "1,0;1,1"], 0,
+             "a83a5852b812bf670989cb499e8e8616902983df63b520ef9678126935484b81"),
         ],
     )
     def test_command_stdout_is_pinned(self, capsys, argv, code, digest):

@@ -29,6 +29,7 @@ from ietwords import (
     count_formula_b,
     count_formula_total,
     e_condition,
+    formula_b_counts,
     incidence_matrix,
     k_index,
     right_conjugate_step,
@@ -40,10 +41,9 @@ from ietwords import (
 import ietwords.matrices
 from ietwords.amicability import _letters_int, _scan_b
 from ietwords.matrices import (
-    _amicable_decisions,
+    _accepted,
     _packed,
     _packed_chain,
-    _window,
     block_conjugated_matrix,
 )
 from ietwords.morphisms import _rotation_index, _sturmian_images
@@ -89,6 +89,19 @@ class TestCountFormulas:
     def test_per_b_rejects_non_unimodular(self):
         with pytest.raises(NotUnimodularError, match="matrix 1,1;1,1 has determinant 0"):
             count_formula_b(IntMatrix2(1, 1, 1, 1), 1)
+
+    def test_per_b_counter_through_norm_60(self):
+        # the counts sum to the total, and every key is a B-count some
+        # pair can have, with a positive count
+        for matrix in unimodular_matrices(60):
+            counts = formula_b_counts(matrix)
+            assert counts.total() == count_formula_total(matrix), str(matrix)
+            assert set(counts) <= set(range(min(matrix.p, matrix.q) + 1)), str(matrix)
+            assert all(count > 0 for count in counts.values()), str(matrix)
+
+    def test_per_b_counter_rejects_non_unimodular(self):
+        with pytest.raises(NotUnimodularError, match="matrix 1,1;1,1 has determinant 0"):
+            formula_b_counts(IntMatrix2(1, 1, 1, 1))
 
     def test_per_b_sums_to_total(self):
         # pure arithmetic identity between the two closed formulas
@@ -144,7 +157,7 @@ def three_scan_decisions(matrix):
     """The decisions of the brute force by three bit tests per candidate
     pair, on a chain whose every morphism is read from its letters and
     indexed by a search: the oracle of the packed test and of the
-    chain-step k in _amicable_decisions."""
+    chain-step k in brute_force_pairs."""
     p, norm = matrix.p, matrix.norm
     c0 = coding_word_k(p, norm, 0).letters
     rows = []
@@ -175,17 +188,33 @@ def packed_pair(phi, psi):
     )
 
 
+def pair_decisions(matrix):
+    """``(k, phi, kbar, psi, b)`` for each pair of brute_force_pairs, in
+    its order, with ``phi`` and ``psi`` the letter strings of the images
+    of 0 and 1: the shape of three_scan_decisions."""
+    return [
+        (
+            pair.k,
+            tuple(image.letters for image in pair.phi.images),
+            pair.kbar,
+            tuple(image.letters for image in pair.psi.images),
+            pair.b,
+        )
+        for pair in brute_force_pairs(matrix)
+    ]
+
+
 class TestPackedDecisions:
     def test_agrees_with_three_scans_through_norm_40(self):
         checked = list(unimodular_matrices(40))
         assert len(checked) == 978
         for matrix in checked:
-            assert list(_amicable_decisions(matrix)) == three_scan_decisions(matrix), str(matrix)
+            assert pair_decisions(matrix) == three_scan_decisions(matrix), str(matrix)
 
     @settings(deadline=None)
     @given(st.sampled_from([m for m in unimodular_matrices(80) if m.norm > 40]))
     def test_agrees_with_three_scans_up_to_norm_80(self, matrix):
-        assert list(_amicable_decisions(matrix)) == three_scan_decisions(matrix)
+        assert pair_decisions(matrix) == three_scan_decisions(matrix)
 
     def test_packed_test_is_the_three_scans(self):
         # every pair of morphisms with images of 0 and 1 of n0 and n1
@@ -229,7 +258,7 @@ class TestPackedDecisions:
         assert scan_loop_b(phi[0], psi[0]) == 0 and scan_loop_b(phi[1], psi[1]) == 1
         assert scan_loop_b(phi[0] + phi[1], psi[1] + psi[0]) is None
         assert _scan_b(*packed_pair(phi, psi)) is None
-        assert (phi, psi) not in [(a, c) for _, a, _, c, _ in _amicable_decisions(matrix)]
+        assert (phi, psi) not in [(a, c) for _, a, _, c, _ in pair_decisions(matrix)]
 
     def test_each_matrix_reads_one_morphism(self, monkeypatch):
         # only the standard pair is read from its letters, and it is
@@ -248,7 +277,7 @@ class TestPackedDecisions:
         assert calls == {"_letters_int": 2 * len(checked)}
         calls.clear()
         for matrix in checked:
-            list(_amicable_decisions(matrix))
+            brute_force_pairs(matrix)
         assert calls == {"_letters_int": 2 * len(checked), "_rotation_index": len(checked)}
 
     def test_a_chain_past_its_length_is_rejected(self):
@@ -287,28 +316,28 @@ class TestCandidateWindow:
             assert x - (~x & x >> 1 & full) <= y <= x
 
     @given(st.integers(1, 16).flatmap(
-        lambda width: st.tuples(
-            st.just(width),
-            st.integers(0, 2**width - 1),
-            st.lists(st.integers(0, 2**width - 1), max_size=20),
-        )
+        lambda width: st.tuples(st.just(width), st.integers(0, 2**width - 1))
     ))
-    def test_the_window_holds_every_accepted_right_member(self, case):
+    def test_every_subset_of_the_window_is_accepted(self, case):
         # y = x - d passes for every d made of 0s of x just below a 1,
-        # both ends of the window among them; the other right members
-        # are drawn at random
-        width, x, others = case
+        # both ends of the window among them
+        width, x = case
         full = (1 << width) - 1
         blocks = ~x & x >> 1 & full
         built, d = [x - blocks], blocks
         while d:
             d = (d - 1) & blocks
             built.append(x - d)
-        rights = sorted(set(built + others))
-        nx = x ^ full
-        accepted = [y for y in rights if x - y == nx & y]
-        assert set(built) <= set(accepted)
-        assert [y for y in _window(rights, x, nx) if x - y == nx & y] == accepted
+        assert all(x - y == (x ^ full) & y for y in built)
+
+    @settings(deadline=None)
+    @given(st.sampled_from(list(unimodular_matrices(80))))
+    def test_the_window_holds_every_accepted_right_member(self, matrix):
+        # the core's windowed test against the same test on every right
+        # member of the chain, each a different morphism
+        lefts, rights, accepted = _accepted(matrix)
+        assert len(set(rights)) == len(rights) == len(lefts)
+        assert accepted == [sorted(y for y in rights if x - y == ~x & y) for x in lefts]
 
     def test_b_histogram_is_the_three_scans_through_norm_40(self):
         for matrix in unimodular_matrices(40):
