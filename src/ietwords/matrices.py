@@ -168,19 +168,28 @@ def _packed_chain(
     raise MatrixDecompositionError(f"conjugation chain for {matrix} exceeded expected length")
 
 
-def _accepted(matrix: IntMatrix2) -> tuple[list[int], list[int], list[list[int]]]:
+def _pairs_chain(matrix: IntMatrix2) -> Iterator[tuple[bytes, bytes]]:
+    """``_sturmian_images(matrix)``, once the matrix is unimodular and its
+    norm at most :data:`MAX_PAIRS_NORM`, so that no chain is built for a
+    rejected matrix."""
+    _require_unimodular(matrix)
+    _require_range(matrix.norm, 2, MAX_PAIRS_NORM, "matrix norm")
+    return _sturmian_images(matrix)
+
+
+def _accepted(
+    matrix: IntMatrix2, standard: tuple[bytes, bytes]
+) -> tuple[list[int], list[int], list[list[int]]]:
     """The :func:`_packed_chain` left and right members of this matrix,
-    in chain order, and for each chain place the right members its left
-    member ``x`` accepts by ``x - y == ~x & y``, in increasing order.
+    built from its standard pair, in chain order, and for each chain place
+    the right members its left member ``x`` accepts by ``x - y == ~x & y``,
+    in increasing order.
 
     That test makes ``x - y`` the set of B positions, each a 0 of ``x``
     just below a 1, so a subset of ``~x & (x >> 1)``: only the right
-    members in the window ``[x - (~x & x >> 1), x]`` are tested.  A norm
-    above :data:`MAX_PAIRS_NORM` is rejected before the chain is built.
+    members in the window ``[x - (~x & x >> 1), x]`` are tested.
     """
-    _require_unimodular(matrix)
-    _require_range(matrix.norm, 2, MAX_PAIRS_NORM, "matrix norm")
-    lefts, rights = _packed_chain(matrix, *next(_sturmian_images(matrix)))
+    lefts, rights = _packed_chain(matrix, *standard)
     ordered = sorted(rights)
     # ~x on the bits of a packed integer, where & is faster than with ~x
     full = (1 << 2 * matrix.norm + 2) - 1
@@ -204,9 +213,9 @@ def brute_force_pairs(matrix: IntMatrix2) -> tuple[AmicablePair, ...]:
     the image of 01 one place in the coding word for 0, lowering ``k`` by
     ``p``.
     """
-    _, rights, accepted = _accepted(matrix)
+    chain = list(_pairs_chain(matrix))
+    _, rights, accepted = _accepted(matrix, chain[0])
     p, norm = matrix.p, matrix.norm
-    chain = list(_sturmian_images(matrix))
     k0 = _rotation_index(b"".join(chain[0]), coding_word_k(p, norm, 0).letters, p, norm)
     ks = [(k0 - i * p) % norm for i in range(len(chain))]
     columns = {y: (kbar, j) for j, (kbar, y) in enumerate(zip(ks, rights))}
@@ -236,7 +245,7 @@ def brute_force_b_counts(matrix: IntMatrix2) -> Counter[int]:
     the pairs of :func:`brute_force_pairs`, building no morphism and
     indexing none: the B-count of an accepted pair is that of the bits
     ``[0, norm)`` of ``x - y``."""
-    lefts, _, accepted = _accepted(matrix)
+    lefts, _, accepted = _accepted(matrix, next(_pairs_chain(matrix)))
     mask = (1 << matrix.norm) - 1
     return Counter([((x - y) & mask).bit_count() for x, ys in zip(lefts, accepted) for y in ys])
 

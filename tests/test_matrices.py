@@ -316,26 +316,38 @@ class TestCandidateWindow:
             assert x - (~x & x >> 1 & full) <= y <= x
 
     @given(st.integers(1, 16).flatmap(
-        lambda width: st.tuples(st.just(width), st.integers(0, 2**width - 1))
+        lambda width: st.tuples(
+            st.just(width),
+            st.integers(0, 2**width - 1),
+            st.lists(st.integers(0, 2**width - 1), max_size=20),
+        )
     ))
-    def test_every_subset_of_the_window_is_accepted(self, case):
+    def test_the_window_holds_every_accepted_right_member(self, case):
         # y = x - d passes for every d made of 0s of x just below a 1,
-        # both ends of the window among them
-        width, x = case
+        # both ends of the window among them; the other right members
+        # are drawn at random.  The core reads them from a stand-in
+        # chain, of a matrix whose packed width 2 * 8 + 2 covers x
+        width, x, others = case
         full = (1 << width) - 1
         blocks = ~x & x >> 1 & full
         built, d = [x - blocks], blocks
         while d:
             d = (d - 1) & blocks
             built.append(x - d)
-        assert all(x - y == (x ^ full) & y for y in built)
+        rights = list(set(built + others))
+        nx = x ^ full
+        accepted = sorted(y for y in rights if x - y == nx & y)
+        assert set(built) <= set(accepted)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ietwords.matrices, "_packed_chain", lambda *_: ([x], rights))
+            assert _accepted(EXAMPLE, (b"", b""))[2] == [accepted]
 
     @settings(deadline=None)
     @given(st.sampled_from(list(unimodular_matrices(80))))
-    def test_the_window_holds_every_accepted_right_member(self, matrix):
+    def test_the_core_tests_every_right_member_of_a_chain(self, matrix):
         # the core's windowed test against the same test on every right
         # member of the chain, each a different morphism
-        lefts, rights, accepted = _accepted(matrix)
+        lefts, rights, accepted = _accepted(matrix, next(_sturmian_images(matrix)))
         assert len(set(rights)) == len(rights) == len(lefts)
         assert accepted == [sorted(y for y in rights if x - y == ~x & y) for x in lefts]
 
