@@ -182,12 +182,12 @@ def _accepted(
 ) -> tuple[list[int], list[int], list[list[int]]]:
     """The :func:`_packed_chain` left and right members of this matrix,
     built from its standard pair, in chain order, and for each chain place
-    the right members its left member ``x`` accepts by ``x - y == ~x & y``,
-    in increasing order.
+    the set ``d = x - y`` of each right member ``y`` its left member ``x``
+    accepts by ``x - y == ~x & y``, in decreasing order of ``d``.
 
-    That test makes ``x - y`` the set of B positions, each a 0 of ``x``
-    just below a 1, so a subset of ``~x & (x >> 1)``: only the right
-    members in the window ``[x - (~x & x >> 1), x]`` are tested.
+    That test makes ``d`` the set of B positions, each a 0 of ``x`` just
+    below a 1, so a subset of ``~x & (x >> 1)``: only the right members in
+    the window ``[x - (~x & x >> 1), x]`` are tested.
     """
     lefts, rights = _packed_chain(matrix, *standard)
     ordered = sorted(rights)
@@ -197,7 +197,7 @@ def _accepted(
     for x in lefts:
         nx = x ^ full
         window = ordered[bisect_left(ordered, x - (nx & x >> 1)):bisect_right(ordered, x)]
-        accepted.append([y for y in window if x - y == nx & y])
+        accepted.append([d for y in window if (d := x - y) == nx & y])
     return lefts, rights, accepted
 
 
@@ -214,7 +214,7 @@ def brute_force_pairs(matrix: IntMatrix2) -> tuple[AmicablePair, ...]:
     ``p``.
     """
     chain = list(_pairs_chain(matrix))
-    _, rights, accepted = _accepted(matrix, chain[0])
+    lefts, rights, accepted = _accepted(matrix, chain[0])
     p, norm = matrix.p, matrix.norm
     k0 = _rotation_index(b"".join(chain[0]), coding_word_k(p, norm, 0).letters, p, norm)
     ks = [(k0 - i * p) % norm for i in range(len(chain))]
@@ -222,7 +222,9 @@ def brute_force_pairs(matrix: IntMatrix2) -> tuple[AmicablePair, ...]:
     # k is one-to-one on the chain places, so this sort never compares
     # two places and the pairs come out in (k, kbar) order
     labelled = sorted(
-        (k, *columns[y], i) for i, (k, ys) in enumerate(zip(ks, accepted)) for y in ys
+        (k, *columns[x - d], i)
+        for i, (k, x, ds) in enumerate(zip(ks, lefts, accepted))
+        for d in ds
     )
     # each morphism in an accepted pair, built once, by its chain place
     built: dict[int, Morphism] = {}
@@ -244,10 +246,10 @@ def brute_force_b_counts(matrix: IntMatrix2) -> Counter[int]:
     """The number of ordered amicable pairs with this matrix per B-count,
     the pairs of :func:`brute_force_pairs`, building no morphism and
     indexing none: the B-count of an accepted pair is that of the bits
-    ``[0, norm)`` of ``x - y``."""
-    lefts, _, accepted = _accepted(matrix, next(_pairs_chain(matrix)))
+    ``[0, norm)`` of its B-position set ``x - y``."""
+    accepted = _accepted(matrix, next(_pairs_chain(matrix)))[2]
     mask = (1 << matrix.norm) - 1
-    return Counter([((x - y) & mask).bit_count() for x, ys in zip(lefts, accepted) for y in ys])
+    return Counter([(d & mask).bit_count() for ds in accepted for d in ds])
 
 
 def ternarization_matrix(matrix: IntMatrix2, b0: int, b1: int) -> IntMatrix3:

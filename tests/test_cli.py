@@ -748,3 +748,57 @@ class TestEntryPoint:
         assert json.loads(first)["matrix"] == "0,1;1,0"
         assert b"Traceback" not in err, err.decode()
         assert proc.returncode == 1
+
+    def test_main_freezes_the_heap_it_starts_with(self):
+        # the collector is off, so only gc.collect() can reclaim the
+        # cycle the command makes: it does when the heap was frozen at
+        # the start of main, and would not had it been frozen at the end
+        script = """
+import gc, json, weakref
+import ietwords.cli as cli
+
+gc.disable()
+made = []
+
+class Node:
+    pass
+
+def handler(args):
+    node = Node()
+    node.self = node
+    made.append(weakref.ref(node))
+    yield {}
+    return "ok", {}
+
+cli._COMMANDS["std"] = (handler, *cli._COMMANDS["std"][1:])
+before = gc.get_freeze_count()
+code = cli.main(["std", "--matrix", "2,1;1,1"])
+after = gc.get_freeze_count()
+gc.collect()
+print(json.dumps([before, after, code, made[0]() is None]))
+"""
+        result = subprocess.run(
+            [sys.executable, "-c", script], cwd=SRC, capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        before, after, code, reclaimed = json.loads(result.stdout.splitlines()[-1])
+        assert before == 0
+        assert after > 0
+        assert code == 0
+        assert reclaimed
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", "counting", "--max-norm", "12"],
+        ["word3", "--alpha", "(3-1*sqrt(5))/2", "--beta", "1/4", "-n", "40"],
+        ["verify", "--suite", "counting", "--max-norm", "1"],
+    ])
+    def test_a_fresh_process_prints_what_main_prints(self, capsys, argv):
+        # the frozen heap is not torn down by a collection at exit: every
+        # buffered record still reaches a pipe, with the same exit code
+        result = subprocess.run(
+            [sys.executable, "-m", "ietwords", *argv],
+            cwd=SRC, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True, timeout=60,
+        )
+        code = main(argv)
+        assert (result.stdout, result.returncode) == (capsys.readouterr().out, code)
+        assert result.stdout.endswith("}\n")

@@ -340,7 +340,7 @@ class TestCandidateWindow:
         assert set(built) <= set(accepted)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(ietwords.matrices, "_packed_chain", lambda *_: ([x], rights))
-            assert _accepted(EXAMPLE, (b"", b""))[2] == [accepted]
+            assert [[x - d for d in ds] for ds in _accepted(EXAMPLE, (b"", b""))[2]] == [accepted]
 
     @settings(deadline=None)
     @given(st.sampled_from(list(unimodular_matrices(80))))
@@ -349,7 +349,9 @@ class TestCandidateWindow:
         # member of the chain, each a different morphism
         lefts, rights, accepted = _accepted(matrix, next(_sturmian_images(matrix)))
         assert len(set(rights)) == len(rights) == len(lefts)
-        assert accepted == [sorted(y for y in rights if x - y == ~x & y) for x in lefts]
+        assert [[x - d for d in ds] for x, ds in zip(lefts, accepted)] == [
+            sorted(y for y in rights if x - y == ~x & y) for x in lefts
+        ]
 
     def test_b_histogram_is_the_three_scans_through_norm_40(self):
         for matrix in unimodular_matrices(40):
