@@ -309,8 +309,11 @@ def _preservation_checker(
     every ``eta`` the caller passes, and ``summed`` adds that bound up
     over the projections it may decide: ``n`` times each is checked
     against its cap, :data:`MAX_PROJECTION_LETTERS` and
-    :data:`MAX_PRESERVE_LETTERS`.
+    :data:`MAX_PRESERVE_LETTERS`.  ``n`` is checked first, so that a
+    negative one is named as ``n`` and not as a negative product.
     """
+    if n < 1:
+        raise DomainError("coding length must be a positive integer")
     _require_range(n * longest, 0, MAX_PROJECTION_LETTERS, "projection length")
     _require_range(n * summed, 0, MAX_PRESERVE_LETTERS, "summed projection length")
     if not is_nondegenerate_params(transform):

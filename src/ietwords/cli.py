@@ -32,7 +32,6 @@ from .errors import IetWordsError, NotAmicableError, _require_range
 from .iet import (
     ThreeIET,
     TwoIET,
-    coding_word_k,
     is_nondegenerate_params,
     three_iet_code,
     two_iet_code,
@@ -46,7 +45,7 @@ from .matrices import (
     unimodular_matrices,
 )
 from .morphisms import (
-    _rotation_index,
+    _chain_indices,
     IntMatrix2,
     IntMatrix3,
     Morphism,
@@ -111,16 +110,9 @@ def _cmd_std(args) -> Records:
 def _cmd_enum(args) -> Records:
     matrix = IntMatrix2.parse(args.matrix)
     chain = enumerate_sturmian(matrix)
-    c0 = coding_word_k(matrix.p, matrix.norm, 0).letters
-    for i, m in enumerate(chain):
-        yield {
-            "index": i,
-            "morphism": str(m),
-            "k": _rotation_index(
-                m.images[0].letters + m.images[1].letters, c0, matrix.p, matrix.norm
-            ),
-            "standard": is_standard_morphism(m),
-        }
+    first = tuple(image.letters for image in chain[0].images)
+    for i, (m, k) in enumerate(zip(chain, _chain_indices(matrix, first, len(chain)))):
+        yield {"index": i, "morphism": str(m), "k": k, "standard": is_standard_morphism(m)}
     status = "ok" if len(chain) == matrix.norm - 1 else "property-false"
     return status, {"count": len(chain), "expected": matrix.norm - 1}
 
@@ -251,32 +243,24 @@ def _cmd_probe(args) -> Records:
     return "ok", {"members": len(report.members())}
 
 
-# the optional flags of ``verify`` by argparse dest, which is also the
-# suite's keyword, and the flags each suite takes
-_VERIFY_FLAGS = {
-    "max_norm": "--max-norm",
-    "samples": "--samples",
-    "seed": "--seed",
-    "n": "-n",
-    "kmax": "--kmax",
+# each suite's keywords, which are also the argparse dests of its
+# ``verify`` flags.  Read from the code objects, so that importing the
+# CLI does not load inspect, and here, before a tracer can wrap the suites
+_SUITE_KEYWORDS = {
+    name: suite.__code__.co_varnames[:suite.__code__.co_argcount]
+    for name, suite in verification.SUITES.items()
 }
-_SUITE_FLAGS = {
-    "counting": {"max_norm"},
-    "lemma-w": {"max_norm"},
-    "matrices": {"max_norm"},
-    "monoid": {"max_norm", "samples", "seed"},
-    "preserve": {"max_norm", "n", "kmax"},
-}
+_VERIFY_KEYWORDS = tuple(dict.fromkeys(k for keys in _SUITE_KEYWORDS.values() for k in keys))
+
+
+def _flag(keyword: str) -> str:
+    """The ``verify`` flag of a suite keyword: ``-n``, ``--max-norm``."""
+    return "-" + keyword if len(keyword) == 1 else "--" + keyword.replace("_", "-")
 
 
 def _cmd_verify(args) -> Records:
-    kwargs = {
-        dest: getattr(args, dest)
-        for dest in _VERIFY_FLAGS
-        if getattr(args, dest) is not None
-    }
-    unread = [flag for dest, flag in _VERIFY_FLAGS.items()
-              if dest in kwargs and dest not in _SUITE_FLAGS[args.suite]]
+    kwargs = {k: getattr(args, k) for k in _VERIFY_KEYWORDS if getattr(args, k) is not None}
+    unread = [_flag(k) for k in kwargs if k not in _SUITE_KEYWORDS[args.suite]]
     if unread:
         raise IetWordsError(f"--suite {args.suite} does not take {', '.join(unread)}")
     ok, summary = yield from verification.SUITES[args.suite](**kwargs)
@@ -337,11 +321,7 @@ _COMMANDS: dict[str, tuple[Callable, str, tuple[tuple[str, dict], ...]]] = {
     )),
     "verify": (_cmd_verify, "run a verification suite", (
         ("--suite", {"required": True, "choices": sorted(verification.SUITES)}),
-        ("--max-norm", {"type": int}),
-        ("--samples", {"type": int}),
-        ("--seed", {"type": int}),
-        ("-n", {"type": int}),
-        ("--kmax", {"type": int}),
+        *((_flag(k), {"type": int}) for k in _VERIFY_KEYWORDS),
     )),
 }
 

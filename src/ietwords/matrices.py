@@ -40,16 +40,14 @@ from .errors import (
     NotUnimodularError,
     _require_range,
 )
-from .iet import coding_word_k
 from .morphisms import (
     _binary_morphism,
-    _rotation_index,
+    _chain_indices,
     _sturmian_images,
     IntMatrix2,
     IntMatrix3,
     Morphism,
     compose,
-    incidence_matrix,
 )
 
 E_MATRIX = IntMatrix3(((0, 1, 1), (-1, 0, 1), (-1, -1, 0)))
@@ -208,16 +206,12 @@ def brute_force_pairs(matrix: IntMatrix2) -> tuple[AmicablePair, ...]:
     Independent of the closed formulas above: each candidate pair is
     decided by the ternarization scan alone, through its bit test in
     :func:`_accepted`; the scan itself runs on the accepted pairs only,
-    to build ``eta``.  Only the first morphism of the chain is indexed by
-    a search: each later one is its rotation by one letter, which moves
-    the image of 01 one place in the coding word for 0, lowering ``k`` by
-    ``p``.
+    to build ``eta``.  The chain places are indexed from the first one
+    by a single search, in ``morphisms._chain_indices``.
     """
     chain = list(_pairs_chain(matrix))
     lefts, rights, accepted = _accepted(matrix, chain[0])
-    p, norm = matrix.p, matrix.norm
-    k0 = _rotation_index(b"".join(chain[0]), coding_word_k(p, norm, 0).letters, p, norm)
-    ks = [(k0 - i * p) % norm for i in range(len(chain))]
+    ks = _chain_indices(matrix, chain[0], len(chain))
     columns = {y: (kbar, j) for j, (kbar, y) in enumerate(zip(ks, rights))}
     # k is one-to-one on the chain places, so this sort never compares
     # two places and the pairs come out in (k, kbar) order

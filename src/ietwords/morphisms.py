@@ -339,21 +339,28 @@ def is_standard_morphism(morphism: Morphism) -> bool:
 
     Decided by reverse decomposition on the words themselves (strip the
     shorter image off the longer one until the base pair appears), which
-    is independent of the Parikh-level construction above.
+    is independent of the Parikh-level construction above.  Each step of
+    the decomposition strips at once all the copies of the shorter image
+    that leave the longer one non-empty, as a Euclid step by quotient.
     """
     if morphism.alphabet is not Alphabet.BINARY:
         raise AlphabetError("standard morphisms are binary")
 
     def reduces(x: bytes, y: bytes) -> bool:
-        while True:
-            if (x, y) == (b"\x00", b"\x01"):
-                return True
-            if len(y) > len(x) and y.startswith(x):
-                y = y[len(x):]
-            elif len(x) > len(y) and x.startswith(y):
-                x = x[len(y):]
+        # the images stay non-empty once they are: an empty one is in no
+        # standard pair, and the base pair has equal lengths
+        while x and y and len(x) != len(y):
+            if len(x) < len(y):
+                q = (len(y) - 1) // len(x)
+                if not y.startswith(x * q):
+                    return False
+                y = y[q * len(x):]
             else:
-                return False
+                q = (len(x) - 1) // len(y)
+                if not x.startswith(y * q):
+                    return False
+                x = x[q * len(y):]
+        return (x, y) == (b"\x00", b"\x01")
 
     first, second = (image.letters for image in morphism.images)
     return reduces(first, second) or reduces(second, first)
@@ -379,8 +386,9 @@ def right_conjugate_step(morphism: Morphism) -> Morphism | None:
 
 # the largest norm N of a matrix whose Sturmian morphisms are listed
 # (``enum --matrix``): N - 1 morphisms of N letters each.  On a 2-core
-# x86-64 host ``enum --matrix 5000,1;4999,1`` takes 18 s and 0.11 GB,
-# and prints 100 MB
+# x86-64 host ``enum`` at norm 4996-4999 (``2499,1;2498,1``,
+# ``1,1;2497,2498``, ``1250,1249;1249,1248``) takes 0.3-0.4 s and 40 MB
+# in a fresh process, and prints 25 MB
 MAX_ENUM_NORM = 5000
 
 
@@ -396,34 +404,35 @@ def enumerate_sturmian(matrix: IntMatrix2) -> tuple[Morphism, ...]:
     return tuple(map(_binary_morphism, _sturmian_images(matrix)))
 
 
-_WORD_01 = FiniteWord(Alphabet.BINARY, b"\x00\x01")
-
-
 def k_index(morphism: Morphism) -> int:
     """The unique ``k`` with ``morphism(01) == coding_word_k(p, N, k)``,
-    where N is the matrix norm and p the count of zeros in the image.
+    where N is the matrix norm and p the count of zeros in the image."""
+    matrix = incidence_matrix(morphism)
+    if not isinstance(matrix, IntMatrix2) or not matrix.is_unimodular:
+        raise NotSturmianError(f"{morphism} has no unimodular incidence matrix")
+    return _chain_indices(matrix, tuple(image.letters for image in morphism.images), 1)[0]
+
+
+def _chain_indices(matrix: IntMatrix2, images: tuple[bytes, ...], length: int) -> list[int]:
+    """The :func:`k_index` of the morphism with letter images ``images``
+    and matrix ``matrix``, and of the ``length - 1`` places after it in
+    its conjugation chain, from one search.
 
     Position ``i`` of ``coding_word_k(p, N, k)`` depends on ``k - i*p``
     only, so the word for ``k`` is the rotation of the word for 0 by the
     ``j`` with ``k == -j*p (mod N)``.  One search in the doubled word for
-    0 finds ``j``.
+    0 finds ``j``.  The next chain place rotates both images by their
+    shared first letter, which rotates the image of 01 by one letter: it
+    moves one place on in the word for 0, lowering ``k`` by ``p``.
     """
-    matrix = incidence_matrix(morphism)
-    if not isinstance(matrix, IntMatrix2) or not matrix.is_unimodular:
-        raise NotSturmianError(f"{morphism} has no unimodular incidence matrix")
-    c0 = coding_word_k(matrix.p, matrix.norm, 0).letters
-    return _rotation_index(morphism(_WORD_01).letters, c0, matrix.p, matrix.norm)
-
-
-def _rotation_index(image01: bytes, c0: bytes, p: int, norm: int) -> int:
-    """``k_index`` of a morphism with image ``image01`` of 01, given
-    ``c0 = coding_word_k(p, norm, 0).letters``; a caller indexing every
-    morphism of one matrix codes ``c0`` once."""
+    p, norm = matrix.p, matrix.norm
+    c0 = coding_word_k(p, norm, 0).letters
+    image01 = b"".join(images)
     j = (c0 + c0).find(image01)
     if j < 0:
         image = FiniteWord(Alphabet.BINARY, image01)
         raise NotSturmianError(f"image {image} of 01 is not a rotation coding word")
-    return (-j * p) % norm
+    return [(-(j + i) * p) % norm for i in range(length)]
 
 
 def is_sturmian_morphism(morphism: Morphism) -> bool:

@@ -2,11 +2,14 @@
 checker reject their own out-of-range arguments before any work, so a
 direct call is bounded as the command line is."""
 
+import json
+
 import pytest
 
 from ietwords import ZERO, IntMatrix2, Morphism, ThreeIET, amicability, check_3iet_preservation
 from ietwords import matrices, morphisms, verification
 from ietwords.amicability import MAX_PRESERVE_LETTERS, MAX_PROJECTION_LETTERS
+from ietwords.cli import main
 from ietwords.errors import DomainError
 from ietwords.matrices import MAX_PAIRS_NORM
 from ietwords.morphisms import MAX_ENUM_NORM
@@ -114,6 +117,27 @@ def test_preserve_suite_letters_above_the_cap_code_nothing(coding_raises):
     # the longest letter image of the suite is max_norm letters
     with pytest.raises(DomainError, match="projection length must be at most"):
         run_suite("preserve", max_norm=2, n=MAX_PROJECTION_LETTERS // 2 + 1)
+
+
+@pytest.mark.parametrize("n", ["-3", "0"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["preserve", "--eta", "A->AB,B->ABABB,C->ABAC",
+         "--alpha", "(3-1*sqrt(5))/2", "--beta", "1/4"],
+        ["verify", "--suite", "preserve"],
+    ],
+    ids=["preserve", "verify"],
+)
+def test_n_below_1_is_named_before_any_letter_is_coded(capsys, coding_raises, argv, n):
+    # checked before its product with the longest image, which would be
+    # reported as a negative projection length
+    assert main([*argv, "-n", n]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "command": argv[0],
+        "error": "coding length must be a positive integer",
+        "status": "invalid-input",
+    }
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ import ietwords.amicability
 import ietwords.cli
 import ietwords.matrices
 import ietwords.morphisms
-from ietwords import IntMatrix2, count_formula_total, verification
+from ietwords import IntMatrix2, Morphism, count_formula_total, k_index, verification
 from ietwords.cli import MAX_COUNT_NORM, main
 from ietwords.errors import IetWordsError
 from ietwords.matrices import MAX_PAIRS_NORM
@@ -90,6 +90,18 @@ class TestEnumerationCommands:
         assert summary["count"] == 7 and summary["expected"] == 7
         assert sum(row["standard"] for row in rows) == 1
         assert len({row["k"] for row in rows}) == 7
+
+    def test_enum_k_is_the_k_index_of_each_morphism(self, capsys):
+        # enum indexes a chain by one search: every record's k is the one
+        # k_index searches for, over every matrix of norm at most 30
+        checked = 0
+        for matrix in ietwords.matrices.unimodular_matrices(30):
+            code, records, _ = run(capsys, "enum", "--matrix", str(matrix))
+            assert code == 0
+            for record in records[:-1]:
+                assert record["k"] == k_index(Morphism.parse(record["morphism"])), record
+                checked += 1
+        assert checked == 10_646
 
     def test_pairs_records_carry_full_witness(self, capsys):
         code, records, _ = run(capsys, "pairs", "--matrix", "2,1;3,2")
@@ -491,13 +503,45 @@ class TestVerifyCommand:
         assert code == 2
         assert records[0]["error"] == "--suite monoid does not take -n, --kmax"
 
+    @pytest.mark.parametrize(
+        ("name", "unread"),
+        [
+            ("counting", "--samples, --seed, -n, --kmax"),
+            ("lemma-w", "--samples, --seed, -n, --kmax"),
+            ("matrices", "--samples, --seed, -n, --kmax"),
+            ("monoid", "-n, --kmax"),
+            ("preserve", "--samples, --seed"),
+        ],
+    )
+    def test_each_suite_names_every_flag_it_does_not_take(self, capsys, name, unread):
+        every_flag = ["--max-norm", "4", "--samples", "3", "--seed", "2", "-n", "5", "--kmax", "3"]
+        code, records, _ = run(capsys, "verify", "--suite", name, *every_flag)
+        assert code == 2
+        assert records == [{
+            "command": "verify",
+            "error": f"--suite {name} does not take {unread}",
+            "status": "invalid-input",
+        }]
+
+    def test_flags_are_read_from_the_suites_as_imported(self, capsys, monkeypatch):
+        # a tracer may wrap a suite as (*args, **kwargs) after the CLI is
+        # imported; the flags each suite takes do not change with it
+        suite = verification.SUITES["counting"]
+        monkeypatch.setitem(
+            verification.SUITES, "counting", lambda *args, **kwargs: suite(*args, **kwargs)
+        )
+        code, records, _ = run(capsys, "verify", "--suite", "counting", "--max-norm", "5")
+        assert code == 0 and records[-1]["max_norm"] == 5
+        code, records, _ = run(capsys, "verify", "--suite", "counting", "--seed", "5")
+        assert code == 2
+        assert records[0]["error"] == "--suite counting does not take --seed"
+
     @pytest.mark.parametrize("name", sorted(verification.SUITES))
     def test_flag_table_matches_the_suite_signatures(self, name):
-        # the table is written out, so that importing the CLI need not
-        # load inspect; this keeps it in step with the suites
-        parameters = set(inspect.signature(verification.SUITES[name]).parameters)
-        assert ietwords.cli._SUITE_FLAGS[name] == parameters
-        assert parameters <= set(ietwords.cli._VERIFY_FLAGS)
+        # the table is read from the suites' code objects, so that
+        # importing the CLI need not load inspect; inspect agrees with it
+        parameters = tuple(inspect.signature(verification.SUITES[name]).parameters)
+        assert ietwords.cli._SUITE_KEYWORDS[name] == parameters
 
     def test_counting_at_benchmark_scale_is_deterministic(self, capsys):
         outputs = []

@@ -24,7 +24,6 @@ from ietwords import (
     brute_force_b_counts,
     brute_force_pairs,
     classify_matrix3,
-    coding_word_k,
     conjecture_probe,
     count_formula_b,
     count_formula_total,
@@ -46,7 +45,7 @@ from ietwords.matrices import (
     _packed_chain,
     block_conjugated_matrix,
 )
-from ietwords.morphisms import _rotation_index, _sturmian_images
+from ietwords.morphisms import _binary_morphism, _sturmian_images
 from ietwords.verification import run_suite
 from scan_loop import scan_loop, scan_loop_b
 
@@ -156,14 +155,12 @@ def scan_loop_pairs(matrix):
 def three_scan_decisions(matrix):
     """The decisions of the brute force by three bit tests per candidate
     pair, on a chain whose every morphism is read from its letters and
-    indexed by a search: the oracle of the packed test and of the
-    chain-step k in brute_force_pairs."""
-    p, norm = matrix.p, matrix.norm
-    c0 = coding_word_k(p, norm, 0).letters
+    indexed by the public k_index: the oracle of the packed test and of
+    the chain-step k in brute_force_pairs."""
     rows = []
     for left, right in _sturmian_images(matrix):
         x0, x1 = _letters_int(left), _letters_int(right)
-        k = _rotation_index(left + right, c0, p, norm)
+        k = k_index(_binary_morphism((left, right)))
         rows.append((k, (left, right), x0, x1, x0 | x1 << len(left), x1 | x0 << len(right)))
     rows.sort()
     decisions = []
@@ -261,11 +258,11 @@ class TestPackedDecisions:
         assert (phi, psi) not in [(a, c) for _, a, _, c, _ in pair_decisions(matrix)]
 
     def test_each_matrix_reads_one_morphism(self, monkeypatch):
-        # only the standard pair is read from its letters, and it is
-        # indexed by a search only where the pairs are labelled; the rest
-        # of the chain follows from it
+        # only the standard pair is read from its letters, and the chain
+        # is indexed from it by one call only where the pairs are
+        # labelled; the rest of the chain follows from it
         calls = Counter()
-        for name in ("_letters_int", "_rotation_index"):
+        for name in ("_letters_int", "_chain_indices"):
             def counted(*args, _name=name, _original=getattr(ietwords.matrices, name)):
                 calls[_name] += 1
                 return _original(*args)
@@ -278,7 +275,7 @@ class TestPackedDecisions:
         calls.clear()
         for matrix in checked:
             brute_force_pairs(matrix)
-        assert calls == {"_letters_int": 2 * len(checked), "_rotation_index": len(checked)}
+        assert calls == {"_letters_int": 2 * len(checked), "_chain_indices": len(checked)}
 
     def test_a_chain_past_its_length_is_rejected(self):
         # images that always start with the same letter never end the

@@ -28,6 +28,8 @@ from ietwords import (
     ternary_word,
     unimodular_matrices,
 )
+from ietwords.morphisms import _chain_indices
+from standard_loop import standard_loop
 
 PHI = Morphism.parse("0->001,1->00101")
 PSI = Morphism.parse("0->010,1->01001")
@@ -162,6 +164,35 @@ class TestStandardMorphism:
         for matrix in unimodular_matrices(9):
             assert is_standard_morphism(standard_morphism(matrix))
 
+    def test_euclid_steps_agree_with_the_subtraction_loop_on_every_chain(self):
+        checked = 0
+        for matrix in unimodular_matrices(40):
+            for m in enumerate_sturmian(matrix):
+                x, y = (image.letters for image in m.images)
+                assert is_standard_morphism(m) == (
+                    standard_loop(x, y) or standard_loop(y, x)
+                ), m
+                checked += 1
+        assert checked == 25_242
+
+    def test_euclid_steps_agree_with_the_subtraction_loop_on_short_words(self):
+        # every pair of binary words of 1 to 7 letters, standard or not
+        words = [
+            binary_word(format(i, f"0{n}b")) for n in range(1, 8) for i in range(1 << n)
+        ]
+        standard = 0
+        for x in words:
+            for y in words:
+                expected = standard_loop(x.letters, y.letters) or standard_loop(y.letters, x.letters)
+                assert is_standard_morphism(Morphism(Alphabet.BINARY, (x, y))) == expected, (x, y)
+                standard += expected
+        assert len(words) == 254 and standard > 0
+
+    def test_an_empty_image_is_not_standard(self):
+        # the subtraction loop never ends on an empty image
+        for text in ("0->,1->01", "0->01,1->", "0->,1->"):
+            assert not is_standard_morphism(Morphism.parse(text))
+
 
 class TestRightConjugates:
     def test_examples(self):
@@ -260,12 +291,16 @@ class TestKIndex:
     def test_each_chain_step_lowers_k_by_p(self):
         # rotating both images by their shared first letter rotates the
         # image of 01, which moves it by one place in the coding word for
-        # 0: the fact by which the brute force indexes a chain read once
+        # 0: the fact by which _chain_indices indexes a chain from one
+        # search, for the brute force and for enum
         checked = 0
         for matrix in unimodular_matrices(40):
-            indices = [k_index(m) for m in enumerate_sturmian(matrix)]
+            chain = enumerate_sturmian(matrix)
+            indices = [k_index(m) for m in chain]
             for k, following in zip(indices, indices[1:]):
                 assert following == (k - matrix.p) % matrix.norm, str(matrix)
+            first = tuple(image.letters for image in chain[0].images)
+            assert _chain_indices(matrix, first, len(chain)) == indices, str(matrix)
             checked += len(indices)
         assert checked == 25_242
 
