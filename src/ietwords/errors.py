@@ -7,6 +7,8 @@ because they all signal bad values rather than broken state.
 
 from __future__ import annotations
 
+import sys
+
 
 class IetWordsError(Exception):
     """Base class for all errors raised by this package."""
@@ -32,6 +34,15 @@ def _require_range(value: int, minimum: int, maximum: int, flag: str) -> None:
         raise DomainError(f"{flag} must be at least {minimum}, got {value}")
     if value > maximum:
         raise DomainError(f"{flag} must be at most {maximum}, got {value}")
+
+
+def _digit_limit_error(token: str, where: str) -> ParseError:
+    """The error for an integer ``token`` of a ``matrix entry`` or a
+    ``quadratic literal`` (``where``) longer than the digit limit."""
+    return ParseError(
+        f"integer of {len(token.lstrip('+-'))} digits in {where} exceeds "
+        f"the limit of {sys.get_int_max_str_digits()} digits"
+    )
 
 
 class FieldMismatchError(IetWordsError, ValueError):

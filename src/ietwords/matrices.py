@@ -37,18 +37,20 @@ from .errors import (
     DomainError,
     InfeasibleMatrixError,
     MatrixDecompositionError,
-    NotUnimodularError,
     _require_range,
 )
 from .morphisms import (
     _binary_morphism,
     _chain_indices,
-    _sturmian_images,
+    _chain_place,
+    _require_unimodular,
+    _standard_images,
     IntMatrix2,
     IntMatrix3,
     Morphism,
     compose,
 )
+from .words import parikh
 
 E_MATRIX = IntMatrix3(((0, 1, 1), (-1, 0, 1), (-1, -1, 0)))
 
@@ -72,11 +74,6 @@ PRESERVING_NONMEMBER = Morphism.parse("A->B,B->CAC,C->C")
 # 124,125;125,126`` (norm 500, the most pairs there) takes 9 s and
 # 0.13 GB, and prints 180 MB
 MAX_PAIRS_NORM = 500
-
-
-def _require_unimodular(matrix: IntMatrix2) -> None:
-    if not matrix.is_unimodular:
-        raise NotUnimodularError(f"matrix {matrix} has determinant {matrix.det}")
 
 
 def unimodular_matrices(max_norm: int) -> Iterator[IntMatrix2]:
@@ -136,8 +133,8 @@ def _packed_chain(
     matrix: IntMatrix2, left: bytes, right: bytes
 ) -> tuple[list[int], list[int]]:
     """The :func:`_packed` left and right members of every Sturmian
-    morphism with this matrix, in the order of ``_sturmian_images``, from
-    its standard pair ``left, right`` alone.
+    morphism with this matrix, in chain order, from its standard pair
+    ``left, right`` alone.
 
     Each later morphism rotates both images by their shared first letter,
     which shifts every packed field down one bit: the letter leaves the
@@ -147,7 +144,7 @@ def _packed_chain(
     the shift filled from a guard bit or from above the last field, and
     the two guard bits, which it filled from a field.  The chain ends at
     the first morphism whose images start with different letters, within
-    ``norm`` morphisms as ``_sturmian_images`` checks.
+    ``norm`` morphisms as ``morphisms._sturmian_images`` checks.
     """
     norm, n0 = matrix.norm, len(left)
     x, y = _packed(_letters_int(left), _letters_int(right), n0, len(right))
@@ -166,13 +163,13 @@ def _packed_chain(
     raise MatrixDecompositionError(f"conjugation chain for {matrix} exceeded expected length")
 
 
-def _pairs_chain(matrix: IntMatrix2) -> Iterator[tuple[bytes, bytes]]:
-    """``_sturmian_images(matrix)``, once the matrix is unimodular and its
-    norm at most :data:`MAX_PAIRS_NORM`, so that no chain is built for a
+def _pairs_standard(matrix: IntMatrix2) -> tuple[bytes, bytes]:
+    """``_standard_images(matrix)``, once the matrix is unimodular and its
+    norm at most :data:`MAX_PAIRS_NORM`, so that no letter is built for a
     rejected matrix."""
     _require_unimodular(matrix)
     _require_range(matrix.norm, 2, MAX_PAIRS_NORM, "matrix norm")
-    return _sturmian_images(matrix)
+    return _standard_images(matrix)
 
 
 def _accepted(
@@ -209,9 +206,9 @@ def brute_force_pairs(matrix: IntMatrix2) -> tuple[AmicablePair, ...]:
     to build ``eta``.  The chain places are indexed from the first one
     by a single search, in ``morphisms._chain_indices``.
     """
-    chain = list(_pairs_chain(matrix))
-    lefts, rights, accepted = _accepted(matrix, chain[0])
-    ks = _chain_indices(matrix, chain[0], len(chain))
+    standard = _pairs_standard(matrix)
+    lefts, rights, accepted = _accepted(matrix, standard)
+    ks = _chain_indices(matrix, standard, len(lefts))
     columns = {y: (kbar, j) for j, (kbar, y) in enumerate(zip(ks, rights))}
     # k is one-to-one on the chain places, so this sort never compares
     # two places and the pairs come out in (k, kbar) order
@@ -226,7 +223,7 @@ def brute_force_pairs(matrix: IntMatrix2) -> tuple[AmicablePair, ...]:
     for k, kbar, j, i in labelled:
         for index in (i, j):
             if index not in built:
-                built[index] = _binary_morphism(chain[index])
+                built[index] = _binary_morphism(_chain_place(standard, index))
         phi, psi = built[i], built[j]
         eta = ternarize_morphisms(phi, psi)
         b0, b1, b = b_counts(eta)
@@ -241,7 +238,7 @@ def brute_force_b_counts(matrix: IntMatrix2) -> Counter[int]:
     the pairs of :func:`brute_force_pairs`, building no morphism and
     indexing none: the B-count of an accepted pair is that of the bits
     ``[0, norm)`` of its B-position set ``x - y``."""
-    accepted = _accepted(matrix, next(_pairs_chain(matrix)))[2]
+    accepted = _accepted(matrix, _pairs_standard(matrix))[2]
     mask = (1 << matrix.norm) - 1
     return Counter([(d & mask).bit_count() for ds in accepted for d in ds])
 
@@ -372,6 +369,14 @@ class ProbeReport(Value):
         return tuple(r for r in self.records if r.member)
 
 
+# the most letters in the images of the candidates of ``conjecture_probe``,
+# about the square of the length of ``eta``.  On a 2-core x86-64 host
+# ``probe --eta "A->A^5474,B->B,C->C"`` (29 997 532 letters) takes 0.8 s
+# and 0.30 GB in a fresh process, and the 17th power of
+# ``FIBONACCI_TERNARY`` (3.7e7 letters, three members) 2.3 s and 0.40 GB
+MAX_PROBE_LETTERS = 3 * 10**7
+
+
 def conjecture_probe(eta: Morphism) -> ProbeReport:
     """Test ``eta`` and its companion composites for membership in the
     ternarization monoid.
@@ -379,14 +384,26 @@ def conjecture_probe(eta: Morphism) -> ProbeReport:
     Candidates: eta itself, its square, and its compositions with the
     A<->C swap and the Fibonacci ternarization (in that order and
     combined).  Evidence only -- a fully negative report proves nothing.
+    More than :data:`MAX_PROBE_LETTERS` letters in their images, counted
+    from the lengths of those of ``eta``, are rejected before composing.
     """
-    candidates = (
-        ("eta", eta),
-        ("eta^2", compose(eta, eta)),
-        ("eta*ac_swap", compose(eta, AC_SWAP)),
-        ("eta*fib_ternary", compose(eta, FIBONACCI_TERNARY)),
-        ("eta*ac_swap*fib_ternary", compose(eta, compose(AC_SWAP, FIBONACCI_TERNARY))),
+    inners = (
+        ("eta", Morphism.identity(eta.alphabet)),
+        ("eta^2", eta),
+        ("eta*ac_swap", AC_SWAP),
+        ("eta*fib_ternary", FIBONACCI_TERNARY),
+        ("eta*ac_swap*fib_ternary", compose(AC_SWAP, FIBONACCI_TERNARY)),
     )
+    lengths = [len(image) for image in eta.images]
+    # |eta(g(a))| is the sum over b of |eta(b)| times the count of b in g(a)
+    letters = sum(
+        count * length
+        for _, inner in inners
+        for image in inner.images
+        for count, length in zip(parikh(image), lengths)
+    )
+    _require_range(letters, 0, MAX_PROBE_LETTERS, "letters in the probe candidates")
+    candidates = tuple((label, compose(eta, inner)) for label, inner in inners)
     records = tuple(
         ProbeRecord(label, candidate, ternarization_membership(candidate))
         for label, candidate in candidates

@@ -2,15 +2,15 @@
 
 The binary half implements the classical structure theory of Sturmian
 morphisms: every non-negative matrix with determinant +-1 carries
-exactly one standard morphism (built here by reverse L/R decomposition
-on Parikh vectors), and the full set of Sturmian morphisms with that
-matrix is the chain of successive right conjugates of the standard one.
+exactly one standard morphism (built here by Euclid steps on the rows
+of the matrix), and the full set of Sturmian morphisms with that matrix
+is the chain of successive right conjugates of the standard one, each a
+rotation of the standard pair.
 """
 
 from __future__ import annotations
 
 import re
-import sys
 from typing import Iterator
 
 from ._value import Value
@@ -21,9 +21,10 @@ from .errors import (
     NotSturmianError,
     NotUnimodularError,
     ParseError,
+    _digit_limit_error,
     _require_range,
 )
-from .iet import coding_word_k
+from .iet import MAX_CODING_LENGTH, coding_word_k
 from .words import Alphabet, FiniteWord, _substitute, parikh
 
 
@@ -172,16 +173,12 @@ _INT_RE = re.compile(r"[+-]?\d+")
 
 def _matrix_entry(cell: str, text: str) -> int:
     """One entry of a parsed matrix; a run of digits that ``int`` refuses
-    is longer than the interpreter's digit limit
-    (``sys.get_int_max_str_digits``)."""
+    is longer than the interpreter's digit limit."""
     try:
         return int(cell)
     except ValueError:
         if _INT_RE.fullmatch(cell):
-            raise ParseError(
-                f"integer of {len(cell.lstrip('+-'))} digits in matrix entry exceeds "
-                f"the limit of {sys.get_int_max_str_digits()} digits"
-            ) from None
+            raise _digit_limit_error(cell, "matrix entry") from None
         raise ParseError(f"invalid matrix entry {cell!r} in {text!r}") from None
 
 
@@ -265,63 +262,66 @@ def incidence_matrix(morphism: Morphism) -> IntMatrix2 | IntMatrix3:
     return IntMatrix3(rows)
 
 
-_BASE_ROWS = ((1, 0), (0, 1))
+def _require_unimodular(matrix: IntMatrix2) -> None:
+    if not matrix.is_unimodular:
+        raise NotUnimodularError(f"matrix {matrix} has determinant {matrix.det}")
 
 
-def _lr_reduction(rows: tuple[tuple[int, int], tuple[int, int]]) -> list[str]:
-    """Peel a determinant +1 non-negative matrix down to the identity,
-    recording which pair operator produced each layer.
+def _standard_images(matrix: IntMatrix2) -> tuple[bytes, bytes]:
+    """The letter strings of the images of 0 and 1 of the standard
+    morphism with this matrix.
 
-    ``L`` adds the first row into the second, ``R`` the second into the
-    first; for a unimodular matrix exactly one subtraction keeps the
-    entries non-negative at every step.
+    The rows, exchanged for determinant -1, are reduced to the identity
+    by Euclid steps, each taking from one row the most copies of the
+    other that keep the entries non-negative; replayed in reverse from
+    ``0, 1``, the steps build the pair that :func:`is_standard_morphism`
+    decomposes, exchanged back for determinant -1.
     """
-    r1, r2 = rows
-    ops: list[str] = []
-    guard = r1[0] + r1[1] + r2[0] + r2[1]
-    while (r1, r2) != _BASE_ROWS:
-        if guard < 0:
-            raise MatrixDecompositionError(f"reduction of {rows} does not terminate")
-        if r2[0] >= r1[0] and r2[1] >= r1[1]:
-            ops.append("L")
-            r2 = (r2[0] - r1[0], r2[1] - r1[1])
-        elif r1[0] >= r2[0] and r1[1] >= r2[1]:
-            ops.append("R")
-            r1 = (r1[0] - r2[0], r1[1] - r2[1])
+    _require_unimodular(matrix)
+    r1, r2 = matrix.rows() if matrix.det == 1 else matrix.rows()[::-1]
+    # each step takes at least one copy of a non-zero row, and no row of
+    # a unimodular matrix is zero, so the entries fall at every step
+    steps = []
+    while (r1, r2) != ((1, 0), (0, 1)):
+        if q := min(b // a for a, b in zip(r1, r2) if a):
+            steps.append((q, True))
+            r2 = (r2[0] - q * r1[0], r2[1] - q * r1[1])
+        elif q := min(a // b for a, b in zip(r1, r2) if b):
+            steps.append((q, False))
+            r1 = (r1[0] - q * r2[0], r1[1] - q * r2[1])
         else:
             raise MatrixDecompositionError(
                 f"rows {r1}, {r2} admit no non-negative L/R reduction"
             )
-        guard -= 1
-    return ops
+    x, y = b"\x00", b"\x01"
+    for q, from_second in reversed(steps):
+        if from_second:
+            y = x * q + y
+        else:
+            x = y * q + x
+    return (x, y) if matrix.det == 1 else (y, x)
+
+
+def _chain_place(images: tuple[bytes, bytes], i: int) -> tuple[bytes, bytes]:
+    """Place ``i`` of the conjugation chain of the standard pair ``images``:
+    both images rotated by ``i`` letters, as ``i`` steps of
+    :func:`right_conjugate_step` rotate them by their shared first letter."""
+    x, y = images
+    i, j = i % len(x), i % len(y)
+    return x[i:] + x[:i], y[j:] + y[:j]
 
 
 def _sturmian_images(matrix: IntMatrix2) -> Iterator[tuple[bytes, bytes]]:
     """The letter strings of the images of 0 and 1 of every Sturmian
-    morphism with this matrix, in the order of :func:`enumerate_sturmian`.
-
-    Replaying the operators of :func:`_lr_reduction` on letter strings
-    builds the standard pair, swapped for determinant -1; while both
-    images start with the same letter, rotating it to their ends gives
-    the next right conjugate, as :func:`right_conjugate_step` does.
-    """
-    det = matrix.det
-    if abs(det) != 1:
-        raise NotUnimodularError(f"matrix {matrix} has determinant {det}")
-    rows = matrix.rows() if det == 1 else (matrix.rows()[1], matrix.rows()[0])
-    x, y = b"\x00", b"\x01"
-    for op in reversed(_lr_reduction(rows)):
-        if op == "L":
-            y = x + y
-        else:
-            x = y + x
-    if det == -1:
-        x, y = y, x
-    for _ in range(matrix.norm):
+    morphism with this matrix, in the order of :func:`enumerate_sturmian`:
+    the chain places of its standard pair, up to the first whose images
+    start with different letters."""
+    standard = _standard_images(matrix)
+    for i in range(matrix.norm):
+        x, y = _chain_place(standard, i)
         yield x, y
         if x[0] != y[0]:
             return
-        x, y = x[1:] + x[:1], y[1:] + y[:1]
     raise MatrixDecompositionError(f"conjugation chain for {matrix} exceeded expected length")
 
 
@@ -330,8 +330,11 @@ def _binary_morphism(images: tuple[bytes, bytes]) -> Morphism:
 
 
 def standard_morphism(matrix: IntMatrix2) -> Morphism:
-    """The unique standard morphism with the given incidence matrix."""
-    return _binary_morphism(next(_sturmian_images(matrix)))
+    """The unique standard morphism with the given incidence matrix; a
+    norm above :data:`iet.MAX_CODING_LENGTH` is rejected first."""
+    _require_unimodular(matrix)
+    _require_range(matrix.norm, 0, MAX_CODING_LENGTH, "matrix norm")
+    return _binary_morphism(_standard_images(matrix))
 
 
 def is_standard_morphism(morphism: Morphism) -> bool:
@@ -437,7 +440,14 @@ def _chain_indices(matrix: IntMatrix2, images: tuple[bytes, ...], length: int) -
 
 def is_sturmian_morphism(morphism: Morphism) -> bool:
     """Membership in the Sturmian monoid: unimodular non-negative matrix
-    and occurrence in the conjugation chain of its standard morphism."""
+    and occurrence in the conjugation chain of its standard morphism.
+
+    Place ``i`` rotates the standard images, of coprime lengths ``a`` and
+    ``b`` (the row sums of a unimodular matrix), by ``i``.  The first with
+    rotations ``r`` and ``s`` is the ``i < a*b`` with ``i = r (mod a)``
+    and ``i = s (mod b)``; it is in the chain if no earlier place has
+    images that start with different letters.
+    """
     if morphism.alphabet is not Alphabet.BINARY:
         raise AlphabetError("Sturmian morphisms are binary")
     if not morphism.is_nonerasing:
@@ -445,4 +455,12 @@ def is_sturmian_morphism(morphism: Morphism) -> bool:
     matrix = incidence_matrix(morphism)
     if not matrix.is_unimodular:
         return False
-    return tuple(image.letters for image in morphism.images) in _sturmian_images(matrix)
+    x, y = (image.letters for image in morphism.images)
+    x0, y0 = _standard_images(matrix)
+    a, b = len(x0), len(y0)
+    r, s = (x0 + x0).find(x), (y0 + y0).find(y)
+    i = r + a * ((s - r) * pow(a, -1, b) % b)
+    # then the first letters of the images at the places before i
+    return min(r, s) >= 0 and i < matrix.norm and (
+        (x0 * (i // a + 1))[:i] == (y0 * (i // b + 1))[:i]
+    )

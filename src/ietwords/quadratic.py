@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import math
 import re
-import sys
 from functools import total_ordering
 from typing import Iterator
 
 from ._value import Value
-from .errors import DomainError, FieldMismatchError, ParseError
+from .errors import DomainError, FieldMismatchError, ParseError, _digit_limit_error
 
 # largest radicand accepted on input: one trial-division split of a prime
 # near it takes about 0.1 s
@@ -52,14 +51,11 @@ def _squarefree_split(n: int) -> tuple[int, int]:
 def _literal_int(token: str) -> int:
     """An integer token of a parsed literal; the regular expressions
     admit only digits and a sign, so ``int`` fails only on a token longer
-    than the interpreter's digit limit (``sys.get_int_max_str_digits``)."""
+    than the interpreter's digit limit."""
     try:
         return int(token)
     except ValueError:
-        raise ParseError(
-            f"integer of {len(token.lstrip('+-'))} digits in quadratic literal exceeds "
-            f"the limit of {sys.get_int_max_str_digits()} digits"
-        ) from None
+        raise _digit_limit_error(token, "quadratic literal") from None
 
 
 def _common_radicand(d: int, e: int) -> int:

@@ -11,7 +11,8 @@ from ietwords import matrices, morphisms, verification
 from ietwords.amicability import MAX_PRESERVE_LETTERS, MAX_PROJECTION_LETTERS
 from ietwords.cli import main
 from ietwords.errors import DomainError
-from ietwords.matrices import MAX_PAIRS_NORM
+from ietwords.iet import MAX_CODING_LENGTH
+from ietwords.matrices import MAX_PAIRS_NORM, MAX_PROBE_LETTERS
 from ietwords.morphisms import MAX_ENUM_NORM
 from ietwords.verification import (
     MAX_COUNTING_NORM,
@@ -142,11 +143,13 @@ def test_n_below_1_is_named_before_any_letter_is_coded(capsys, coding_raises, ar
 
 @pytest.fixture
 def no_chain(monkeypatch):
-    def chain(matrix):
-        raise AssertionError(f"the chain of {matrix} was built")
+    # every chain place is a rotation of the standard pair, so no place
+    # is built before it
+    def standard(matrix):
+        raise AssertionError(f"the standard pair of {matrix} was built")
 
-    monkeypatch.setattr(morphisms, "_sturmian_images", chain)
-    monkeypatch.setattr(matrices, "_sturmian_images", chain)
+    monkeypatch.setattr(morphisms, "_standard_images", standard)
+    monkeypatch.setattr(matrices, "_standard_images", standard)
 
 
 @pytest.mark.parametrize(
@@ -155,6 +158,7 @@ def no_chain(monkeypatch):
         (matrices.brute_force_pairs, MAX_PAIRS_NORM),
         (matrices.brute_force_b_counts, MAX_PAIRS_NORM),
         (morphisms.enumerate_sturmian, MAX_ENUM_NORM),
+        (morphisms.standard_morphism, MAX_CODING_LENGTH),
     ],
 )
 def test_matrix_norm_above_the_cap_builds_no_chain(build, cap, no_chain):
@@ -162,3 +166,21 @@ def test_matrix_norm_above_the_cap_builds_no_chain(build, cap, no_chain):
     assert (matrix.det, matrix.norm) == (1, cap + 1)
     with pytest.raises(DomainError, match=f"matrix norm must be at most {cap}, got {cap + 1}"):
         build(matrix)
+
+
+def test_probe_above_the_letter_cap_composes_nothing(monkeypatch):
+    # eta^2 alone would have 10**10 letters
+    eta = Morphism.parse(f"A->{'A' * 100_000},B->B,C->C")
+    compose = matrices.compose
+
+    def compose_spy(outer, inner):
+        assert outer is not eta, "eta was composed"
+        return compose(outer, inner)
+
+    monkeypatch.setattr(matrices, "compose", compose_spy)
+    letters = 100_000**2 + 6 * 100_000 + 12
+    with pytest.raises(
+        DomainError,
+        match=f"letters in the probe candidates must be at most {MAX_PROBE_LETTERS}, got {letters}",
+    ):
+        matrices.conjecture_probe(eta)

@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -16,7 +17,8 @@ import ietwords.morphisms
 from ietwords import IntMatrix2, Morphism, count_formula_total, k_index, verification
 from ietwords.cli import MAX_COUNT_NORM, main
 from ietwords.errors import IetWordsError
-from ietwords.matrices import MAX_PAIRS_NORM
+from ietwords.iet import MAX_CODING_LENGTH
+from ietwords.matrices import MAX_PAIRS_NORM, MAX_PROBE_LETTERS
 from ietwords.morphisms import MAX_ENUM_NORM
 from ietwords.verification import MAX_COUNTING_NORM, MAX_PRESERVE_NORM
 
@@ -295,6 +297,20 @@ class TestProbeCommand:
         assert rows["eta*ac_swap"]["phi"] == "0->1,1->01"
         assert rows["eta*ac_swap"]["psi"] == "0->1,1->10"
 
+    def test_probe_above_the_letter_cap_exits_2_at_once(self, capsys):
+        # eta^2 alone would have 10**10 letters
+        start = time.perf_counter()
+        code, records, _ = run(capsys, "probe", "--eta", f"A->{'A' * 100_000},B->B,C->C")
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        letters = 100_000**2 + 6 * 100_000 + 12
+        assert records == [{
+            "command": "probe",
+            "error": f"letters in the probe candidates must be at most {MAX_PROBE_LETTERS}, "
+                     f"got {letters}",
+            "status": "invalid-input",
+        }]
+
 
 # every flag of each command, with a value it accepts
 COMMAND_ARGV = {
@@ -441,18 +457,34 @@ class TestInvalidInput:
             "status": "invalid-input",
         }]
 
-    @pytest.mark.parametrize("command, cap", [("pairs", MAX_PAIRS_NORM), ("enum", MAX_ENUM_NORM)])
+    @pytest.mark.parametrize(
+        "command, cap",
+        [("pairs", MAX_PAIRS_NORM), ("enum", MAX_ENUM_NORM), ("std", MAX_CODING_LENGTH)],
+    )
     def test_matrix_norm_above_the_cap_builds_no_chain(self, capsys, monkeypatch, command, cap):
+        # every chain place is a rotation of the standard pair
         def unreachable(matrix):
-            raise AssertionError(f"the chain of {matrix} was built")
+            raise AssertionError(f"the standard pair of {matrix} was built")
 
-        monkeypatch.setattr(ietwords.morphisms, "_sturmian_images", unreachable)
-        monkeypatch.setattr(ietwords.matrices, "_sturmian_images", unreachable)
+        monkeypatch.setattr(ietwords.morphisms, "_standard_images", unreachable)
+        monkeypatch.setattr(ietwords.matrices, "_standard_images", unreachable)
         code, records, _ = run(capsys, command, "--matrix", f"1,0;{cap - 1},1")
         assert code == 2
         assert records == [{
             "command": command,
             "error": f"matrix norm must be at most {cap}, got {cap + 1}",
+            "status": "invalid-input",
+        }]
+
+    def test_matrix_entry_beyond_the_digit_limit_is_named(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        assert limit < 5001
+        code, records, _ = run(capsys, "std", "--matrix", "1,0;0," + "1" * 5001)
+        assert code == 2
+        assert records == [{
+            "command": "std",
+            "error": f"integer of 5001 digits in matrix entry exceeds "
+                     f"the limit of {limit} digits",
             "status": "invalid-input",
         }]
 

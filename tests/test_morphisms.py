@@ -28,8 +28,13 @@ from ietwords import (
     ternary_word,
     unimodular_matrices,
 )
-from ietwords.morphisms import _chain_indices
-from standard_loop import standard_loop
+from ietwords.morphisms import (
+    _chain_indices,
+    _chain_place,
+    _standard_images,
+    _sturmian_images,
+)
+from standard_loop import standard_loop, subtraction_standard_images
 
 PHI = Morphism.parse("0->001,1->00101")
 PSI = Morphism.parse("0->010,1->01001")
@@ -188,6 +193,35 @@ class TestStandardMorphism:
                 standard += expected
         assert len(words) == 254 and standard > 0
 
+    def test_euclid_steps_build_the_subtraction_pair_on_every_small_matrix(self):
+        checked = 0
+        for matrix in unimodular_matrices(60):
+            assert _standard_images(matrix) == subtraction_standard_images(matrix), str(matrix)
+            checked += 1
+        assert checked == 2_202
+
+    @given(
+        st.lists(st.tuples(st.integers(1, 9_998), st.booleans()), min_size=1, max_size=8),
+        st.booleans(),
+    )
+    def test_euclid_steps_build_the_subtraction_pair_on_skewed_matrices(self, steps, swap):
+        # a product of steps taking q copies of one row into the other,
+        # cut before the first that passes norm 10**4: one long step is
+        # 10**4 subtractions for the oracle
+        rows = (1, 0), (0, 1)
+        for q, into_second in steps:
+            (a, b), (c, d) = rows
+            if into_second:
+                grown = (a, b), (c + q * a, d + q * b)
+            else:
+                grown = (a + q * c, b + q * d), (c, d)
+            if sum(grown[0]) + sum(grown[1]) > 10**4:
+                break
+            rows = grown
+        (a, b), (c, d) = rows[::-1] if swap else rows
+        matrix = IntMatrix2(a, b, c, d)
+        assert _standard_images(matrix) == subtraction_standard_images(matrix)
+
     def test_an_empty_image_is_not_standard(self):
         # the subtraction loop never ends on an empty image
         for text in ("0->,1->01", "0->01,1->", "0->,1->"):
@@ -228,6 +262,22 @@ class TestEnumeration:
             while (nxt := right_conjugate_step(chain[-1])) is not None:
                 chain.append(nxt)
             assert enumerate_sturmian(matrix) == tuple(chain), str(matrix)
+
+    def test_chain_places_are_rotations_of_the_standard_pair(self):
+        # each place against right_conjugate_step walked from the standard
+        # morphism, as the brute force builds an accepted pair's members
+        checked = 0
+        for matrix in unimodular_matrices(40):
+            standard = _standard_images(matrix)
+            m = standard_morphism(matrix)
+            i = 0
+            while m is not None:
+                images = tuple(image.letters for image in m.images)
+                assert _chain_place(standard, i) == images, (str(matrix), i)
+                m = right_conjugate_step(m)
+                i += 1
+            checked += i
+        assert checked == 25_242
 
     def test_census_small(self):
         for matrix in unimodular_matrices(9):
@@ -319,6 +369,39 @@ class TestSturmianMembership:
     def test_wrong_order_image_pair_rejected(self):
         # same matrix as a Sturmian morphism, but not in its chain
         assert not is_sturmian_morphism(Morphism.parse("0->001,1->10100"))
+
+    def test_agrees_with_the_chain_walk_on_short_words(self):
+        # every pair of binary words of 1 to 6 letters, against a search
+        # of the chain, which builds every place up to the morphism
+        words = [
+            binary_word(format(i, f"0{n}b")) for n in range(1, 7) for i in range(1 << n)
+        ]
+        members = 0
+        for x in words:
+            for y in words:
+                morphism = Morphism(Alphabet.BINARY, (x, y))
+                matrix = incidence_matrix(morphism)
+                expected = matrix.is_unimodular and (x.letters, y.letters) in _sturmian_images(matrix)
+                assert is_sturmian_morphism(morphism) == expected, (x, y)
+                members += expected
+        assert (len(words), members) == (126, 246)
+
+    def test_agrees_with_the_chain_on_every_rotation_pair(self):
+        # the images rotated by any r and s, of which only the chain
+        # places, the pairs with r = s modulo both lengths, are members
+        checked = 0
+        for matrix in unimodular_matrices(24):
+            x0, y0 = _standard_images(matrix)
+            chain = set(_sturmian_images(matrix))
+            for r in range(len(x0)):
+                for s in range(len(y0)):
+                    images = x0[r:] + x0[:r], y0[s:] + y0[:s]
+                    morphism = Morphism(
+                        Alphabet.BINARY, (FiniteWord(Alphabet.BINARY, w) for w in images)
+                    )
+                    assert is_sturmian_morphism(morphism) == (images in chain), (str(matrix), r, s)
+                    checked += 1
+        assert checked == 17_910
 
 
 class TestMorphismParsing:
