@@ -9,12 +9,15 @@ by a synchronous scan, decided on the words read as integers by one bit
 identity.  Lifting the construction letterwise to Sturmian morphisms
 yields ternary morphisms that preserve the set of 3iet words.
 
-Preservation is witnessed at prefix scale by one exact test per
-projection: each projection of the image of a 3iet coding must be a
-factor of a Sturmian word of the slope that the morphism predicts,
-decided by the run-length derivation of :mod:`words` with the slope's
-partial quotients (Lothaire, *Algebraic Combinatorics on Words*,
-ch. 2).  Balance alone would accept a factor of any slope.
+Preservation is witnessed at prefix scale: each projection of the image
+of a 3iet coding must be a factor of a Sturmian word of the slope that
+the morphism predicts, decided by the run-length derivation of
+:mod:`words` with the slope's partial quotients (Lothaire, *Algebraic
+Combinatorics on Words*, ch. 2).  Balance alone would accept a factor of
+any slope.  The projections of a conjugation chain of morphisms are
+rotations of one another, so one exact test of a word that holds them
+all as factors decides the whole chain when it passes: a factor of a
+Sturmian factor of a slope is one too.
 """
 
 from __future__ import annotations
@@ -46,8 +49,12 @@ _SIGMA = {"01": (b"\x00", b"\x00\x01", b"\x01"), "10": (b"\x00", b"\x01\x00", b"
 # at ``-n 500000`` failing on its rational slope
 MAX_PROJECTION_LETTERS = 2 * 10**6
 # summed over the projections a check decides: ``verify --suite preserve
-# --max-norm 24 -n 14931`` (3.0e9 letters by this count) passes in 40 s;
-# only that suite reaches this cap, and none of its inputs fails
+# --max-norm 24 -n 14931`` (3.0e9 letters by this count) passes in 4 s;
+# only that suite reaches this cap, and none of its inputs fails.  Both
+# caps count projections, not the chain words that decide them (see
+# ``_preservation_checker``): a chain word has at most ``(n + 1) *
+# longest`` letters, and stands for all the projections of its chain when
+# it passes; a failing chain adds at most that one word to its projections
 MAX_PRESERVE_LETTERS = 3 * 10**9
 
 
@@ -297,7 +304,7 @@ def _preservation_checker(
     transform: ThreeIET, x0: QuadNumber, n: int, longest: int, summed: int
 ) -> Callable[[Morphism], PreservationResult]:
     """:func:`check_3iet_preservation` as a function of ``eta``, coding the
-    prefix once and deciding each projection once.
+    prefix once and deciding each conjugation chain of projections once.
 
     A projection of ``eta(prefix)`` is fixed by the projections of the
     three images of ``eta``, so those short words key the verdicts and,
@@ -305,12 +312,24 @@ def _preservation_checker(
     fix its predicted slope too: a coding's letters have the frequencies
     ``lambda = (alpha, beta, 1 - alpha - beta)``, so ``1`` has the
     frequency ``sum(lambda_a * ones(key_a)) / sum(lambda_a *
-    len(key_a))``.  ``longest`` bounds the projected letter images of
-    every ``eta`` the caller passes, and ``summed`` adds that bound up
-    over the projections it may decide: ``n`` times each is checked
-    against its cap, :data:`MAX_PROJECTION_LETTERS` and
-    :data:`MAX_PRESERVE_LETTERS`.  ``n`` is checked first, so that a
-    negative one is named as ``n`` and not as a negative product.
+    len(key_a))``.
+
+    Rotating each image of a key by their common first letter rotates its
+    projection ``s`` by one letter, to ``s[1:] + s[:1]``, and keeps the
+    slope.  So a new key is first looked up in its conjugation chain
+    (:func:`_chain` from :func:`_chain_start`): the ``r`` keys after the
+    chain's first, of projection ``s``, project to factors of ``s +
+    s[:r]``, and when that one word passes, so do they all (a factor of a
+    Sturmian factor of a slope is one too).  When it fails, or ``r``
+    exceeds ``len(s)``, each key is decided on its own, with its own
+    detail.
+
+    ``longest`` bounds the projected letter images of every ``eta`` the
+    caller passes, and ``summed`` adds that bound up over the projections
+    it may decide: ``n`` times each is checked against its cap,
+    :data:`MAX_PROJECTION_LETTERS` and :data:`MAX_PRESERVE_LETTERS`.
+    ``n`` is checked first, so that a negative one is named as ``n`` and
+    not as a negative product.
     """
     if n < 1:
         raise DomainError("coding length must be a positive integer")
@@ -329,6 +348,8 @@ def _preservation_checker(
     weights = [(x.a * scale // x.c, x.b * scale // x.c) for x in lengths]
     # pairs that share phi share the sigma01 projection of the image
     verdicts: dict[tuple[bytes, ...], str | None] = {}
+    # the chains whose word has been decided, by their first key
+    starts: set[tuple[bytes, ...]] = set()
 
     def slope(key: tuple[bytes, ...]) -> QuadNumber:
         ones = [image.count(1) for image in key]
@@ -339,19 +360,57 @@ def _preservation_checker(
         # image is not empty; times the conjugate of the divisor over itself
         return QuadNumber(p * r - q * s * d, q * r - p * s, d, r * r - s * s * d, _squarefree=True)
 
+    def verdict(key: tuple[bytes, ...]) -> str | None:
+        if key not in verdicts:
+            start = _chain_start(key)
+            if start not in starts:
+                starts.add(start)
+                chain = _chain(start)
+                s = _substitute(prefix.letters, start)
+                r = len(chain) - 1
+                if 0 < r <= len(s) and _projection_verdict(s + s[:r], slope(start)) is None:
+                    verdicts.update(dict.fromkeys(chain))
+            if key not in verdicts:
+                verdicts[key] = _projection_verdict(_substitute(prefix.letters, key), slope(key))
+        return verdicts[key]
+
     def check(eta: Morphism) -> PreservationResult:
         for letter, char in enumerate(Alphabet.TERNARY.chars):
             if all(letter not in image.letters for image in eta.images):
                 return PreservationResult(False, f"letter {char} occurs in no image of eta")
         for which in ("01", "10"):
             key = tuple(_substitute(image.letters, _SIGMA[which]) for image in eta.images)
-            if key not in verdicts:
-                verdicts[key] = _projection_verdict(_substitute(prefix.letters, key), slope(key))
-            if verdicts[key] is not None:
-                return PreservationResult(False, f"sigma{which}: {verdicts[key]}")
+            detail = verdict(key)
+            if detail is not None:
+                return PreservationResult(False, f"sigma{which}: {detail}")
         return PreservationResult(True, None)
 
     return check
+
+
+def _chain_start(key: tuple[bytes, ...]) -> tuple[bytes, ...]:
+    """The first key of the conjugation chain of ``key``: ``key`` rotated
+    back while its images are non-empty and end with one letter, at most
+    as many steps as its letters, so that a periodic key stops too."""
+    for _ in range(sum(map(len, key))):
+        if not all(key) or len({image[-1] for image in key}) != 1:
+            break
+        key = tuple(image[-1:] + image[:-1] for image in key)
+    return key
+
+
+def _chain(start: tuple[bytes, ...]) -> list[tuple[bytes, ...]]:
+    """``start`` and its forward rotations: each rotates every image by
+    their common first letter, at most as many steps as the longest image
+    has letters, so that a chain word is at most that much longer than a
+    projection."""
+    chain = [start]
+    for _ in range(max(map(len, start))):
+        key = chain[-1]
+        if not all(key) or len({image[0] for image in key}) != 1:
+            break
+        chain.append(tuple(image[1:] + image[:1] for image in key))
+    return chain
 
 
 def _projection_verdict(letters: bytes, slope: QuadNumber) -> str | None:

@@ -168,18 +168,20 @@ def _parse_int_grid(text: str, size: int) -> tuple[tuple[int, ...], ...]:
     return tuple(grid)
 
 
-_INT_RE = re.compile(r"[+-]?\d+")
+# the integer grammar of quadratic literals too: ASCII digits only, where
+# ``int`` would also read ``1_0`` and non-ASCII digits
+_INT_RE = re.compile(r"[+-]?[0-9]+")
 
 
 def _matrix_entry(cell: str, text: str) -> int:
     """One entry of a parsed matrix; a run of digits that ``int`` refuses
     is longer than the interpreter's digit limit."""
+    if not _INT_RE.fullmatch(cell):
+        raise ParseError(f"invalid matrix entry {cell!r} in {text!r}")
     try:
         return int(cell)
     except ValueError:
-        if _INT_RE.fullmatch(cell):
-            raise _digit_limit_error(cell, "matrix entry") from None
-        raise ParseError(f"invalid matrix entry {cell!r} in {text!r}") from None
+        raise _digit_limit_error(cell, "matrix entry") from None
 
 
 class Morphism(Value):
@@ -400,9 +402,10 @@ def enumerate_sturmian(matrix: IntMatrix2) -> tuple[Morphism, ...]:
 
     The list is the right-conjugation chain started at the standard
     morphism; it contains exactly ``matrix.norm - 1`` distinct
-    morphisms.  A norm above :data:`MAX_ENUM_NORM` is rejected before
-    the chain is built.
+    morphisms.  A matrix that is not unimodular, and then a norm above
+    :data:`MAX_ENUM_NORM`, is rejected before the chain is built.
     """
+    _require_unimodular(matrix)
     _require_range(matrix.norm, 0, MAX_ENUM_NORM, "matrix norm")
     return tuple(map(_binary_morphism, _sturmian_images(matrix)))
 

@@ -124,9 +124,9 @@ class QuadNumber(Value):
 
     # -- construction ----------------------------------------------------
 
-    _RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/([+-]?\d+))?$")
+    _RATIONAL_RE = re.compile(r"^([+-]?[0-9]+)(?:/([+-]?[0-9]+))?$")
     _QUAD_RE = re.compile(
-        r"^\(([+-]?\d+)([+-]\d+)\*sqrt\((\d+)\)\)(?:/([+-]?\d+))?$"
+        r"^\(([+-]?[0-9]+)([+-][0-9]+)\*sqrt\(([0-9]+)\)\)(?:/([+-]?[0-9]+))?$"
     )
 
     @classmethod

@@ -256,8 +256,9 @@ def monoid_suite(
     return ok, {"max_norm": max_norm, "samples": samples, "seed": seed, "pool": len(pool)}
 
 
-# 11 s and 23 MB with the default n: the checker keeps a verdict, not a
-# word, per distinct projection
+# 3.3-4.1 s and 23 MB with the default n in a fresh process (2-core
+# x86-64): the checker keeps a verdict, not a word, per distinct
+# projection, and derives one word per chain of them
 MAX_PRESERVE_NORM = 32
 
 

@@ -488,6 +488,37 @@ class TestInvalidInput:
             "status": "invalid-input",
         }]
 
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            # int() would read these as 10 and 1
+            (["std", "--matrix", "1_0,1;9,1"], "invalid matrix entry '1_0' in '1_0,1;9,1'"),
+            (["std", "--matrix", "１,1;0,1"], "invalid matrix entry '１' in '１,1;0,1'"),
+            (["word2", "--slope", "1_0/3_0", "-n", "3"],
+             "invalid token '_' in quadratic literal '1_0/3_0'"),
+            (["word2", "--slope", "１/3", "-n", "3"],
+             "invalid token '１' in quadratic literal '１/3'"),
+        ],
+    )
+    def test_integers_are_ascii_digits_with_a_sign(self, capsys, argv, error):
+        code, records, _ = run(capsys, *argv)
+        assert code == 2
+        assert records == [{"command": argv[0], "error": error, "status": "invalid-input"}]
+
+    @pytest.mark.parametrize(
+        "command, cap",
+        [("pairs", MAX_PAIRS_NORM), ("enum", MAX_ENUM_NORM), ("std", MAX_CODING_LENGTH)],
+    )
+    def test_determinant_is_named_before_the_norm_cap(self, capsys, command, cap):
+        matrix = f"2,0;{cap},2"  # determinant 4, norm cap + 4
+        code, records, _ = run(capsys, command, "--matrix", matrix)
+        assert code == 2
+        assert records == [{
+            "command": command,
+            "error": f"matrix {matrix} has determinant 4",
+            "status": "invalid-input",
+        }]
+
     def test_unknown_command_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
