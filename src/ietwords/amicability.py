@@ -33,7 +33,7 @@ from .errors import (
     NotAmicableError,
     _require_range,
 )
-from .iet import ThreeIET, is_nondegenerate_params, three_iet_code
+from .iet import MAX_CODING_LENGTH, ThreeIET, is_nondegenerate_params, three_iet_code
 from .morphisms import Morphism, is_sturmian_morphism
 from .quadratic import QuadNumber, _partial_quotients
 from .words import Alphabet, FiniteWord, _is_sturmian_factor, _substitute, is_balanced
@@ -290,10 +290,12 @@ def check_3iet_preservation(
     words, so the test is necessary, not sufficient: it does not see how
     the two fit together.  A morphism whose images miss a letter fails
     first, as a non-degenerate coding has all three.  ``kmax`` must be
-    non-negative, but no verdict reads it.  Degenerate parameters and
-    projections past their letter caps are rejected before any letter
-    is coded.
+    non-negative, but no verdict reads it.  A binary ``eta``, degenerate
+    parameters and projections past their letter caps are rejected
+    before any letter is coded.
     """
+    if eta.alphabet is not Alphabet.TERNARY:
+        raise AlphabetError("3iet preservation is for ternary morphisms")
     if kmax < 0:
         raise DomainError(f"kmax must be non-negative, got {kmax}")
     longest = max(len(image) + image.count(1) for image in eta.images)
@@ -328,11 +330,10 @@ def _preservation_checker(
     caller passes, and ``summed`` adds that bound up over the projections
     it may decide: ``n`` times each is checked against its cap,
     :data:`MAX_PROJECTION_LETTERS` and :data:`MAX_PRESERVE_LETTERS`.
-    ``n`` is checked first, so that a negative one is named as ``n`` and
-    not as a negative product.
+    ``n`` is checked first, against :data:`iet.MAX_CODING_LENGTH`, so
+    that a bad one is named as the coding length and not as a product.
     """
-    if n < 1:
-        raise DomainError("coding length must be a positive integer")
+    _require_range(n, 1, MAX_CODING_LENGTH, "coding length")
     _require_range(n * longest, 0, MAX_PROJECTION_LETTERS, "projection length")
     _require_range(n * summed, 0, MAX_PRESERVE_LETTERS, "summed projection length")
     if not is_nondegenerate_params(transform):

@@ -1,8 +1,11 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy shared by all modules, and the gates of the
+arguments every module reads.
 
 Everything derives from :class:`IetWordsError` so callers can catch the
 whole family; the concrete classes also subclass :class:`ValueError`
-because they all signal bad values rather than broken state.
+because they all signal bad values rather than broken state.  An integer
+bound is checked by :func:`_require_range` alone, and an integer token of
+a literal matches :data:`_INT_PATTERN` and is read by :func:`_parse_int`.
 """
 
 from __future__ import annotations
@@ -27,22 +30,35 @@ class DomainError(IetWordsError, ValueError):
 
 
 def _require_range(value: int, minimum: int, maximum: int, flag: str) -> None:
-    """Reject a sweep bound below its smallest useful value or above its cap
-    (about a minute or 0.4 GB of work); ``flag`` is its command-line
-    spelling, or says what it measures."""
+    """Reject a bound that is not an ``int`` (a float or a bool), below its
+    smallest useful value or above its cap (about a minute or 0.4 GB of
+    work); ``flag`` is its command-line spelling, or says what it
+    measures."""
+    if type(value) is not int:
+        raise DomainError(f"{flag} must be an integer, got {value!r}")
     if value < minimum:
         raise DomainError(f"{flag} must be at least {minimum}, got {value}")
     if value > maximum:
         raise DomainError(f"{flag} must be at most {maximum}, got {value}")
 
 
-def _digit_limit_error(token: str, where: str) -> ParseError:
-    """The error for an integer ``token`` of a ``matrix entry`` or a
-    ``quadratic literal`` (``where``) longer than the digit limit."""
-    return ParseError(
-        f"integer of {len(token.lstrip('+-'))} digits in {where} exceeds "
-        f"the limit of {sys.get_int_max_str_digits()} digits"
-    )
+# the integer grammar of matrix entries and quadratic literals: ASCII
+# digits after an optional sign, where ``int`` would also read ``1_0``
+# and non-ASCII digits
+_INT_PATTERN = "[+-]?[0-9]+"
+
+
+def _parse_int(token: str, where: str) -> int:
+    """An integer ``token`` of a ``matrix entry`` or a ``quadratic literal``
+    (``where``) that matches :data:`_INT_PATTERN`, so that ``int`` fails
+    only on one longer than the interpreter's digit limit."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(
+            f"integer of {len(token.lstrip('+-'))} digits in {where} exceeds "
+            f"the limit of {sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 class FieldMismatchError(IetWordsError, ValueError):
@@ -54,7 +70,7 @@ class NotUnimodularError(IetWordsError, ValueError):
 
 
 class MatrixDecompositionError(IetWordsError, ValueError):
-    """A matrix could not be reduced to the base pair by L/R steps."""
+    """A matrix could not be reduced to the base pair by Euclid steps."""
 
 
 class NotSturmianError(IetWordsError, ValueError):

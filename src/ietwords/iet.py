@@ -39,7 +39,7 @@ import math
 from bisect import bisect_right
 
 from ._value import Value
-from .errors import DomainError
+from .errors import DomainError, _require_range
 from .quadratic import ONE, ZERO, QuadNumber, _common_radicand
 from .words import Alphabet, FiniteWord
 
@@ -85,13 +85,6 @@ class ThreeIET(Value):
 def _check_start(x0: QuadNumber) -> None:
     if x0 < ZERO or not x0 < ONE:
         raise DomainError(f"start point {x0} outside [0, 1)")
-
-
-def _check_length(n: int) -> None:
-    if n < 1:
-        raise DomainError("coding length must be a positive integer")
-    if n > MAX_CODING_LENGTH:
-        raise DomainError(f"coding length must be at most {MAX_CODING_LENGTH}, got {n}")
 
 
 def _exchange_code(
@@ -231,7 +224,7 @@ def two_iet_code(transform: TwoIET, x0: QuadNumber, n: int) -> FiniteWord:
     part of ``x0 - i*slope``) lies in ``[0, slope)``.
     """
     _check_start(x0)
-    _check_length(n)
+    _require_range(n, 1, MAX_CODING_LENGTH, "coding length")
     eps = transform.slope
     return _quadratic_exchange_code(
         Alphabet.BINARY, x0, (eps,), (ONE - eps, ZERO - eps), n
@@ -257,7 +250,7 @@ def three_iet_code(transform: ThreeIET, x0: QuadNumber, n: int) -> FiniteWord:
     """Code the first ``n`` steps of the orbit of ``x0`` under the
     3-interval exchange."""
     _check_start(x0)
-    _check_length(n)
+    _require_range(n, 1, MAX_CODING_LENGTH, "coding length")
     cut1 = transform.alpha
     cut2 = transform.alpha + transform.beta
     # translations per interval; each image stays inside [0, 1)

@@ -43,6 +43,7 @@ from .morphisms import (
     _binary_morphism,
     _chain_indices,
     _chain_place,
+    _require_matrix,
     _require_unimodular,
     _standard_images,
     IntMatrix2,
@@ -163,27 +164,22 @@ def _packed_chain(
     raise MatrixDecompositionError(f"conjugation chain for {matrix} exceeded expected length")
 
 
-def _pairs_standard(matrix: IntMatrix2) -> tuple[bytes, bytes]:
-    """``_standard_images(matrix)``, once the matrix is unimodular and its
-    norm at most :data:`MAX_PAIRS_NORM`, so that no letter is built for a
-    rejected matrix."""
-    _require_unimodular(matrix)
-    _require_range(matrix.norm, 2, MAX_PAIRS_NORM, "matrix norm")
-    return _standard_images(matrix)
-
-
 def _accepted(
-    matrix: IntMatrix2, standard: tuple[bytes, bytes]
-) -> tuple[list[int], list[int], list[list[int]]]:
-    """The :func:`_packed_chain` left and right members of this matrix,
-    built from its standard pair, in chain order, and for each chain place
-    the set ``d = x - y`` of each right member ``y`` its left member ``x``
-    accepts by ``x - y == ~x & y``, in decreasing order of ``d``.
+    matrix: IntMatrix2,
+) -> tuple[list[int], list[int], list[list[int]], tuple[bytes, bytes]]:
+    """The :func:`_packed_chain` left and right members of this matrix, in
+    chain order, and for each chain place the set ``d = x - y`` of each
+    right member ``y`` its left member ``x`` accepts by ``x - y == ~x &
+    y``, in decreasing order of ``d``; last, the standard pair they are
+    built from.  A matrix that is not unimodular, and then a norm above
+    :data:`MAX_PAIRS_NORM`, is rejected before any letter is built.
 
     That test makes ``d`` the set of B positions, each a 0 of ``x`` just
     below a 1, so a subset of ``~x & (x >> 1)``: only the right members in
     the window ``[x - (~x & x >> 1), x]`` are tested.
     """
+    _require_matrix(matrix, MAX_PAIRS_NORM)
+    standard = _standard_images(matrix)
     lefts, rights = _packed_chain(matrix, *standard)
     ordered = sorted(rights)
     # ~x on the bits of a packed integer, where & is faster than with ~x
@@ -193,7 +189,7 @@ def _accepted(
         nx = x ^ full
         window = ordered[bisect_left(ordered, x - (nx & x >> 1)):bisect_right(ordered, x)]
         accepted.append([d for y in window if (d := x - y) == nx & y])
-    return lefts, rights, accepted
+    return lefts, rights, accepted, standard
 
 
 def brute_force_pairs(matrix: IntMatrix2) -> tuple[AmicablePair, ...]:
@@ -206,8 +202,7 @@ def brute_force_pairs(matrix: IntMatrix2) -> tuple[AmicablePair, ...]:
     to build ``eta``.  The chain places are indexed from the first one
     by a single search, in ``morphisms._chain_indices``.
     """
-    standard = _pairs_standard(matrix)
-    lefts, rights, accepted = _accepted(matrix, standard)
+    lefts, rights, accepted, standard = _accepted(matrix)
     ks = _chain_indices(matrix, standard, len(lefts))
     columns = {y: (kbar, j) for j, (kbar, y) in enumerate(zip(ks, rights))}
     # k is one-to-one on the chain places, so this sort never compares
@@ -238,7 +233,7 @@ def brute_force_b_counts(matrix: IntMatrix2) -> Counter[int]:
     the pairs of :func:`brute_force_pairs`, building no morphism and
     indexing none: the B-count of an accepted pair is that of the bits
     ``[0, norm)`` of its B-position set ``x - y``."""
-    accepted = _accepted(matrix, _pairs_standard(matrix))[2]
+    accepted = _accepted(matrix)[2]
     mask = (1 << matrix.norm) - 1
     return Counter([(d & mask).bit_count() for ds in accepted for d in ds])
 

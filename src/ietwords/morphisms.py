@@ -21,7 +21,8 @@ from .errors import (
     NotSturmianError,
     NotUnimodularError,
     ParseError,
-    _digit_limit_error,
+    _INT_PATTERN,
+    _parse_int,
     _require_range,
 )
 from .iet import MAX_CODING_LENGTH, coding_word_k
@@ -168,20 +169,14 @@ def _parse_int_grid(text: str, size: int) -> tuple[tuple[int, ...], ...]:
     return tuple(grid)
 
 
-# the integer grammar of quadratic literals too: ASCII digits only, where
-# ``int`` would also read ``1_0`` and non-ASCII digits
-_INT_RE = re.compile(r"[+-]?[0-9]+")
+_INT_RE = re.compile(_INT_PATTERN)
 
 
 def _matrix_entry(cell: str, text: str) -> int:
-    """One entry of a parsed matrix; a run of digits that ``int`` refuses
-    is longer than the interpreter's digit limit."""
+    """One entry of a parsed matrix."""
     if not _INT_RE.fullmatch(cell):
         raise ParseError(f"invalid matrix entry {cell!r} in {text!r}")
-    try:
-        return int(cell)
-    except ValueError:
-        raise _digit_limit_error(cell, "matrix entry") from None
+    return _parse_int(cell, "matrix entry")
 
 
 class Morphism(Value):
@@ -269,6 +264,13 @@ def _require_unimodular(matrix: IntMatrix2) -> None:
         raise NotUnimodularError(f"matrix {matrix} has determinant {matrix.det}")
 
 
+def _require_matrix(matrix: IntMatrix2, max_norm: int) -> None:
+    """Reject a matrix that is not unimodular, and then one whose norm is
+    above ``max_norm``, before any letter of its morphisms is built."""
+    _require_unimodular(matrix)
+    _require_range(matrix.norm, 2, max_norm, "matrix norm")
+
+
 def _standard_images(matrix: IntMatrix2) -> tuple[bytes, bytes]:
     """The letter strings of the images of 0 and 1 of the standard
     morphism with this matrix.
@@ -334,8 +336,7 @@ def _binary_morphism(images: tuple[bytes, bytes]) -> Morphism:
 def standard_morphism(matrix: IntMatrix2) -> Morphism:
     """The unique standard morphism with the given incidence matrix; a
     norm above :data:`iet.MAX_CODING_LENGTH` is rejected first."""
-    _require_unimodular(matrix)
-    _require_range(matrix.norm, 0, MAX_CODING_LENGTH, "matrix norm")
+    _require_matrix(matrix, MAX_CODING_LENGTH)
     return _binary_morphism(_standard_images(matrix))
 
 
@@ -405,8 +406,7 @@ def enumerate_sturmian(matrix: IntMatrix2) -> tuple[Morphism, ...]:
     morphisms.  A matrix that is not unimodular, and then a norm above
     :data:`MAX_ENUM_NORM`, is rejected before the chain is built.
     """
-    _require_unimodular(matrix)
-    _require_range(matrix.norm, 0, MAX_ENUM_NORM, "matrix norm")
+    _require_matrix(matrix, MAX_ENUM_NORM)
     return tuple(map(_binary_morphism, _sturmian_images(matrix)))
 
 

@@ -24,7 +24,7 @@ from functools import total_ordering
 from typing import Iterator
 
 from ._value import Value
-from .errors import DomainError, FieldMismatchError, ParseError, _digit_limit_error
+from .errors import _INT_PATTERN, DomainError, FieldMismatchError, ParseError, _parse_int
 
 # largest radicand accepted on input: one trial-division split of a prime
 # near it takes about 0.1 s
@@ -46,16 +46,6 @@ def _squarefree_split(n: int) -> tuple[int, int]:
                 f *= k
         k += 1 if k == 2 else 2
     return s, f * n
-
-
-def _literal_int(token: str) -> int:
-    """An integer token of a parsed literal; the regular expressions
-    admit only digits and a sign, so ``int`` fails only on a token longer
-    than the interpreter's digit limit."""
-    try:
-        return int(token)
-    except ValueError:
-        raise _digit_limit_error(token, "quadratic literal") from None
 
 
 def _common_radicand(d: int, e: int) -> int:
@@ -124,34 +114,28 @@ class QuadNumber(Value):
 
     # -- construction ----------------------------------------------------
 
-    _RATIONAL_RE = re.compile(r"^([+-]?[0-9]+)(?:/([+-]?[0-9]+))?$")
+    _RATIONAL_RE = re.compile(rf"^({_INT_PATTERN})(?:/({_INT_PATTERN}))?$")
     _QUAD_RE = re.compile(
-        r"^\(([+-]?[0-9]+)([+-][0-9]+)\*sqrt\(([0-9]+)\)\)(?:/([+-]?[0-9]+))?$"
+        rf"^\(({_INT_PATTERN})([+-][0-9]+)\*sqrt\(([0-9]+)\)\)(?:/({_INT_PATTERN}))?$"
     )
 
     @classmethod
     def parse(cls, text: str) -> "QuadNumber":
         """Parse ``"(a+b*sqrt(d))/c"`` or ``"p/q"`` or a bare integer."""
         compact = "".join(text.split())
-        m = cls._RATIONAL_RE.match(compact)
-        if m:
-            p, q = m.group(1), m.group(2)
-            return cls(_literal_int(p), 0, 0, _literal_int(q) if q is not None else 1)
-        m = cls._QUAD_RE.match(compact)
-        if m:
+        if m := cls._RATIONAL_RE.match(compact):
+            a, c = m.groups()
+            b = d = "0"
+        elif m := cls._QUAD_RE.match(compact):
             a, b, d, c = m.groups()
-            return cls(
-                _literal_int(a),
-                _literal_int(b),
-                _literal_int(d),
-                _literal_int(c) if c is not None else 1,
+        else:
+            bad = next((ch for ch in compact if ch not in "0123456789+-*/()sqrt"), None)
+            if bad is not None:
+                raise ParseError(f"invalid token {bad!r} in quadratic literal {text!r}")
+            raise ParseError(
+                f"malformed quadratic literal {text!r}; expected '(a+b*sqrt(d))/c' or 'p/q'"
             )
-        bad = next((ch for ch in compact if ch not in "0123456789+-*/()sqrt"), None)
-        if bad is not None:
-            raise ParseError(f"invalid token {bad!r} in quadratic literal {text!r}")
-        raise ParseError(
-            f"malformed quadratic literal {text!r}; expected '(a+b*sqrt(d))/c' or 'p/q'"
-        )
+        return cls(*(_parse_int(t, "quadratic literal") for t in (a, b, d, c or "1")))
 
     # -- predicates ------------------------------------------------------
 

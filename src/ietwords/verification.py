@@ -28,7 +28,7 @@ from .amicability import (
     ternarize_morphisms,
 )
 from .errors import DegenerateParametersError, DomainError, _require_range
-from .iet import ThreeIET, coding_word_k
+from .iet import MAX_CODING_LENGTH, ThreeIET, coding_word_k
 from .morphisms import Morphism, compose, incidence_matrix
 from .quadratic import QuadNumber, ZERO
 from .words import Alphabet, FiniteWord, is_balanced
@@ -270,6 +270,8 @@ def preserve_suite(max_norm: int = 6, n: int = 1000, kmax: int = 20) -> SuiteRec
     _require_range(max_norm, 2, MAX_PRESERVE_NORM, "--max-norm")
     if kmax < 1:
         raise DomainError(f"--kmax must be at least 1, got {kmax}")
+    # the checker gates n too, but after this sweep of the matrices
+    _require_range(n, 1, MAX_CODING_LENGTH, "coding length")
     # a matrix of norm N has N - 1 Sturmian morphisms, each the key of at
     # most one projection per side, with letter images of at most N letters
     summed = sum(

@@ -72,7 +72,9 @@ class FiniteWord(Value):
             elif set(text) <= set(Alphabet.TERNARY.chars):
                 alphabet = Alphabet.TERNARY
             else:
-                bad = next(ch for ch in text if ch not in "01ABC")
+                bad = next((ch for ch in text if ch not in "01ABC"), None)
+                if bad is None:
+                    raise ParseError(f"word literal {text!r} mixes binary and ternary letters")
                 raise ParseError(f"invalid word letter {bad!r} in {text!r}")
         chars = alphabet.chars
         try:

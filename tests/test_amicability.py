@@ -480,6 +480,16 @@ class TestPreservation:
         result = check_3iet_preservation(Morphism.parse(eta), t, ZERO, 300, 10)
         assert result == PreservationResult(False, f"letter {letter} occurs in no image of eta")
 
+    def test_binary_eta_is_rejected_before_any_letter_is_coded(self, monkeypatch):
+        # read as ternary, its images would miss the letter C
+        def coded(*args):
+            raise AssertionError("a prefix was coded")
+
+        monkeypatch.setattr(amicability, "three_iet_code", coded)
+        t = ThreeIET(PRESERVE_ALPHA, PRESERVE_BETA)
+        with pytest.raises(AlphabetError, match="3iet preservation is for ternary morphisms"):
+            check_3iet_preservation(Morphism.parse("0->01,1->0"), t, ZERO, 300, 10)
+
     def test_short_prefixes_pass(self):
         # no prefix is too short for the exact test, whatever kmax is
         t = ThreeIET(ALPHA, QUARTER)
@@ -677,7 +687,7 @@ class TestPreserveSuite:
     def test_invalid_arguments_raise_before_any_pair(self):
         # the suite is a generator: it raises on its first step, before
         # it yields a record
-        with pytest.raises(DomainError, match="coding length must be a positive integer"):
+        with pytest.raises(DomainError, match="coding length must be at least 1, got 0"):
             next(preserve_suite(2, 0, 20))
         with pytest.raises(DomainError, match="--kmax must be at least 1, got -1"):
             next(preserve_suite(2, 10, -1))

@@ -3,10 +3,12 @@ checker reject their own out-of-range arguments before any work, so a
 direct call is bounded as the command line is."""
 
 import json
+import re
 
 import pytest
 
 from ietwords import ZERO, IntMatrix2, Morphism, ThreeIET, amicability, check_3iet_preservation
+from ietwords import TwoIET, three_iet_code, two_iet_code
 from ietwords import matrices, morphisms, verification
 from ietwords.amicability import MAX_PRESERVE_LETTERS, MAX_PROJECTION_LETTERS
 from ietwords.cli import main
@@ -84,20 +86,23 @@ def coding_raises(monkeypatch):
 
 def test_preservation_projection_above_the_cap_codes_nothing(coding_raises):
     transform = ThreeIET(PRESERVE_ALPHA, PRESERVE_BETA)
-    # every letter image projects to one letter, so the projection has n
-    constant = Morphism.parse("A->A,B->A,C->A")
+    # the longest projected letter image has three letters, so the cap is
+    # reached at an n inside the coding cap
+    n = MAX_PROJECTION_LETTERS // 3
+    assert n < MAX_CODING_LENGTH
+    longest = Morphism.parse("A->AAA,B->A,C->A")
     with pytest.raises(Coded):
-        check_3iet_preservation(constant, transform, ZERO, MAX_PROJECTION_LETTERS, 20)
+        check_3iet_preservation(longest, transform, ZERO, n, 20)
     with pytest.raises(
         DomainError,
         match=f"projection length must be at most {MAX_PROJECTION_LETTERS}, "
-        f"got {MAX_PROJECTION_LETTERS + 1}",
+        f"got {3 * (n + 1)}",
     ):
-        check_3iet_preservation(constant, transform, ZERO, MAX_PROJECTION_LETTERS + 1, 20)
-    # B projects to two letters
-    identity = Morphism.parse("A->A,B->B,C->C")
+        check_3iet_preservation(longest, transform, ZERO, n + 1, 20)
+    # B projects to two letters, so AB to three
+    with_b = Morphism.parse("A->AB,B->A,C->A")
     with pytest.raises(DomainError, match="projection length must be at most"):
-        check_3iet_preservation(identity, transform, ZERO, MAX_PROJECTION_LETTERS // 2 + 1, 20)
+        check_3iet_preservation(with_b, transform, ZERO, n + 1, 20)
 
 
 def test_preserve_suite_letters_above_the_cap_code_nothing(coding_raises):
@@ -116,12 +121,14 @@ def test_preserve_suite_letters_above_the_cap_code_nothing(coding_raises):
     ):
         run_suite("preserve", max_norm=MAX_PRESERVE_NORM, n=n + 1)
     # the longest letter image of the suite is max_norm letters
+    n = MAX_PROJECTION_LETTERS // 3
+    with pytest.raises(Coded):
+        run_suite("preserve", max_norm=3, n=n)
     with pytest.raises(DomainError, match="projection length must be at most"):
-        run_suite("preserve", max_norm=2, n=MAX_PROJECTION_LETTERS // 2 + 1)
+        run_suite("preserve", max_norm=3, n=n + 1)
 
 
-@pytest.mark.parametrize("n", ["-3", "0"])
-@pytest.mark.parametrize(
+PRESERVE_ARGVS = pytest.mark.parametrize(
     "argv",
     [
         ["preserve", "--eta", "A->AB,B->ABABB,C->ABAC",
@@ -130,15 +137,61 @@ def test_preserve_suite_letters_above_the_cap_code_nothing(coding_raises):
     ],
     ids=["preserve", "verify"],
 )
+
+
+@pytest.mark.parametrize("n", ["-3", "0"])
+@PRESERVE_ARGVS
 def test_n_below_1_is_named_before_any_letter_is_coded(capsys, coding_raises, argv, n):
     # checked before its product with the longest image, which would be
     # reported as a negative projection length
     assert main([*argv, "-n", n]) == 2
     assert json.loads(capsys.readouterr().out) == {
         "command": argv[0],
-        "error": "coding length must be a positive integer",
+        "error": f"coding length must be at least 1, got {n}",
         "status": "invalid-input",
     }
+
+
+@PRESERVE_ARGVS
+def test_n_above_the_coding_cap_is_named_before_any_letter_is_coded(
+    capsys, coding_raises, argv
+):
+    # checked before its product with the longest image, which would be
+    # reported as a projection length above its cap
+    n = MAX_CODING_LENGTH + 1
+    assert main([*argv, "-n", str(n)]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "command": argv[0],
+        "error": f"coding length must be at most {MAX_CODING_LENGTH}, got {n}",
+        "status": "invalid-input",
+    }
+
+
+TRANSFORM = ThreeIET(PRESERVE_ALPHA, PRESERVE_BETA)
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, True])
+@pytest.mark.parametrize(
+    "flag, call",
+    [
+        ("coding length", lambda n: two_iet_code(TwoIET(PRESERVE_BETA), ZERO, n)),
+        ("coding length", lambda n: three_iet_code(TRANSFORM, ZERO, n)),
+        ("coding length", lambda n: check_3iet_preservation(
+            Morphism.parse("A->A,B->B,C->C"), TRANSFORM, ZERO, n, 20)),
+        *(("--max-norm", lambda v, name=name: run_suite(name, max_norm=v))
+          for name in sorted(SUITES)),
+        ("--samples", lambda v: run_suite("monoid", samples=v)),
+        ("coding length", lambda n: run_suite("preserve", n=n)),
+    ],
+    ids=[
+        "two_iet_code", "three_iet_code", "check_3iet_preservation",
+        *(f"{name}-max_norm" for name in sorted(SUITES)), "monoid-samples", "preserve-n",
+    ],
+)
+def test_a_bound_that_is_no_int_is_named_before_any_work(flag, call, value, no_enumeration):
+    # a float would reach range() or int.bit_length, and a bool reads as 0 or 1
+    with pytest.raises(DomainError, match=re.escape(f"{flag} must be an integer, got {value!r}")):
+        call(value)
 
 
 @pytest.fixture

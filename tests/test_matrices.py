@@ -337,14 +337,15 @@ class TestCandidateWindow:
         assert set(built) <= set(accepted)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(ietwords.matrices, "_packed_chain", lambda *_: ([x], rights))
-            assert [[x - d for d in ds] for ds in _accepted(EXAMPLE, (b"", b""))[2]] == [accepted]
+            assert [[x - d for d in ds] for ds in _accepted(EXAMPLE)[2]] == [accepted]
 
     @settings(deadline=None)
     @given(st.sampled_from(list(unimodular_matrices(80))))
     def test_the_core_tests_every_right_member_of_a_chain(self, matrix):
         # the core's windowed test against the same test on every right
         # member of the chain, each a different morphism
-        lefts, rights, accepted = _accepted(matrix, next(_sturmian_images(matrix)))
+        lefts, rights, accepted, standard = _accepted(matrix)
+        assert standard == next(_sturmian_images(matrix))
         assert len(set(rights)) == len(rights) == len(lefts)
         assert [[x - d for d in ds] for x, ds in zip(lefts, accepted)] == [
             sorted(y for y in rights if x - y == ~x & y) for x in lefts

@@ -467,6 +467,18 @@ class TestWordType:
         with pytest.raises(ParseError):
             FiniteWord.parse("AB", Alphabet.BINARY)
 
+    @pytest.mark.parametrize("text", ["0A", "A0B"])
+    def test_parse_names_a_literal_of_two_alphabets(self, text):
+        message = f"word literal '{text}' mixes binary and ternary letters"
+        with pytest.raises(ParseError, match=message):
+            FiniteWord.parse(text)
+
+    def test_parse_over_a_given_alphabet_names_the_foreign_letter(self):
+        with pytest.raises(ParseError, match="letter 'A' is not in the BINARY alphabet"):
+            FiniteWord.parse("0A", Alphabet.BINARY)
+        with pytest.raises(ParseError, match="letter '0' is not in the TERNARY alphabet"):
+            FiniteWord.parse("A0B", Alphabet.TERNARY)
+
     def test_concatenation_respects_alphabets(self):
         with pytest.raises(AlphabetError):
             binary_word("0") + ternary_word("A")
