@@ -48,14 +48,6 @@ _SIGMA = {"01": (b"\x00", b"\x00\x01", b"\x01"), "10": (b"\x00", b"\x01\x00", b"
 # host, the identity at ``-n 1000000`` passing and ``A->AAB,B->AAB,C->AAAC``
 # at ``-n 500000`` failing on its rational slope
 MAX_PROJECTION_LETTERS = 2 * 10**6
-# summed over the projections a check decides: ``verify --suite preserve
-# --max-norm 24 -n 14931`` (3.0e9 letters by this count) passes in 4 s;
-# only that suite reaches this cap, and none of its inputs fails.  Both
-# caps count projections, not the chain words that decide them (see
-# ``_preservation_checker``): a chain word has at most ``(n + 1) *
-# longest`` letters, and stands for all the projections of its chain when
-# it passes; a failing chain adds at most that one word to its projections
-MAX_PRESERVE_LETTERS = 3 * 10**9
 
 
 def sigma(word: FiniteWord, which: str) -> FiniteWord:
@@ -299,11 +291,11 @@ def check_3iet_preservation(
     if kmax < 0:
         raise DomainError(f"kmax must be non-negative, got {kmax}")
     longest = max(len(image) + image.count(1) for image in eta.images)
-    return _preservation_checker(transform, x0, n, longest, 2 * longest)(eta)
+    return _preservation_checker(transform, x0, n, longest)(eta)
 
 
 def _preservation_checker(
-    transform: ThreeIET, x0: QuadNumber, n: int, longest: int, summed: int
+    transform: ThreeIET, x0: QuadNumber, n: int, longest: int
 ) -> Callable[[Morphism], PreservationResult]:
     """:func:`check_3iet_preservation` as a function of ``eta``, coding the
     prefix once and deciding each conjugation chain of projections once.
@@ -327,15 +319,15 @@ def _preservation_checker(
     detail.
 
     ``longest`` bounds the projected letter images of every ``eta`` the
-    caller passes, and ``summed`` adds that bound up over the projections
-    it may decide: ``n`` times each is checked against its cap,
-    :data:`MAX_PROJECTION_LETTERS` and :data:`MAX_PRESERVE_LETTERS`.
-    ``n`` is checked first, against :data:`iet.MAX_CODING_LENGTH`, so
-    that a bad one is named as the coding length and not as a product.
+    caller passes: ``n`` times it is checked against
+    :data:`MAX_PROJECTION_LETTERS`.  ``n`` is checked first, against
+    :data:`iet.MAX_CODING_LENGTH`, so that a bad one is named as the
+    coding length and not as a product.  A passing chain costs one
+    derivation, of at most ``(n + 1) * longest`` letters; only a failing
+    one costs a derivation per key.
     """
     _require_range(n, 1, MAX_CODING_LENGTH, "coding length")
     _require_range(n * longest, 0, MAX_PROJECTION_LETTERS, "projection length")
-    _require_range(n * summed, 0, MAX_PRESERVE_LETTERS, "summed projection length")
     if not is_nondegenerate_params(transform):
         raise DegenerateParametersError(
             "parameters are degenerate: (1-alpha)/(1+beta) is rational"

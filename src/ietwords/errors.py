@@ -4,8 +4,9 @@ arguments every module reads.
 Everything derives from :class:`IetWordsError` so callers can catch the
 whole family; the concrete classes also subclass :class:`ValueError`
 because they all signal bad values rather than broken state.  An integer
-bound is checked by :func:`_require_range` alone, and an integer token of
-a literal matches :data:`_INT_PATTERN` and is read by :func:`_parse_int`.
+bound is checked by :func:`_require_range` alone, another integer argument
+by :func:`_require_int`, and an integer token of a literal matches
+:data:`_INT_PATTERN` and is read by :func:`_parse_int`.
 """
 
 from __future__ import annotations
@@ -29,13 +30,19 @@ class DomainError(IetWordsError, ValueError):
     """A numeric argument is outside the documented domain."""
 
 
+def _require_int(value: int, flag: str) -> None:
+    """Reject an integer argument that is a float or a bool; ``flag`` is
+    its command-line spelling, or its name."""
+    if type(value) is not int:
+        raise DomainError(f"{flag} must be an integer, got {value!r}")
+
+
 def _require_range(value: int, minimum: int, maximum: int, flag: str) -> None:
     """Reject a bound that is not an ``int`` (a float or a bool), below its
     smallest useful value or above its cap (about a minute or 0.4 GB of
     work); ``flag`` is its command-line spelling, or says what it
     measures."""
-    if type(value) is not int:
-        raise DomainError(f"{flag} must be an integer, got {value!r}")
+    _require_int(value, flag)
     if value < minimum:
         raise DomainError(f"{flag} must be at least {minimum}, got {value}")
     if value > maximum:

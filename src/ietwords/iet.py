@@ -39,7 +39,7 @@ import math
 from bisect import bisect_right
 
 from ._value import Value
-from .errors import DomainError, _require_range
+from .errors import DomainError, _require_int, _require_range
 from .quadratic import ONE, ZERO, QuadNumber, _common_radicand
 from .words import Alphabet, FiniteWord
 
@@ -236,8 +236,12 @@ def coding_word_k(p: int, n_total: int, k: int) -> FiniteWord:
     started at ``k/n_total``, computed with residues only.
 
     Position ``i`` is 0 exactly when ``(k - i*p) mod n_total < p``.
-    Requires ``0 < p < n_total`` co-prime.
+    Requires ``0 < p < n_total`` co-prime, ``n_total`` at most
+    :data:`MAX_CODING_LENGTH`, and integers all three; ``k`` may be any.
     """
+    _require_range(n_total, 2, MAX_CODING_LENGTH, "coding length")
+    _require_int(p, "p")
+    _require_int(k, "k")
     if not 0 < p < n_total:
         raise DomainError(f"need 0 < p < N, got p={p}, N={n_total}")
     if math.gcd(p, n_total) != 1:

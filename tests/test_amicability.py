@@ -620,7 +620,7 @@ class TestPreserveSuite:
         transform = ThreeIET(PRESERVE_ALPHA, PRESERVE_BETA)
         prefix = amicability.three_iet_code(transform, ZERO, n).letters
         lengths = (transform.alpha, transform.beta, 1 - transform.alpha - transform.beta)
-        check = amicability._preservation_checker(transform, ZERO, n, 10, 10**6)
+        check = amicability._preservation_checker(transform, ZERO, n, 10)
 
         def oracle(eta):
             for which in ("01", "10"):
@@ -641,7 +641,10 @@ class TestPreserveSuite:
         # a prefix of one or two letters, changed or not, is a 3iet factor
         assert any(not result.ok for result in results) == (changed and n > 2)
 
-    def test_each_distinct_projection_is_decided_once(self, monkeypatch):
+    @pytest.mark.parametrize("max_norm, words", [(6, 42), (16, 314)])
+    def test_each_distinct_projection_is_decided_once(self, monkeypatch, max_norm, words):
+        # one word per chain side is what bounds a passing suite: no cap
+        # counts the projections of each key
         decided = []
         original = amicability._projection_verdict
 
@@ -650,12 +653,14 @@ class TestPreserveSuite:
             return original(letters, slope)
 
         monkeypatch.setattr(amicability, "_projection_verdict", recording)
-        assert run_suite("preserve").ok
+        assert run_suite("preserve", max_norm=max_norm).ok
         assert len(decided) == len(set(decided))
         # the Sturmian morphisms of a matrix are one conjugation chain,
         # which gives one chain of keys on each side
-        chains = 2 * sum(any(brute_force_pairs(matrix)) for matrix in unimodular_matrices(6))
-        assert len(decided) == chains == 42
+        chains = 2 * sum(
+            any(brute_force_pairs(matrix)) for matrix in unimodular_matrices(max_norm)
+        )
+        assert len(decided) == chains == words
 
     def test_no_morphism_is_applied_to_a_word(self, monkeypatch):
         # each projection is the prefix with the letters of its key

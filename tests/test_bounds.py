@@ -8,9 +8,9 @@ import re
 import pytest
 
 from ietwords import ZERO, IntMatrix2, Morphism, ThreeIET, amicability, check_3iet_preservation
-from ietwords import TwoIET, three_iet_code, two_iet_code
-from ietwords import matrices, morphisms, verification
-from ietwords.amicability import MAX_PRESERVE_LETTERS, MAX_PROJECTION_LETTERS
+from ietwords import TwoIET, coding_word_k, three_iet_code, two_iet_code
+from ietwords import iet, matrices, morphisms, verification
+from ietwords.amicability import MAX_PROJECTION_LETTERS
 from ietwords.cli import main
 from ietwords.errors import DomainError
 from ietwords.iet import MAX_CODING_LENGTH
@@ -39,6 +39,7 @@ def no_enumeration(monkeypatch):
     monkeypatch.setattr(matrices, "unimodular_matrices", unreachable)
     monkeypatch.setattr(verification, "coding_word_k", unreachable)
     monkeypatch.setattr(amicability, "three_iet_code", unreachable)
+    monkeypatch.setattr(iet, "_exchange_code", unreachable)
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
@@ -106,21 +107,17 @@ def test_preservation_projection_above_the_cap_codes_nothing(coding_raises):
 
 
 def test_preserve_suite_letters_above_the_cap_code_nothing(coding_raises):
-    # the suite's bound at its norm cap: n * 660 824 letters
-    summed = sum(
-        2 * (matrix.norm - 1) * matrix.norm
-        for matrix in matrices.unimodular_matrices(MAX_PRESERVE_NORM)
-    )
-    n = MAX_PRESERVE_LETTERS // summed
+    # the longest letter image of the suite is max_norm letters, so at the
+    # norm cap the projection cap is reached at 62 500
+    n = MAX_PROJECTION_LETTERS // MAX_PRESERVE_NORM
     with pytest.raises(Coded):
         run_suite("preserve", max_norm=MAX_PRESERVE_NORM, n=n)
     with pytest.raises(
         DomainError,
-        match=f"summed projection length must be at most {MAX_PRESERVE_LETTERS}, "
-        f"got {(n + 1) * summed}",
+        match=f"projection length must be at most {MAX_PROJECTION_LETTERS}, "
+        f"got {(n + 1) * MAX_PRESERVE_NORM}",
     ):
         run_suite("preserve", max_norm=MAX_PRESERVE_NORM, n=n + 1)
-    # the longest letter image of the suite is max_norm letters
     n = MAX_PROJECTION_LETTERS // 3
     with pytest.raises(Coded):
         run_suite("preserve", max_norm=3, n=n)
@@ -167,6 +164,16 @@ def test_n_above_the_coding_cap_is_named_before_any_letter_is_coded(
     }
 
 
+def test_a_rotation_coding_above_the_coding_cap_codes_nothing(no_enumeration):
+    with pytest.raises(AssertionError, match="enumerated"):
+        coding_word_k(1, MAX_CODING_LENGTH, 0)
+    n = MAX_CODING_LENGTH + 1
+    with pytest.raises(
+        DomainError, match=f"coding length must be at most {MAX_CODING_LENGTH}, got {n}"
+    ):
+        coding_word_k(1, n, 0)
+
+
 TRANSFORM = ThreeIET(PRESERVE_ALPHA, PRESERVE_BETA)
 
 
@@ -182,10 +189,14 @@ TRANSFORM = ThreeIET(PRESERVE_ALPHA, PRESERVE_BETA)
           for name in sorted(SUITES)),
         ("--samples", lambda v: run_suite("monoid", samples=v)),
         ("coding length", lambda n: run_suite("preserve", n=n)),
+        ("coding length", lambda n: coding_word_k(1, n, 0)),
+        ("p", lambda p: coding_word_k(p, 3, 0)),
+        ("k", lambda k: coding_word_k(1, 3, k)),
     ],
     ids=[
         "two_iet_code", "three_iet_code", "check_3iet_preservation",
         *(f"{name}-max_norm" for name in sorted(SUITES)), "monoid-samples", "preserve-n",
+        "coding_word_k-n_total", "coding_word_k-p", "coding_word_k-k",
     ],
 )
 def test_a_bound_that_is_no_int_is_named_before_any_work(flag, call, value, no_enumeration):
