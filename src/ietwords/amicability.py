@@ -31,6 +31,7 @@ from .errors import (
     DegenerateParametersError,
     DomainError,
     NotAmicableError,
+    _require_int,
     _require_range,
 )
 from .iet import MAX_CODING_LENGTH, ThreeIET, is_nondegenerate_params, three_iet_code
@@ -281,13 +282,14 @@ def check_3iet_preservation(
     slope ``eta`` predicts for it.  A 3iet word's projections are such
     words, so the test is necessary, not sufficient: it does not see how
     the two fit together.  A morphism whose images miss a letter fails
-    first, as a non-degenerate coding has all three.  ``kmax`` must be
-    non-negative, but no verdict reads it.  A binary ``eta``, degenerate
+    first, as a non-degenerate coding has all three.  ``kmax`` must be a
+    non-negative ``int``, but no verdict reads it.  A binary ``eta``, degenerate
     parameters and projections past their letter caps are rejected
     before any letter is coded.
     """
     if eta.alphabet is not Alphabet.TERNARY:
         raise AlphabetError("3iet preservation is for ternary morphisms")
+    _require_int(kmax, "kmax")
     if kmax < 0:
         raise DomainError(f"kmax must be non-negative, got {kmax}")
     longest = max(len(image) + image.count(1) for image in eta.images)

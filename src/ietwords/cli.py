@@ -14,11 +14,11 @@ same ``invalid-input`` line.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import os
 import sys
+from types import SimpleNamespace
 from typing import Callable, Generator
 
 from . import verification
@@ -268,7 +268,10 @@ def _cmd_verify(args) -> Records:
 
 
 # each command's handler, help line and arguments, as (flag, keywords of
-# ``add_argument``); every command also takes --pretty
+# ``add_argument``); every command also takes --pretty.  A well-formed
+# command line is read from here without argparse (``_read_well_formed``),
+# so a flag takes only the keywords that reader mirrors: ``type`` (int),
+# ``choices``, ``default`` (no str one with a type), ``required``, ``help``
 _COMMANDS: dict[str, tuple[Callable, str, tuple[tuple[str, dict], ...]]] = {
     "std": (_cmd_std, "standard morphism of a unimodular matrix", (
         ("--matrix", {"required": True, "help": "matrix literal 'p0,q0;p1,q1'"}),
@@ -326,43 +329,73 @@ _COMMANDS: dict[str, tuple[Callable, str, tuple[tuple[str, dict], ...]]] = {
 }
 
 
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of ``command`` alone, or with no command the full parser
-    of every command, which gives the top-level help and usage errors.
+def _build_parser():
+    """The ``argparse`` parser of every command, which gives the help and
+    the usage errors."""
+    import argparse
 
-    A command's parser is built as the full parser builds its sub-parser,
-    under the same ``prog``, so its help and errors read the same.
-    """
-
-    def add_arguments(parser: argparse.ArgumentParser, name: str) -> None:
-        parser.add_argument("--pretty", action="store_true", help="tabular output")
-        for flag, keywords in _COMMANDS[name][2]:
-            parser.add_argument(flag, **keywords)
-
-    if command is not None:
-        parser = argparse.ArgumentParser(prog=f"ietwords {command}")
-        add_arguments(parser, command)
-        return parser
     parser = argparse.ArgumentParser(
         prog="ietwords",
         description="Sturmian morphisms, 3iet words, amicability and ternarization",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, _) in _COMMANDS.items():
-        add_arguments(sub.add_parser(name, help=help_text), name)
+    for name, (_, help_text, flags) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        command.add_argument("--pretty", action="store_true", help="tabular output")
+        for flag, keywords in flags:
+            command.add_argument(flag, **keywords)
     return parser
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse ``argv`` with the parser of the command it names.  Help, an
-    unknown command and stray arguments go to the full parser, which
-    reports them as it always has."""
-    if argv and argv[0] in _COMMANDS:
-        args, extras = _build_parser(argv[0]).parse_known_args(argv[1:])
-        if not extras:
-            args.command = argv[0]
-            return args
-    return _build_parser().parse_args(argv)
+def _parse_args(argv: list[str]):
+    """The namespace of ``argv``, with the attributes that the parser of
+    :func:`_build_parser` gives it.  A well-formed command line is read
+    from the command table (:func:`_read_well_formed`), so the command
+    loads no ``argparse``; anything else goes to the full parser, which
+    parses or rejects it as it always has."""
+    args = _read_well_formed(argv)
+    return _build_parser().parse_args(argv) if args is None else args
+
+
+def _read_well_formed(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace of a command and then exact ``flag value`` pairs and
+    ``--pretty``, read with each flag's ``type``, ``choices``, ``default``
+    and ``required`` from :data:`_COMMANDS`, the last of a repeated flag
+    winning, as ``argparse`` reads them; else None.
+
+    ``argparse`` costs several ms to import and to build its parser, more
+    than a short command's own work, so it is loaded only for what this
+    reader leaves to it: help, ``--``, an abbreviated or ``=``-joined flag,
+    a value that starts with ``-``, a value its type or choices reject,
+    and a missing value or flag.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    flags = dict(_COMMANDS[argv[0]][2])
+    read = {}
+    pretty = False
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token == "--pretty":
+            pretty = True
+            continue
+        keywords = flags.get(token)
+        value = next(tokens, None)
+        if keywords is None or value is None or value.startswith("-"):
+            return None
+        try:
+            value = keywords.get("type", str)(value)
+        except ValueError:
+            return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        read[token] = value
+    if any(keywords.get("required") and flag not in read for flag, keywords in flags.items()):
+        return None
+    return SimpleNamespace(command=argv[0], pretty=pretty, **{
+        flag.lstrip("-").replace("-", "_"): read.get(flag, keywords.get("default"))
+        for flag, keywords in flags.items()
+    })
 
 
 def _print_pretty(records: list[dict], summary: dict) -> None:

@@ -27,7 +27,7 @@ from .amicability import (
     sigma,
     ternarize_morphisms,
 )
-from .errors import DegenerateParametersError, DomainError, _require_range
+from .errors import DegenerateParametersError, DomainError, _require_int, _require_range
 from .iet import ThreeIET, coding_word_k
 from .morphisms import Morphism, compose, incidence_matrix
 from .quadratic import QuadNumber, ZERO
@@ -266,9 +266,10 @@ MAX_PRESERVE_NORM = 32
 def preserve_suite(max_norm: int = 6, n: int = 1000, kmax: int = 20) -> SuiteRecords:
     """Prefix-scale 3iet preservation for every brute-forced
     ternarization, plus rejection of the degenerate parameter trap.
-    The checker caps the letters it projects.  ``kmax`` must be at least
-    1 and is echoed in the summary, but no verdict reads it."""
+    The checker caps the letters it projects.  ``kmax`` must be an ``int``
+    of at least 1 and is echoed in the summary, but no verdict reads it."""
     _require_range(max_norm, 2, MAX_PRESERVE_NORM, "--max-norm")
+    _require_int(kmax, "--kmax")
     if kmax < 1:
         raise DomainError(f"--kmax must be at least 1, got {kmax}")
     # the projected letter images of a pair are phi(0), phi(01), phi(1) and

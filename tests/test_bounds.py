@@ -192,11 +192,15 @@ TRANSFORM = ThreeIET(PRESERVE_ALPHA, PRESERVE_BETA)
         ("coding length", lambda n: coding_word_k(1, n, 0)),
         ("p", lambda p: coding_word_k(p, 3, 0)),
         ("k", lambda k: coding_word_k(1, 3, k)),
+        ("kmax", lambda k: check_3iet_preservation(
+            Morphism.parse("A->A,B->B,C->C"), TRANSFORM, ZERO, 20, k)),
+        ("--kmax", lambda k: run_suite("preserve", max_norm=2, kmax=k)),
     ],
     ids=[
         "two_iet_code", "three_iet_code", "check_3iet_preservation",
         *(f"{name}-max_norm" for name in sorted(SUITES)), "monoid-samples", "preserve-n",
         "coding_word_k-n_total", "coding_word_k-p", "coding_word_k-k",
+        "check_3iet_preservation-kmax", "preserve-kmax",
     ],
 )
 def test_a_bound_that_is_no_int_is_named_before_any_work(flag, call, value, no_enumeration):

@@ -1,5 +1,7 @@
+import contextlib
 import hashlib
 import inspect
+import io
 import json
 import re
 import subprocess
@@ -9,6 +11,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ietwords.amicability
 import ietwords.cli
@@ -330,6 +333,62 @@ COMMAND_ARGV = {
 }
 
 
+def build_no_parser():
+    raise AssertionError("an argparse parser was built")
+
+
+def parse_outcome(parse, argv):
+    """What ``parse(argv)`` gives: the namespace's attributes, or the
+    exit code, and what it wrote to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parse(argv)), out.getvalue(), err.getvalue()
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+# values of every kind a flag can meet: ints, negative ones, bad ints,
+# suite names and a bad one, the empty string and flag look-alikes
+VALUES = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.sampled_from(
+        ["x", "", "2.5", " 7", "+5", "5_0", "counting", "preserve", "nope", "-", "--pretty"]
+    ),
+)
+
+
+@st.composite
+def command_lines(draw):
+    """A command and then its sample flags, mostly with their sample
+    values, some left out, with up to two odd pieces inserted: a repeat,
+    an abbreviated, ``=``-joined or short-joined flag, a flag with no
+    value, ``--pretty``, help, ``--``, an unknown flag or a stray token."""
+    name = draw(st.sampled_from(list(COMMAND_ARGV)))
+    sample = COMMAND_ARGV[name]
+    pairs = list(zip(sample[::2], sample[1::2]))
+    tokens = []
+    for flag, good in draw(st.permutations(pairs)):
+        if draw(st.integers(0, 7)):
+            tokens += [flag, draw(st.one_of(st.just(good), VALUES))]
+    flags = st.sampled_from([flag for flag, _ in pairs])
+    abbreviated = st.sampled_from([
+        flag[:k] for flag, _ in pairs for k in range(3, len(flag)) if flag.startswith("--")
+    ])
+    odd = st.one_of(
+        st.tuples(flags, VALUES).map(list),
+        st.tuples(abbreviated, VALUES).map(list),
+        st.tuples(flags, VALUES).map(lambda fv: ["=".join(fv)]),
+        st.tuples(flags, VALUES).map(lambda fv: ["".join(fv)]),
+        flags.map(lambda f: [f]),
+        st.sampled_from([["--pretty"], ["-h"], ["--help"], ["--"], ["--nope", "1"], ["extra"]]),
+    )
+    for piece in draw(st.lists(odd, max_size=2)):
+        at = draw(st.integers(0, len(tokens)))
+        tokens[at:at] = piece
+    return [name, *tokens]
+
+
 class TestParser:
     def test_help_lists_every_command(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -341,34 +400,117 @@ class TestParser:
         assert listed == list(COMMAND_ARGV) == list(ietwords.cli._COMMANDS)
 
     @pytest.mark.parametrize("name", list(COMMAND_ARGV))
-    def test_command_parser_reads_as_the_full_parser(self, capsys, name):
+    def test_command_parser_reads_as_the_full_parser(self, monkeypatch, name):
         # the sample names every flag of the command
         flags = {arg for arg in COMMAND_ARGV[name] if arg.startswith("-")}
         assert flags == {flag for flag, _ in ietwords.cli._COMMANDS[name][2]}
+        required = [
+            token
+            for flag, keywords in ietwords.cli._COMMANDS[name][2] if keywords.get("required")
+            for token in (flag, COMMAND_ARGV[name][COMMAND_ARGV[name].index(flag) + 1])
+        ]
         full = ietwords.cli._build_parser()
-        for argv in ([name, *COMMAND_ARGV[name]], [name, *COMMAND_ARGV[name], "--pretty"]):
-            assert ietwords.cli._parse_args(argv) == full.parse_args(argv)
-        with pytest.raises(SystemExit):
-            full.parse_args([name, "--help"])
-        assert capsys.readouterr().out == ietwords.cli._build_parser(name).format_help()
+        # a well-formed line is read from the command table alone
+        monkeypatch.setattr(ietwords.cli, "_build_parser", build_no_parser)
+        for argv in (
+            [name, *COMMAND_ARGV[name]],
+            [name, *COMMAND_ARGV[name], "--pretty"],
+            [name, *required],
+            [name, "--pretty", *COMMAND_ARGV[name], *COMMAND_ARGV[name][:2]],
+        ):
+            assert vars(ietwords.cli._parse_args(argv)) == vars(full.parse_args(argv))
 
-    def test_a_command_builds_only_its_own_parser(self, capsys, monkeypatch):
+    def test_a_well_formed_command_builds_no_parser(self, capsys, monkeypatch):
         built = []
         build = ietwords.cli._build_parser
 
-        def recording(command=None):
-            built.append(command)
-            return build(command)
+        def recording():
+            built.append(True)
+            return build()
 
         monkeypatch.setattr(ietwords.cli, "_build_parser", recording)
         assert main(["std", *COMMAND_ARGV["std"]]) == 0
-        assert built == ["std"]
+        assert built == []
+        # an abbreviated flag goes to the full parser, which reads it
+        abbreviated = ietwords.cli._parse_args(["std", "--mat", "1,1;1,0"])
+        assert built == [True]
+        assert vars(abbreviated) == vars(ietwords.cli._parse_args(["std", *COMMAND_ARGV["std"]]))
+        assert built == [True]
         # stray arguments go to the full parser, which names them
         with pytest.raises(SystemExit) as exc:
             main(["std", *COMMAND_ARGV["std"], "extra"])
         assert exc.value.code == 2
-        assert built == ["std", "std", None]
+        assert built == [True, True]
         assert "ietwords: error: unrecognized arguments: extra" in capsys.readouterr().err
+
+    @settings(max_examples=400, deadline=None)
+    @given(command_lines())
+    def test_every_command_line_reads_as_the_full_parser(self, argv):
+        # a line either reads as the full parser reads it, or exits with
+        # the same code, help and usage error
+        assert parse_outcome(ietwords.cli._parse_args, argv) == parse_outcome(
+            lambda argv: ietwords.cli._build_parser().parse_args(argv), argv
+        )
+
+    def test_the_reader_mirrors_every_flag_keyword(self):
+        # the reader applies ``type`` (catching ValueError, which int
+        # raises), ``choices``, ``default`` and ``required``; any other
+        # keyword, an action, or a str default that argparse would pass
+        # through ``type`` would make it read a line as argparse does not
+        for name, (_, _, flags) in ietwords.cli._COMMANDS.items():
+            for flag, keywords in flags:
+                assert set(keywords) <= {"type", "choices", "default", "required", "help"}
+                assert keywords.get("type") in (None, int), (name, flag)
+                assert "type" not in keywords or not isinstance(keywords.get("default"), str)
+
+    def test_a_well_formed_command_loads_no_argparse(self):
+        # pytest itself loads argparse, so a fresh interpreter runs the
+        # commands; -S keeps the host's site from loading modules of its own
+        script = f"""
+import json, sys
+import ietwords.cli as cli
+
+codes = [cli.main(argv) for argv in (
+    ["word2", "--slope", "1/3", "-n", "50"],
+    ["verify", "--suite", "counting", "--max-norm", "6"],
+    {["preserve", *IDENTITY_AT_REFERENCE, "-n", "40"]!r},
+)]
+print(json.dumps([codes, [m for m in ("argparse", "gettext", "locale") if m in sys.modules]]))
+"""
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", script],
+            cwd=SRC, capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout.splitlines()[-1]) == [[0, 0, 0], []]
+
+    # sha256 of the help of ``ietwords`` and of each command at 80
+    # columns (Python 3.11's argparse), pinned when a well-formed command
+    # stopped building a parser of its own
+    @pytest.mark.parametrize(("argv", "digest"), [
+        (["--help"], "e7bdee19166491878909a7e55e5f4bccfc94d3614a8bd555e3f65b6f05329236"),
+        (["std", "--help"], "4c38795bd6d672a1972816be6b54c7cba47f28aafa946fc3745f8bcbfe25633a"),
+        (["enum", "--help"], "cbc0634855a92c46d17eed1b302fd5e1b9cb2232bc0f42c67eb098c144da62b8"),
+        (["pairs", "--help"], "86604325ed8e4acd2ebe55a51a0346d8d3b5ff1c66ec73ddbe0c39b91e183074"),
+        (["count", "--help"], "a63606c1b8dc9e0247b60e5f7d3edbfc87c6826ef4e38e07f96eec7f2a728460"),
+        (["ternarize", "--help"],
+         "3beafc231585dbb66ffb91a8726e5b999116941a2ae151285106d2bee23b18e9"),
+        (["member", "--help"], "132f0049cb6a31d59899ad6c6c1dab27f312da7b6a5775a778a21bb5287f7625"),
+        (["classify", "--help"],
+         "7310f40f4564eb6ccd7f177f4dffd70a3b3519a4c1083510d25b690cfd5d4571"),
+        (["word2", "--help"], "2f3ed946393a272f4b35bdf54aaddac37f4ede33eb7ef6cc7ccdbb8932f97487"),
+        (["word3", "--help"], "1fc646b297261465fa49a34de171f4a774f30fe5a1a0469c38f9d5e19fc1446a"),
+        (["preserve", "--help"],
+         "3c4660686cff529fc55435d90400feff9f0f84296fb6fc73d0620f415c0c8544"),
+        (["probe", "--help"], "a3ba6b2128900993ff93046a4375616b6cd0bc49f7b1b008469e66c50dfa240f"),
+        (["verify", "--help"], "509cad3fbecb2700af26d52771169629e79ffa8a73dfd2b04d8be9e422a4dd8b"),
+    ])
+    def test_help_is_pinned(self, capsys, monkeypatch, argv, digest):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 class TestInvalidInput:
