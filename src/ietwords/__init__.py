@@ -18,9 +18,7 @@ from .words import (
     Alphabet,
     FiniteWord,
     binary_word,
-    factor_complexity,
     is_balanced,
-    is_conjugate_word,
     parikh,
     ternary_word,
 )
@@ -43,7 +41,6 @@ from .morphisms import (
     is_standard_morphism,
     is_sturmian_morphism,
     k_index,
-    right_conjugate_step,
     standard_morphism,
 )
 from .amicability import (

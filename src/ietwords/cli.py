@@ -119,12 +119,14 @@ def _cmd_enum(args) -> Records:
 
 def _cmd_pairs(args) -> Records:
     matrix = IntMatrix2.parse(args.matrix)
-    pairs = brute_force_pairs(matrix)
-    if args.b is not None:
-        pairs = tuple(pair for pair in pairs if pair.b == args.b)
-        expected = count_formula_b(matrix, args.b)
-    else:
+    if args.b is None:
+        pairs = brute_force_pairs(matrix)
         expected = count_formula_total(matrix)
+    else:
+        # a B-count is at most min(p, q) < N
+        _require_range(args.b, 0, matrix.norm, "--b")
+        pairs = tuple(pair for pair in brute_force_pairs(matrix) if pair.b == args.b)
+        expected = count_formula_b(matrix, args.b)
     yield from map(_pair_record, pairs)
     status = "ok" if len(pairs) == expected else "property-false"
     return status, {"matrix": str(matrix), "total": len(pairs), "formula": expected}
@@ -219,12 +221,10 @@ def _cmd_word3(args) -> Records:
 def _cmd_preserve(args) -> Records:
     eta = _parse_ternary_morphism(args.eta, "--eta")
     transform = ThreeIET(QuadNumber.parse(args.alpha), QuadNumber.parse(args.beta))
-    result = check_3iet_preservation(
-        eta, transform, QuadNumber.parse(args.start), args.n, args.kmax
-    )
+    result = check_3iet_preservation(eta, transform, QuadNumber.parse(args.start), args.n)
     yield {"preserved": result.ok, "detail": result.detail, "eta": str(eta)}
     status = "ok" if result.ok else "property-false"
-    return status, {"n": args.n, "kmax": args.kmax}
+    return status, {"n": args.n}
 
 
 def _cmd_probe(args) -> Records:
@@ -317,7 +317,6 @@ _COMMANDS: dict[str, tuple[Callable, str, tuple[tuple[str, dict], ...]]] = {
         ("--beta", {"required": True}),
         ("--start", {"default": "0"}),
         ("-n", {"type": int, "default": 1000}),
-        ("--kmax", {"type": int, "default": 20}),
     )),
     "probe": (_cmd_probe, "membership probe of a morphism and its companions", (
         ("--eta", {"required": True}),

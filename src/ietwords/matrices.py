@@ -55,8 +55,6 @@ from .words import parikh
 
 E_MATRIX = IntMatrix3(((0, 1, 1), (-1, 0, 1), (-1, -1, 0)))
 
-_P_BLOCK = IntMatrix3(((1, 0, 0), (1, 1, 1), (0, 1, 0)))
-
 # the A<->C letter exchange and the ternarization of the Fibonacci
 # morphism 0->01, 1->0 with its right conjugate 0->10, 1->0; composing
 # with these two is what the membership probe exercises
@@ -245,8 +243,9 @@ def ternarization_matrix(matrix: IntMatrix2, b0: int, b1: int) -> IntMatrix3:
          [p-b,   b,  q-b  ],
          [p1-b1, b1, q1-b1]]   with b = b0 + b1 + det(A).
 
-    Equals P * [[A, (b0; b1)], [0 0 det]] * P^-1 for the fixed change of
-    basis P; any negative entry means the parameters are infeasible.
+    Equals P * [[A, (b0; b1)], [0 0 det]] * P^-1 for the change of basis
+    P = [[1, 0, 0], [1, 1, 1], [0, 1, 0]]; any negative entry means the
+    parameters are infeasible.
     """
     _require_unimodular(matrix)
     if b0 < 0 or b1 < 0:
@@ -262,19 +261,6 @@ def ternarization_matrix(matrix: IntMatrix2, b0: int, b1: int) -> IntMatrix3:
             f"parameters (b0={b0}, b1={b1}) give a negative entry for {matrix}"
         )
     return IntMatrix3(entries)
-
-
-def block_conjugated_matrix(matrix: IntMatrix2, b0: int, b1: int) -> IntMatrix3:
-    """The same matrix computed the slow way, by actually conjugating the
-    block matrix with P; used to cross-check ``ternarization_matrix``."""
-    block = IntMatrix3(
-        (
-            (matrix.p0, matrix.q0, b0),
-            (matrix.p1, matrix.q1, b1),
-            (0, 0, matrix.det),
-        )
-    )
-    return _P_BLOCK @ block @ _P_BLOCK.inverse_unimodular()
 
 
 def _conditions_ab(matrix: IntMatrix2, b0: int, b1: int) -> bool:

@@ -135,19 +135,6 @@ class IntMatrix3(Value):
             )
         )
 
-    def inverse_unimodular(self) -> "IntMatrix3":
-        """Exact integer inverse; only valid when ``det`` is +-1."""
-        d = self.det()
-        if abs(d) != 1:
-            raise NotUnimodularError(f"matrix {self} has determinant {d}")
-        (a, b, c), (e, f, g), (h, i, j) = self.entries
-        adj = (
-            (f * j - g * i, c * i - b * j, b * g - c * f),
-            (g * h - e * j, a * j - c * h, c * e - a * g),
-            (e * i - f * h, b * h - a * i, a * f - b * e),
-        )
-        return IntMatrix3(tuple(tuple(x * d for x in row) for row in adj))
-
     @classmethod
     def parse(cls, text: str) -> "IntMatrix3":
         return cls(_parse_int_grid(text, 3))
@@ -308,8 +295,8 @@ def _standard_images(matrix: IntMatrix2) -> tuple[bytes, bytes]:
 
 def _chain_place(images: tuple[bytes, bytes], i: int) -> tuple[bytes, bytes]:
     """Place ``i`` of the conjugation chain of the standard pair ``images``:
-    both images rotated by ``i`` letters, as ``i`` steps of
-    :func:`right_conjugate_step` rotate them by their shared first letter."""
+    both images rotated by ``i`` letters, as ``i`` right conjugations
+    rotate them, each by their shared first letter."""
     x, y = images
     i, j = i % len(x), i % len(y)
     return x[i:] + x[:i], y[j:] + y[:j]
@@ -370,24 +357,6 @@ def is_standard_morphism(morphism: Morphism) -> bool:
 
     first, second = (image.letters for image in morphism.images)
     return reduces(first, second) or reduces(second, first)
-
-
-def right_conjugate_step(morphism: Morphism) -> Morphism | None:
-    """Conjugate by the shared first letter, or ``None`` when the images
-    do not all start with the same letter."""
-    if not morphism.is_nonerasing:
-        raise DomainError("right conjugation needs a non-erasing morphism")
-    first = {image.letters[0] for image in morphism.images}
-    if len(first) != 1:
-        return None
-    head = bytes([first.pop()])
-    return Morphism(
-        morphism.alphabet,
-        tuple(
-            FiniteWord(morphism.alphabet, image.letters[1:] + head)
-            for image in morphism.images
-        ),
-    )
 
 
 # the largest norm N of a matrix whose Sturmian morphisms are listed

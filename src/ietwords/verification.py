@@ -27,7 +27,9 @@ from .amicability import (
     sigma,
     ternarize_morphisms,
 )
-from .errors import DegenerateParametersError, DomainError, _require_int, _require_range
+from .errors import (
+    DegenerateParametersError, DomainError, NotAmicableError, _require_int, _require_range
+)
 from .iet import ThreeIET, coding_word_k
 from .morphisms import Morphism, compose, incidence_matrix
 from .quadratic import QuadNumber, ZERO
@@ -243,16 +245,16 @@ def monoid_suite(
         phi = compose(first.phi, second.phi)
         psi = compose(first.psi, second.psi)
         composed = compose(first.eta, second.eta)
-        closure = composed == ternarize_morphisms(phi, psi)
+        try:
+            closure, error = composed == ternarize_morphisms(phi, psi), None
+        except NotAmicableError as exc:
+            # composed phi and psi that are not amicable: the scan names why
+            closure, error = False, str(exc)
         intertwined = _intertwining_ok(composed, phi, psi)
         good = closure and intertwined
         ok = ok and good
-        yield {
-            "sample": i,
-            "closure": closure,
-            "intertwining": intertwined,
-            "match": good,
-        }
+        record = {"sample": i, "closure": closure, "intertwining": intertwined, "match": good}
+        yield record if error is None else {**record, "closure_error": error}
     return ok, {"max_norm": max_norm, "samples": samples, "seed": seed, "pool": len(pool)}
 
 
@@ -267,7 +269,10 @@ def preserve_suite(max_norm: int = 6, n: int = 1000, kmax: int = 20) -> SuiteRec
     """Prefix-scale 3iet preservation for every brute-forced
     ternarization, plus rejection of the degenerate parameter trap.
     The checker caps the letters it projects.  ``kmax`` must be an ``int``
-    of at least 1 and is echoed in the summary, but no verdict reads it."""
+    of at least 1 and is echoed in the summary, but no verdict reads it:
+    it is the factor-count window of the prefix test that the exact slope
+    verdict replaced, and it stays only because the benchmark's oracle
+    passes ``--kmax`` and its pinned summaries hold ``"kmax"``."""
     _require_range(max_norm, 2, MAX_PRESERVE_NORM, "--max-norm")
     _require_int(kmax, "--kmax")
     if kmax < 1:
@@ -292,11 +297,7 @@ def preserve_suite(max_norm: int = 6, n: int = 1000, kmax: int = 20) -> SuiteRec
             }
     try:
         check_3iet_preservation(
-            Morphism.identity(Alphabet.TERNARY),
-            ThreeIET(PRESERVE_ALPHA, TRAP_BETA),
-            ZERO,
-            n,
-            kmax,
+            Morphism.identity(Alphabet.TERNARY), ThreeIET(PRESERVE_ALPHA, TRAP_BETA), ZERO, n
         )
         trap_rejected = False
     except DegenerateParametersError:

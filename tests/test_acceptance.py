@@ -175,7 +175,7 @@ def test_criterion_08_preservation_norm_6_prefix_1000():
     checked = 0
     for matrix in unimodular_matrices(6):
         for pair in brute_force_pairs(matrix):
-            result = check_3iet_preservation(pair.eta, transform, ZERO, 1000, 20)
+            result = check_3iet_preservation(pair.eta, transform, ZERO, 1000)
             assert result.ok, (str(matrix), pair.k, pair.kbar, result.detail)
             checked += 1
     with pytest.raises(DegenerateParametersError):
@@ -184,7 +184,6 @@ def test_criterion_08_preservation_norm_6_prefix_1000():
             ThreeIET(PRESERVE_ALPHA, TRAP_BETA),
             ZERO,
             1000,
-            20,
         )
     elapsed = time.perf_counter() - start
     assert elapsed < 120, f"preservation sweep took {elapsed:.1f}s"

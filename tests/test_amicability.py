@@ -411,18 +411,18 @@ class TestTernarizationMembership:
 class TestPreservation:
     def test_identity_preserves(self):
         t = ThreeIET(ALPHA, QUARTER)
-        assert check_3iet_preservation(TERNARY_IDENTITY, t, ZERO, 500, 10).ok
+        assert check_3iet_preservation(TERNARY_IDENTITY, t, ZERO, 500).ok
 
     def test_worked_example_preserves(self):
         t = ThreeIET(ALPHA, QUARTER)
-        assert check_3iet_preservation(ETA, t, ZERO, 500, 10).ok
+        assert check_3iet_preservation(ETA, t, ZERO, 500).ok
 
     def test_collapsing_morphism_fails_complexity(self):
         # every letter has the image ACB, whose projections are 0101 and
         # 0110: sigma01 of the image is (01)^n, of rational slope
         t = ThreeIET(ALPHA, QUARTER)
         result = check_3iet_preservation(
-            Morphism.parse("A->ACB,B->ACB,C->ACB"), t, ZERO, 500, 10
+            Morphism.parse("A->ACB,B->ACB,C->ACB"), t, ZERO, 500
         )
         assert result == PreservationResult(
             False, "sigma01: predicted slope 1/2 is rational"
@@ -432,7 +432,7 @@ class TestPreservation:
         # sigma01 of the image is (0001)^n: balanced, of rational slope
         t = ThreeIET(ALPHA, QUARTER)
         result = check_3iet_preservation(
-            Morphism.parse("A->AAB,B->AAB,C->AAAC"), t, ZERO, 500, 10
+            Morphism.parse("A->AAB,B->AAB,C->AAAC"), t, ZERO, 500
         )
         assert result == PreservationResult(
             False, "sigma01: predicted slope 1/4 is rational"
@@ -458,7 +458,7 @@ class TestPreservation:
         # sigma01 of the image is balanced, sigma10 is not
         t = ThreeIET(ALPHA, QUARTER)
         result = check_3iet_preservation(
-            Morphism.parse("A->A,B->BA,C->AC"), t, ZERO, 500, 10
+            Morphism.parse("A->A,B->BA,C->AC"), t, ZERO, 500
         )
         assert result == PreservationResult(
             False, "sigma10: projection is not balanced"
@@ -477,7 +477,7 @@ class TestPreservation:
 
         monkeypatch.setattr(amicability, "_projection_verdict", decided)
         t = ThreeIET(PRESERVE_ALPHA, PRESERVE_BETA)
-        result = check_3iet_preservation(Morphism.parse(eta), t, ZERO, 300, 10)
+        result = check_3iet_preservation(Morphism.parse(eta), t, ZERO, 300)
         assert result == PreservationResult(False, f"letter {letter} occurs in no image of eta")
 
     def test_binary_eta_is_rejected_before_any_letter_is_coded(self, monkeypatch):
@@ -488,26 +488,27 @@ class TestPreservation:
         monkeypatch.setattr(amicability, "three_iet_code", coded)
         t = ThreeIET(PRESERVE_ALPHA, PRESERVE_BETA)
         with pytest.raises(AlphabetError, match="3iet preservation is for ternary morphisms"):
-            check_3iet_preservation(Morphism.parse("0->01,1->0"), t, ZERO, 300, 10)
+            check_3iet_preservation(Morphism.parse("0->01,1->0"), t, ZERO, 300)
 
     def test_short_prefixes_pass(self):
-        # no prefix is too short for the exact test, whatever kmax is
+        # no prefix is too short for the exact test
         t = ThreeIET(ALPHA, QUARTER)
         for n in (1, 2, 5, 19, 39, 40, 100):
-            assert check_3iet_preservation(TERNARY_IDENTITY, t, ZERO, n, 20).ok, n
-            assert check_3iet_preservation(ETA, t, ZERO, n, 20).ok, n
+            assert check_3iet_preservation(TERNARY_IDENTITY, t, ZERO, n).ok, n
+            assert check_3iet_preservation(ETA, t, ZERO, n).ok, n
 
-    def test_kmax_is_checked_but_not_read(self):
+    def test_takes_no_kmax(self):
+        # the factor-count window of the prefix test that the slope
+        # verdict replaced is no argument any more
         t = ThreeIET(ALPHA, QUARTER)
-        with pytest.raises(DomainError, match="kmax must be non-negative, got -1"):
-            check_3iet_preservation(TERNARY_IDENTITY, t, ZERO, 100, -1)
-        for kmax in (0, 20, 10**9):
-            assert check_3iet_preservation(TERNARY_IDENTITY, t, ZERO, 100, kmax).ok
+        with pytest.raises(TypeError):
+            check_3iet_preservation(TERNARY_IDENTITY, t, ZERO, 100, 20)
 
+    # prefix lengths around twice that window's default of 20 letters
     @pytest.mark.parametrize("n", [40, 60, 80])
     def test_identity_passes_on_prefixes_above_2_kmax(self, n):
         t = ThreeIET(PRESERVE_ALPHA, PRESERVE_BETA)
-        assert check_3iet_preservation(TERNARY_IDENTITY, t, ZERO, n, 20).ok
+        assert check_3iet_preservation(TERNARY_IDENTITY, t, ZERO, n).ok
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=1, max_value=400))
@@ -520,12 +521,12 @@ class TestPreservation:
     def test_degenerate_parameters_rejected(self):
         trap = ThreeIET(ALPHA, QuadNumber(-2, 1, 5))
         with pytest.raises(DegenerateParametersError):
-            check_3iet_preservation(TERNARY_IDENTITY, trap, ZERO, 100, 5)
+            check_3iet_preservation(TERNARY_IDENTITY, trap, ZERO, 100)
 
     def test_preserving_nonmember_separates_the_monoids(self):
         # preserves 3iet words at prefix scale yet is no ternarization
         t = ThreeIET(ALPHA, QUARTER)
-        assert check_3iet_preservation(PRESERVING_NONMEMBER, t, ZERO, 500, 12).ok
+        assert check_3iet_preservation(PRESERVING_NONMEMBER, t, ZERO, 500).ok
         assert not ternarization_membership(PRESERVING_NONMEMBER).member
         assert PRESERVING_NONMEMBER == Morphism.parse("A->B,B->CAC,C->C")
 
@@ -568,12 +569,12 @@ class TestPreserveSuite:
     :func:`check_3iet_preservation` per pair."""
 
     @staticmethod
-    def per_pair_records(max_norm, n, kmax):
+    def per_pair_records(max_norm, n):
         transform = ThreeIET(PRESERVE_ALPHA, PRESERVE_BETA)
         records = []
         for matrix in unimodular_matrices(max_norm):
             for pair in brute_force_pairs(matrix):
-                result = check_3iet_preservation(pair.eta, transform, ZERO, n, kmax)
+                result = check_3iet_preservation(pair.eta, transform, ZERO, n)
                 records.append(
                     {
                         "matrix": str(matrix),
@@ -591,7 +592,7 @@ class TestPreserveSuite:
     )
     def test_records_match_a_public_call_per_pair(self, max_norm, n, kmax, checked):
         result = run_suite("preserve", max_norm, n, kmax)
-        assert result.records[:-1] == self.per_pair_records(max_norm, n, kmax)
+        assert result.records[:-1] == self.per_pair_records(max_norm, n)
         assert result.summary["checked"] == checked
         assert result.records[-1] == {"trap_rejected": True, "preserved": True}
         assert result.ok == all(record["preserved"] for record in result.records)
@@ -603,7 +604,7 @@ class TestPreserveSuite:
         monkeypatch.setattr(amicability, "three_iet_code", last_letter_changed)
         result = run_suite("preserve", 5, 60, 20)
         records = result.records[:-1]
-        assert records == self.per_pair_records(5, 60, 20)
+        assert records == self.per_pair_records(5, 60)
         failing = [record["detail"] for record in records if not record["preserved"]]
         assert 0 < len(failing) < len(records)
         assert {detail[:7] for detail in failing} == {"sigma01", "sigma10"}

@@ -93,17 +93,17 @@ def test_preservation_projection_above_the_cap_codes_nothing(coding_raises):
     assert n < MAX_CODING_LENGTH
     longest = Morphism.parse("A->AAA,B->A,C->A")
     with pytest.raises(Coded):
-        check_3iet_preservation(longest, transform, ZERO, n, 20)
+        check_3iet_preservation(longest, transform, ZERO, n)
     with pytest.raises(
         DomainError,
         match=f"projection length must be at most {MAX_PROJECTION_LETTERS}, "
         f"got {3 * (n + 1)}",
     ):
-        check_3iet_preservation(longest, transform, ZERO, n + 1, 20)
+        check_3iet_preservation(longest, transform, ZERO, n + 1)
     # B projects to two letters, so AB to three
     with_b = Morphism.parse("A->AB,B->A,C->A")
     with pytest.raises(DomainError, match="projection length must be at most"):
-        check_3iet_preservation(with_b, transform, ZERO, n + 1, 20)
+        check_3iet_preservation(with_b, transform, ZERO, n + 1)
 
 
 def test_preserve_suite_letters_above_the_cap_code_nothing(coding_raises):
@@ -184,7 +184,7 @@ TRANSFORM = ThreeIET(PRESERVE_ALPHA, PRESERVE_BETA)
         ("coding length", lambda n: two_iet_code(TwoIET(PRESERVE_BETA), ZERO, n)),
         ("coding length", lambda n: three_iet_code(TRANSFORM, ZERO, n)),
         ("coding length", lambda n: check_3iet_preservation(
-            Morphism.parse("A->A,B->B,C->C"), TRANSFORM, ZERO, n, 20)),
+            Morphism.parse("A->A,B->B,C->C"), TRANSFORM, ZERO, n)),
         *(("--max-norm", lambda v, name=name: run_suite(name, max_norm=v))
           for name in sorted(SUITES)),
         ("--samples", lambda v: run_suite("monoid", samples=v)),
@@ -192,15 +192,13 @@ TRANSFORM = ThreeIET(PRESERVE_ALPHA, PRESERVE_BETA)
         ("coding length", lambda n: coding_word_k(1, n, 0)),
         ("p", lambda p: coding_word_k(p, 3, 0)),
         ("k", lambda k: coding_word_k(1, 3, k)),
-        ("kmax", lambda k: check_3iet_preservation(
-            Morphism.parse("A->A,B->B,C->C"), TRANSFORM, ZERO, 20, k)),
         ("--kmax", lambda k: run_suite("preserve", max_norm=2, kmax=k)),
     ],
     ids=[
         "two_iet_code", "three_iet_code", "check_3iet_preservation",
         *(f"{name}-max_norm" for name in sorted(SUITES)), "monoid-samples", "preserve-n",
         "coding_word_k-n_total", "coding_word_k-p", "coding_word_k-k",
-        "check_3iet_preservation-kmax", "preserve-kmax",
+        "preserve-kmax",
     ],
 )
 def test_a_bound_that_is_no_int_is_named_before_any_work(flag, call, value, no_enumeration):

@@ -17,7 +17,9 @@ import ietwords.amicability
 import ietwords.cli
 import ietwords.matrices
 import ietwords.morphisms
-from ietwords import IntMatrix2, Morphism, count_formula_total, k_index, verification
+from ietwords import (
+    AmicablePair, IntMatrix2, Morphism, count_formula_total, k_index, verification
+)
 from ietwords.cli import MAX_COUNT_NORM, main
 from ietwords.errors import IetWordsError
 from ietwords.iet import MAX_CODING_LENGTH
@@ -236,7 +238,7 @@ class TestPreserveCommand:
             capsys,
             "preserve", "--eta", "A->A,B->B,C->C",
             "--alpha", "(3-1*sqrt(5))/2", "--beta", "1/4",
-            "-n", "300", "--kmax", "8",
+            "-n", "300",
         )
         assert code == 0
         assert records[0]["preserved"] is True
@@ -246,7 +248,7 @@ class TestPreserveCommand:
             capsys,
             "preserve", "--eta", "A->ACB,B->ACB,C->ACB",
             "--alpha", "(3-1*sqrt(5))/2", "--beta", "1/4",
-            "-n", "300", "--kmax", "8",
+            "-n", "300",
         )
         assert code == 1
         assert records[0]["detail"] == "sigma01: predicted slope 1/2 is rational"
@@ -256,7 +258,7 @@ class TestPreserveCommand:
             capsys,
             "preserve", "--eta", "A->A,B->AB,C->B",
             "--alpha", "(3-1*sqrt(5))/2", "--beta", "1/4",
-            "-n", "300", "--kmax", "10",
+            "-n", "300",
         )
         assert code == 1
         assert records[0] == {
@@ -268,8 +270,8 @@ class TestPreserveCommand:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["preserve", *IDENTITY_AT_REFERENCE, "-n", "5", "--kmax", "20"],
-            ["preserve", *IDENTITY_AT_REFERENCE, "-n", "80", "--kmax", "20"],
+            ["preserve", *IDENTITY_AT_REFERENCE, "-n", "5"],
+            ["preserve", *IDENTITY_AT_REFERENCE, "-n", "80"],
             ["verify", "--suite", "preserve", "--max-norm", "2", "-n", "1", "--kmax", "1"],
         ],
     )
@@ -326,7 +328,7 @@ COMMAND_ARGV = {
     "classify": ["--matrix3", "1,1,1;1,0,1;1,0,0"],
     "word2": ["--slope", "1/3", "--start", "1/7", "-n", "5"],
     "word3": ["--alpha", "1/3", "--beta", "1/5", "--start", "1/7", "-n", "5"],
-    "preserve": [*IDENTITY_AT_REFERENCE, "--start", "0", "-n", "40", "--kmax", "4"],
+    "preserve": [*IDENTITY_AT_REFERENCE, "--start", "0", "-n", "40"],
     "probe": ["--eta", "A->B,B->CAC,C->C"],
     "verify": ["--suite", "monoid", "--max-norm", "4", "--samples", "3", "--seed", "5",
                "-n", "40", "--kmax", "4"],
@@ -500,8 +502,9 @@ print(json.dumps([codes, [m for m in ("argparse", "gettext", "locale") if m in s
          "7310f40f4564eb6ccd7f177f4dffd70a3b3519a4c1083510d25b690cfd5d4571"),
         (["word2", "--help"], "2f3ed946393a272f4b35bdf54aaddac37f4ede33eb7ef6cc7ccdbb8932f97487"),
         (["word3", "--help"], "1fc646b297261465fa49a34de171f4a774f30fe5a1a0469c38f9d5e19fc1446a"),
+        # re-pinned when --kmax left the command
         (["preserve", "--help"],
-         "3c4660686cff529fc55435d90400feff9f0f84296fb6fc73d0620f415c0c8544"),
+         "36b5c4a26a6248489a1cfdc3755bcbf0f1b838da0cafde8911440b2afb79121e"),
         (["probe", "--help"], "a3ba6b2128900993ff93046a4375616b6cd0bc49f7b1b008469e66c50dfa240f"),
         (["verify", "--help"], "509cad3fbecb2700af26d52771169629e79ffa8a73dfd2b04d8be9e422a4dd8b"),
     ])
@@ -528,11 +531,8 @@ class TestInvalidInput:
             ["verify", "--suite", "counting", "--max-norm", "1"],
             ["verify", "--suite", "monoid", "--samples", "-3"],
             ["verify", "--suite", "preserve", "--kmax", "0"],
-            [
-                "preserve", "--eta", "A->A,B->B,C->C",
-                "--alpha", "(3-1*sqrt(5))/2", "--beta", "1/4",
-                "-n", "10", "--kmax", "-1",
-            ],
+            # a negative B-count
+            ["pairs", "--matrix", "1,1;1,0", "--b", "-1"],
             # a flag the suite does not read
             [
                 "verify", "--suite", "counting", "--max-norm", "3",
@@ -546,7 +546,7 @@ class TestInvalidInput:
             [
                 "preserve", "--eta", "A->A,B->B,C->C",
                 "--alpha", "(3-1*sqrt(5))/2", "--beta", "1/4",
-                "-n", "0", "--kmax", "20",
+                "-n", "0",
             ],
             ["verify", "--suite", "preserve", "--max-norm", "2", "-n", "0", "--kmax", "1"],
             # a coding longer than iet.MAX_CODING_LENGTH
@@ -666,6 +666,15 @@ class TestInvalidInput:
             main(["frobnicate"])
         assert exc.value.code == 2
 
+    def test_preserve_takes_no_kmax(self, capsys):
+        # only ``verify --suite preserve`` still reads --kmax
+        with pytest.raises(SystemExit) as exc:
+            main(["preserve", *IDENTITY_AT_REFERENCE, "-n", "5", "--kmax", "20"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ietwords ")
+        assert err.endswith("ietwords: error: unrecognized arguments: --kmax 20\n")
+
 
 class TestVerifyCommand:
     def test_counting_suite_passes(self, capsys):
@@ -685,6 +694,33 @@ class TestVerifyCommand:
         )
         assert code == 0
         assert records[-1]["seed"] == 7
+
+    def test_monoid_closure_failure_is_a_failing_record(self, capsys, monkeypatch):
+        # each matrix's first pair gets psi = 0->1,1->0: a composed phi and
+        # psi can then have images of different lengths, so no scan passes
+        original = ietwords.matrices.brute_force_pairs
+        swap = Morphism.parse("0->1,1->0")
+
+        def faulty(matrix):
+            pairs = original(matrix)
+            return tuple(
+                AmicablePair(p.phi, swap, p.eta, p.b0, p.b1, p.b, p.k, p.kbar) for p in pairs[:1]
+            ) + pairs[1:]
+
+        monkeypatch.setattr(ietwords.matrices, "brute_force_pairs", faulty)
+        result = verification.run_suite("monoid", max_norm=4, samples=50)
+        assert not result.ok
+        failing = [record for record in result.records if "closure_error" in record]
+        assert {"closure": False, "match": False}.items() <= failing[0].items()
+        assert "words of different lengths 5 and 3" in {r["closure_error"] for r in failing}
+        assert all(not record["closure"] for record in failing)
+        assert all(record["closure"] for record in result.records if record not in failing)
+        code, records, _ = run(
+            capsys, "verify", "--suite", "monoid", "--max-norm", "4", "--samples", "50"
+        )
+        assert code == 1
+        assert records[:-1] == result.records
+        assert records[-1]["status"] == "property-false"
 
     def test_matrices_suite_passes(self, capsys):
         code, records, _ = run(capsys, "verify", "--suite", "matrices", "--max-norm", "6")
@@ -917,9 +953,10 @@ class TestByteIdentity:
         [
             (["pairs", "--matrix", "13,8;8,5"], 0,
              "e1079b337163f14359e23b33087b3e66b09defc554fd438aab8d6495545c1d2c"),
+            # re-pinned without the summary's "kmax", its only change
             (["preserve", "--eta", "A->AB,B->ACA,C->B", "--alpha", "(3-1*sqrt(5))/2",
               "--beta", "1/4", "-n", "5000"], 1,
-             "31e39e61e647a3995ef441279389655b1f483a740f7c4f38bdb867306333fd1b"),
+             "3d4cf22f9a9aacd987aee29926ed3a35396cb6f424660b20bb2d242ab57141a4"),
             (["ternarize", "--phi", "0->001,1->00101", "--psi", "0->010,1->01001"], 0,
              "ddc456d75aa67207f0a986522661ab02e8044342bb4b0148ebd8e24c7d9e8f21"),
             (["ternarize", "--phi", "0->010,1->01001", "--psi", "0->001,1->00101"], 1,

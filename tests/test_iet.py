@@ -17,7 +17,6 @@ from ietwords import (
     ZERO,
     binary_word,
     coding_word_k,
-    factor_complexity,
     is_balanced,
     is_nondegenerate_params,
     sigma,
@@ -29,6 +28,7 @@ from ietwords import iet, quadratic
 from ietwords.iet import MAX_CODING_LENGTH
 from ietwords.quadratic import MAX_RADICAND, _surd_negative
 from ietwords.words import Alphabet
+from word_oracles import factor_complexity
 
 GOLDEN_SLOPE = QuadNumber(-1, 1, 5, 2)  # (sqrt(5)-1)/2
 ALPHA = QuadNumber(3, -1, 5, 2)  # (3-sqrt(5))/2

@@ -31,7 +31,6 @@ from ietwords import (
     formula_b_counts,
     incidence_matrix,
     k_index,
-    right_conjugate_step,
     standard_morphism,
     ternarization_matrices,
     ternarization_matrix,
@@ -39,14 +38,11 @@ from ietwords import (
 )
 import ietwords.matrices
 from ietwords.amicability import _letters_int, _scan_b
-from ietwords.matrices import (
-    _accepted,
-    _packed,
-    _packed_chain,
-    block_conjugated_matrix,
-)
+from ietwords.matrices import _accepted, _packed, _packed_chain
 from ietwords.morphisms import _binary_morphism, _sturmian_images
 from ietwords.verification import run_suite
+from block_matrix import block_conjugated_matrix
+from conjugate_step import right_conjugate_step
 from scan_loop import scan_loop, scan_loop_b
 
 EXAMPLE = IntMatrix2(2, 1, 3, 2)

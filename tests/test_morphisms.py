@@ -23,7 +23,6 @@ from ietwords import (
     is_sturmian_morphism,
     k_index,
     parikh,
-    right_conjugate_step,
     standard_morphism,
     ternary_word,
     unimodular_matrices,
@@ -34,6 +33,8 @@ from ietwords.morphisms import (
     _standard_images,
     _sturmian_images,
 )
+from block_matrix import inverse_unimodular
+from conjugate_step import right_conjugate_step
 from standard_loop import standard_loop, subtraction_standard_images
 
 PHI = Morphism.parse("0->001,1->00101")
@@ -130,7 +131,7 @@ class TestIncidence:
         m = IntMatrix3.parse("1,1,0;2,3,0;2,1,1")
         assert m.det() == 1
         assert tuple(map(sum, m.entries)) == (2, 5, 4)
-        assert (m @ m.inverse_unimodular()) == IntMatrix3(
+        assert (m @ inverse_unimodular(m)) == IntMatrix3(
             ((1, 0, 0), (0, 1, 0), (0, 0, 1))
         )
         assert m.transpose().transpose() == m

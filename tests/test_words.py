@@ -18,9 +18,7 @@ from ietwords import (
     TwoIET,
     ZERO,
     binary_word,
-    factor_complexity,
     is_balanced,
-    is_conjugate_word,
     parikh,
     ternary_word,
 )
@@ -28,6 +26,7 @@ from ietwords.iet import coding_word_k, two_iet_code
 from ietwords.quadratic import _partial_quotients
 from ietwords.words import _is_sturmian_factor, _substitute
 from sturmian_loop import sturmian_loop
+from word_oracles import factor_complexity, is_conjugate_word
 
 binary_texts = st.text(alphabet="01", max_size=48)
 ternary_texts = st.text(alphabet="ABC", max_size=48)
