@@ -22,7 +22,6 @@ Sturmian factor of a slope is one too.
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 from ._value import Value
@@ -34,7 +33,7 @@ from .errors import (
 )
 from .iet import MAX_CODING_LENGTH, ThreeIET, is_nondegenerate_params, three_iet_code
 from .morphisms import Morphism, is_sturmian_morphism
-from .quadratic import QuadNumber, _partial_quotients
+from .quadratic import QuadNumber, _numerator_pairs, _partial_quotients
 from .words import Alphabet, FiniteWord, _is_sturmian_factor, _substitute, is_balanced
 
 # the letter images of each projection: A to 0, B to 01 or 10, C to 1
@@ -91,9 +90,9 @@ def _scan(left: bytes, right: bytes) -> bytes:
     """The synchronous scan of two binary letter strings: A for 0/0, C
     for 1/1 and B for a 01-against-10 block; any other mismatch raises
     :class:`NotAmicableError`.  Balance is the caller's to check.  The
-    identity of :func:`_scan_b`, read at one byte per letter, puts the
-    first mismatch at the lowest bit of ``bad``, and the letterwise sums
-    spell the ternarization with each B doubled."""
+    identity of ``matrices._accepted_sets``, read at one byte per letter,
+    puts the first mismatch at the lowest bit of ``bad``, and the
+    letterwise sums spell the ternarization with each B doubled."""
     n = len(left)
     if n != len(right):
         raise NotAmicableError(f"words of different lengths {n} and {len(right)}")
@@ -113,28 +112,9 @@ def _scan(left: bytes, right: bytes) -> bytes:
 
 def _letters_int(letters: bytes) -> int:
     """A binary letter string as one integer, letter ``i`` at bit ``i``:
-    the input of :func:`_scan_b`.  The string ``a + b`` reads as
-    ``_letters_int(a) | _letters_int(b) << len(a)``."""
+    the input of ``matrices._accepted_sets``.  The string ``a + b`` reads
+    as ``_letters_int(a) | _letters_int(b) << len(a)``."""
     return int(letters[::-1].translate(Alphabet.BINARY.char_table) or b"0", 2)
-
-
-def _scan_b(x: int, y: int) -> int | None:
-    """The decision of :func:`_scan` on two binary letter strings read by
-    :func:`_letters_int`: the B-count when the scan succeeds, else None.
-
-    The two strings must have equal length; the scan rejects any other
-    pair before looking at a letter, and this test does not.  The scan
-    succeeds exactly when every 0-against-1 position is followed by a
-    1-against-0 one and every 1-against-0 position is preceded by a
-    0-against-1 one: each such pair is one B.  That is, ``~x & y``
-    shifted by one is ``x & ~y`` (an unpaired final block shifts a bit
-    beyond the last letter), or ``x - y == ~x & y``, as ``x - y`` is
-    ``(x & ~y) - (~x & y)``.
-    """
-    blocks = ~x & y
-    if x - y != blocks:
-        return None
-    return blocks.bit_count()
 
 
 def amicable_words_b(word: FiniteWord, other: FiniteWord) -> int | None:
@@ -331,9 +311,7 @@ def _preservation_checker(
     # lambda over a common denominator, which cancels from the slope, as
     # the numerator pairs (p, q) of p + q*sqrt(d)
     lengths = (transform.alpha, transform.beta, 1 - transform.alpha - transform.beta)
-    d = max(x.d for x in lengths)
-    scale = math.lcm(*(x.c for x in lengths))
-    weights = [(x.a * scale // x.c, x.b * scale // x.c) for x in lengths]
+    d, weights = _numerator_pairs(lengths)
     # pairs that share phi share the sigma01 projection of the image
     verdicts: dict[tuple[bytes, ...], str | None] = {}
     # the chains whose word has been decided, by their first key

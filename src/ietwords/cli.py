@@ -330,7 +330,7 @@ _COMMANDS: dict[str, tuple[Callable, str, tuple[tuple[str, dict], ...]]] = {
 
 def _build_parser():
     """The ``argparse`` parser of every command, which gives the help and
-    the usage errors."""
+    the usage errors, and the parser of each command by its name."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -338,22 +338,28 @@ def _build_parser():
         description="Sturmian morphisms, 3iet words, amicability and ternarization",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
     for name, (_, help_text, flags) in _COMMANDS.items():
-        command = sub.add_parser(name, help=help_text)
+        command = commands[name] = sub.add_parser(name, help=help_text)
         command.add_argument("--pretty", action="store_true", help="tabular output")
         for flag, keywords in flags:
             command.add_argument(flag, **keywords)
-    return parser
+    return parser, commands
 
 
 def _parse_args(argv: list[str]):
     """The namespace of ``argv``, with the attributes that the parser of
     :func:`_build_parser` gives it.  A well-formed command line is read
     from the command table (:func:`_read_well_formed`), so the command
-    loads no ``argparse``; anything else goes to the full parser, which
-    parses or rejects it as it always has."""
-    args = _read_well_formed(argv)
-    return _build_parser().parse_args(argv) if args is None else args
+    loads no ``argparse``; anything else goes to the parser of the command
+    it names, which rejects an unknown argument under that command's
+    usage, or else to the full parser."""
+    if (args := _read_well_formed(argv)) is not None:
+        return args
+    parser, commands = _build_parser()
+    if argv and argv[0] in commands:
+        return commands[argv[0]].parse_args(argv[1:], SimpleNamespace(command=argv[0]))
+    return parser.parse_args(argv)
 
 
 def _read_well_formed(argv: list[str]) -> SimpleNamespace | None:

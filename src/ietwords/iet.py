@@ -40,7 +40,7 @@ from bisect import bisect_right
 
 from ._value import Value
 from .errors import DomainError, _require_int, _require_range
-from .quadratic import ONE, ZERO, QuadNumber, _common_radicand
+from .quadratic import ONE, ZERO, QuadNumber, _numerator_pairs
 from .words import Alphabet, FiniteWord
 
 # longest orbit coding produced; coding a million letters takes about
@@ -198,23 +198,11 @@ def _quadratic_exchange_code(
     alphabet: Alphabet, x0: QuadNumber, cuts: tuple, shifts: tuple, n: int
 ) -> FiniteWord:
     """:func:`_exchange_code` on :class:`QuadNumber` points, written over
-    the least common denominator.  Values from two quadratic fields raise
-    :class:`FieldMismatchError`, with the message arithmetic on them
-    gives, before any letter is coded."""
-    values = (x0, *cuts, *shifts)
-    d = 0
-    for value in values:
-        d = _common_radicand(d, value.d)
-    denominator = math.lcm(*(value.c for value in values))
-
-    def numerators(value: QuadNumber) -> tuple[int, int]:
-        scale = denominator // value.c
-        return value.a * scale, value.b * scale
-
-    return _exchange_code(
-        alphabet, d, numerators(x0), tuple(map(numerators, cuts)),
-        tuple(map(numerators, shifts)), n,
-    )
+    the least common denominator: values from two quadratic fields raise,
+    as arithmetic on them would, before any letter is coded."""
+    d, (start, *pairs) = _numerator_pairs((x0, *cuts, *shifts))
+    cuts, shifts = tuple(pairs[:len(cuts)]), tuple(pairs[len(cuts):])
+    return _exchange_code(alphabet, d, start, cuts, shifts, n)
 
 
 def two_iet_code(transform: TwoIET, x0: QuadNumber, n: int) -> FiniteWord:

@@ -121,9 +121,9 @@ def _packed(x0: int, x1: int, n0: int, n1: int) -> tuple[int, int]:
     ``n0`` and ``n1`` letters, packed as the left and the right member of
     a candidate pair: the image of 01 (left) or 10 (right), then those
     of 0 and 1, each field followed by a zero guard bit.  The test of
-    ``_scan_b`` on the two packed integers is then the pair's three
-    scans at once, as an unpaired final block shifts its bit into its
-    own field's guard bit; the B-count is that of bits ``[0, n0+n1)``."""
+    :func:`_accepted_sets` on the two packed integers is then the pair's
+    three scans at once, as an unpaired final block shifts its bit into
+    its own field's guard bit; the B-count is that of bits ``[0, n0+n1)``."""
     fields = x0 << (n0 + n1 + 1) | x1 << (2 * n0 + n1 + 2)
     return x0 | x1 << n0 | fields, x1 | x0 << n1 | fields
 
@@ -162,32 +162,41 @@ def _packed_chain(
     raise MatrixDecompositionError(f"conjugation chain for {matrix} exceeded expected length")
 
 
-def _accepted(
-    matrix: IntMatrix2,
-) -> tuple[list[int], list[int], list[list[int]], tuple[bytes, bytes]]:
-    """The :func:`_packed_chain` left and right members of this matrix, in
-    chain order, and for each chain place the set ``d = x - y`` of each
-    right member ``y`` its left member ``x`` accepts by ``x - y == ~x &
-    y``, in decreasing order of ``d``; last, the standard pair they are
-    built from.  A matrix that is not unimodular, and then a norm above
-    :data:`MAX_PAIRS_NORM`, is rejected before any letter is built.
-
-    That test makes ``d`` the set of B positions, each a 0 of ``x`` just
-    below a 1, so a subset of ``~x & (x >> 1)``: only the right members in
-    the window ``[x - (~x & x >> 1), x]`` are tested.
+def _accepted_sets(lefts: list[int], rights: list[int], width: int) -> list[list[int]]:
+    """For each left member ``x``, the set ``d = x - y`` of each right
+    member ``y`` it accepts, in decreasing order of ``d``; all members are
+    below ``2**width``.  Read by ``amicability._letters_int``, two binary
+    letter strings of one length pass their scan exactly when each
+    0-against-1 position is followed by a 1-against-0 one and each
+    1-against-0 one is preceded by a 0-against-1 one, a pair per B: when
+    ``x & ~y == (~x & y) << 1`` (an unpaired final block shifts a bit past
+    the last letter), that is ``x - y == ~x & y``, the test here.  Then
+    ``d`` is the set of B positions, each a 0 of ``x`` just below a 1, so
+    a subset of ``~x & (x >> 1)``: only the right members in the window
+    ``[x - (~x & x >> 1), x]`` are tested.
     """
-    _require_matrix(matrix, MAX_PAIRS_NORM)
-    standard = _standard_images(matrix)
-    lefts, rights = _packed_chain(matrix, *standard)
     ordered = sorted(rights)
-    # ~x on the bits of a packed integer, where & is faster than with ~x
-    full = (1 << 2 * matrix.norm + 2) - 1
+    # ~x on the width bits, where & is faster than with ~x
+    full = (1 << width) - 1
     accepted = []
     for x in lefts:
         nx = x ^ full
         window = ordered[bisect_left(ordered, x - (nx & x >> 1)):bisect_right(ordered, x)]
         accepted.append([d for y in window if (d := x - y) == nx & y])
-    return lefts, rights, accepted, standard
+    return accepted
+
+
+def _accepted(
+    matrix: IntMatrix2,
+) -> tuple[list[int], list[int], list[list[int]], tuple[bytes, bytes]]:
+    """The :func:`_packed_chain` left and right members of this matrix, in
+    chain order, their :func:`_accepted_sets` and the standard pair they
+    are built from.  A matrix that is not unimodular, and then a norm
+    above :data:`MAX_PAIRS_NORM`, is rejected before any letter is built."""
+    _require_matrix(matrix, MAX_PAIRS_NORM)
+    standard = _standard_images(matrix)
+    lefts, rights = _packed_chain(matrix, *standard)
+    return lefts, rights, _accepted_sets(lefts, rights, 2 * matrix.norm + 2), standard
 
 
 def brute_force_pairs(matrix: IntMatrix2) -> tuple[AmicablePair, ...]:

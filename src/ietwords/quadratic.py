@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import re
-from functools import total_ordering
+from functools import reduce, total_ordering
 from typing import Iterator
 
 from ._value import Value
@@ -56,6 +56,16 @@ def _common_radicand(d: int, e: int) -> int:
     if d == 0:
         return e
     raise FieldMismatchError(f"cannot combine sqrt({d}) with sqrt({e})")
+
+
+def _numerator_pairs(values: tuple[QuadNumber, ...]) -> tuple[int, list[tuple[int, int]]]:
+    """The common radicand ``d`` of ``values``, which raises as arithmetic
+    on them would, and each value as the numerator pair ``(a, b)`` of
+    ``(a + b*sqrt(d))/L`` over their least common denominator ``L``."""
+    d = reduce(_common_radicand, (value.d for value in values), 0)
+    denominator = math.lcm(*(value.c for value in values))
+    scales = [denominator // value.c for value in values]
+    return d, [(value.a * scale, value.b * scale) for value, scale in zip(values, scales)]
 
 
 def _surd_negative(p: int, q: int, d: int) -> bool:

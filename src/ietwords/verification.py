@@ -22,7 +22,6 @@ from ._value import Value
 from .amicability import (
     _letters_int,
     _preservation_checker,
-    _scan_b,
     check_3iet_preservation,
     sigma,
     ternarize_morphisms,
@@ -126,13 +125,14 @@ def counting_suite(max_norm: int = 12) -> SuiteRecords:
     return ok, {"max_norm": max_norm, "matrices": checked}
 
 
-MAX_LEMMA_W_NORM = 140  # 36 s
+MAX_LEMMA_W_NORM = 230  # 29-32 s
 
 
 def lemma_w_suite(max_norm: int = 24) -> SuiteRecords:
     """Amicability of rational coding words: b-amicable exactly when the
     start-index difference b lies in [0, min(p, q)], for every length
-    N = p + q up to ``max_norm`` (the norm of the matrices they code)."""
+    N = p + q up to ``max_norm`` (the norm of the matrices they code),
+    each pair decided in the window loop of ``matrices._accepted_sets``."""
     _require_range(max_norm, 2, MAX_LEMMA_W_NORM, "--max-norm")
     ok = True
     cases = 0
@@ -141,17 +141,23 @@ def lemma_w_suite(max_norm: int = 24) -> SuiteRecords:
             if math.gcd(p, n_total) != 1:
                 continue
             m = min(p, n_total - p)
-            words = [coding_word_k(p, n_total, k) for k in range(n_total)]
-            # decided as amicable_words_b decides, with the scan's bit test:
-            # an unbalanced word (None) is amicable to none
-            ints = [_letters_int(w.letters) if is_balanced(w) else None for w in words]
-            mismatches = 0
-            for k, x in enumerate(ints):
-                for kbar, y in enumerate(ints):
-                    got = None if x is None or y is None else _scan_b(x, y)
-                    expected = kbar - k if 0 <= kbar - k <= m else None
-                    if got != expected:
+            word = coding_word_k(p, n_total, 0)
+            x0, mask = _letters_int(word.letters), (1 << n_total) - 1
+            rotations = [(x0 >> j | x0 << n_total - j) & mask for j in range(n_total)]
+            # word k = -j*p mod N is word 0 rotated left by j letters
+            index = {y: -j * p % n_total for j, y in enumerate(rotations)}
+            # w + w holds every rotation; an unbalanced word is amicable to none
+            lefts = rotations if is_balanced(word + word) else []
+            # each of the lemma's pairs is a mismatch until it is accepted
+            # with its B-count; each other accepted pair is one more
+            mismatches = sum(n_total - b for b in range(m + 1))
+            for x, ds in zip(lefts, matrices._accepted_sets(lefts, rotations, n_total)):
+                for d in ds:
+                    b = index[x - d] - index[x]
+                    if not 0 <= b <= m:
                         mismatches += 1
+                    elif b == d.bit_count():
+                        mismatches -= 1
             good = mismatches == 0
             ok = ok and good
             cases += 1

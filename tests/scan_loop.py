@@ -1,5 +1,6 @@
 """The letter-by-letter synchronous scan that ``amicability._scan`` and
-the bit test ``amicability._scan_b`` replaced, kept as their oracle."""
+the bit test of ``matrices._accepted_sets`` replaced, kept as their
+oracle, and that bit test on one pair."""
 
 from ietwords import NotAmicableError
 
@@ -38,3 +39,15 @@ def scan_loop_b(left: bytes, right: bytes) -> int | None:
         return scan_loop(left, right).count(1)
     except NotAmicableError:
         return None
+
+
+def scan_b(x: int, y: int) -> int | None:
+    """The decision of the scan on two binary letter strings of one
+    length, read by ``amicability._letters_int``: the B-count when the
+    scan succeeds, else None, by the identity ``x - y == ~x & y`` that
+    ``matrices._accepted_sets`` tests in its window.  The lengths are
+    not compared."""
+    blocks = ~x & y
+    if x - y != blocks:
+        return None
+    return blocks.bit_count()

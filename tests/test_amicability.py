@@ -35,7 +35,7 @@ from ietwords import (
     three_iet_code,
     unimodular_matrices,
 )
-from ietwords import amicability
+from ietwords import amicability, matrices, verification
 from ietwords.amicability import (
     _SIGMA,
     _chain,
@@ -43,8 +43,8 @@ from ietwords.amicability import (
     _letters_int,
     _projection_verdict,
     _scan,
-    _scan_b,
 )
+from ietwords.matrices import _accepted_sets
 from ietwords.words import _substitute
 from ietwords.verification import (
     PRESERVE_ALPHA,
@@ -52,7 +52,7 @@ from ietwords.verification import (
     preserve_suite,
     run_suite,
 )
-from scan_loop import scan_loop, scan_loop_b
+from scan_loop import scan_b, scan_loop, scan_loop_b
 
 PHI = Morphism.parse("0->001,1->00101")
 PSI = Morphism.parse("0->010,1->01001")
@@ -241,18 +241,25 @@ class TestScanAgainstLoop:
 class TestScanBitTest:
     def test_agrees_with_the_scan_exhaustively(self):
         # every ordered pair of equal-length binary words of length <= 10:
-        # the same decision, and the same B-count when both accept
+        # the same decision, and the same B-count when both accept, on
+        # one pair and in the window of the brute-force core
         for n in range(11):
             words = [bytes(w) for w in itertools.product((0, 1), repeat=n)]
             ints = [_letters_int(w) for w in words]
+            accepted = {
+                (x, x - d): d.bit_count()
+                for x, ds in zip(ints, _accepted_sets(ints, ints, n))
+                for d in ds
+            }
             for left, x in zip(words, ints):
                 for right, y in zip(words, ints):
-                    assert _scan_b(x, y) == scan_loop_b(left, right), (left, right)
+                    expected = scan_loop_b(left, right)
+                    assert scan_b(x, y) == accepted.get((x, y)) == expected, (left, right)
 
     @given(flipped_coding_factors())
     def test_agrees_with_the_scan_on_coding_factors(self, pair):
         left, right = pair
-        assert _scan_b(_letters_int(left), _letters_int(right)) == scan_loop_b(left, right)
+        assert scan_b(_letters_int(left), _letters_int(right)) == scan_loop_b(left, right)
 
     @given(letter_strings, letter_strings)
     def test_letter_i_at_bit_i_and_concatenation(self, a, b):
@@ -718,6 +725,34 @@ def test_lemma_w_suite_matches_the_scan():
                 {"p": p, "N": n_total, "mismatches": mismatches, "match": mismatches == 0}
             )
     assert run_suite("lemma-w", 14).records == records
+
+
+@pytest.mark.parametrize("suite", ["counting", "lemma-w"])
+def test_a_dropped_accepted_set_fails_the_suite(monkeypatch, suite):
+    # both suites decide their pairs in the one window loop, so a fault
+    # there shows in each: here the first non-empty set of each call is lost
+    original = matrices._accepted_sets
+
+    def dropping(lefts, rights, width):
+        accepted = original(lefts, rights, width)
+        for ds in accepted:
+            if ds:
+                ds.clear()
+                break
+        return accepted
+
+    monkeypatch.setattr(matrices, "_accepted_sets", dropping)
+    result = run_suite(suite, 6)
+    assert not result.ok
+    assert not all(record["match"] for record in result.records)
+
+
+def test_an_unbalanced_coding_fails_lemma_w(monkeypatch):
+    # an unbalanced word is amicable to none, so no pair of the lemma holds
+    monkeypatch.setattr(verification, "is_balanced", lambda word: False)
+    result = run_suite("lemma-w", 6)
+    assert not result.ok
+    assert not any(record["match"] for record in result.records)
 
 
 class TestAmicablePairInvariants:

@@ -350,6 +350,21 @@ def parse_outcome(parse, argv):
             return exc.code, out.getvalue(), err.getvalue()
 
 
+def full_parser_outcome(argv):
+    """:func:`parse_outcome` of the full parser, with an unrecognized
+    argument of a command reported as its own parser reports it: under
+    that parser's usage and name, with the same arguments."""
+    parser, commands = ietwords.cli._build_parser()
+    code, out, err = parse_outcome(parser.parse_args, argv)
+    usage, marker, unrecognized = err.partition("ietwords: error: unrecognized arguments: ")
+    if marker:
+        command = commands[argv[0]]
+        err = f"{command.format_usage()}{command.prog}: error: unrecognized arguments: "
+        err += unrecognized
+        assert usage == parser.format_usage()
+    return code, out, err
+
+
 # values of every kind a flag can meet: ints, negative ones, bad ints,
 # suite names and a bad one, the empty string and flag look-alikes
 VALUES = st.one_of(
@@ -411,7 +426,7 @@ class TestParser:
             for flag, keywords in ietwords.cli._COMMANDS[name][2] if keywords.get("required")
             for token in (flag, COMMAND_ARGV[name][COMMAND_ARGV[name].index(flag) + 1])
         ]
-        full = ietwords.cli._build_parser()
+        full = ietwords.cli._build_parser()[0]
         # a well-formed line is read from the command table alone
         monkeypatch.setattr(ietwords.cli, "_build_parser", build_no_parser)
         for argv in (
@@ -438,21 +453,20 @@ class TestParser:
         assert built == [True]
         assert vars(abbreviated) == vars(ietwords.cli._parse_args(["std", *COMMAND_ARGV["std"]]))
         assert built == [True]
-        # stray arguments go to the full parser, which names them
+        # stray arguments go to the command's parser, which names them
         with pytest.raises(SystemExit) as exc:
             main(["std", *COMMAND_ARGV["std"], "extra"])
         assert exc.value.code == 2
         assert built == [True, True]
-        assert "ietwords: error: unrecognized arguments: extra" in capsys.readouterr().err
+        assert "ietwords std: error: unrecognized arguments: extra" in capsys.readouterr().err
 
     @settings(max_examples=400, deadline=None)
     @given(command_lines())
     def test_every_command_line_reads_as_the_full_parser(self, argv):
         # a line either reads as the full parser reads it, or exits with
-        # the same code, help and usage error
-        assert parse_outcome(ietwords.cli._parse_args, argv) == parse_outcome(
-            lambda argv: ietwords.cli._build_parser().parse_args(argv), argv
-        )
+        # the same code, help and usage error; but for an unrecognized
+        # argument, which the command's parser reports under its own usage
+        assert parse_outcome(ietwords.cli._parse_args, argv) == full_parser_outcome(argv)
 
     def test_the_reader_mirrors_every_flag_keyword(self):
         # the reader applies ``type`` (catching ValueError, which int
@@ -672,8 +686,8 @@ class TestInvalidInput:
             main(["preserve", *IDENTITY_AT_REFERENCE, "-n", "5", "--kmax", "20"])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert err.startswith("usage: ietwords ")
-        assert err.endswith("ietwords: error: unrecognized arguments: --kmax 20\n")
+        assert err.startswith("usage: ietwords preserve ")
+        assert err.endswith("ietwords preserve: error: unrecognized arguments: --kmax 20\n")
 
 
 class TestVerifyCommand:

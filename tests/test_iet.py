@@ -324,6 +324,17 @@ class TestCodingWordK:
             for k in range(n):
                 assert is_balanced(coding_word_k(p, n, k))
 
+    def test_each_word_is_a_rotation_of_the_first(self):
+        # the chain-step fact that lemma-w builds its words from: word
+        # -j*p mod N is word 0 rotated left by j letters; two copies of
+        # word 0 hold every rotation as a factor, and are balanced
+        for p, n in coprime_cases(39):
+            word = coding_word_k(p, n, 0)
+            first = word.letters
+            for j in range(n):
+                assert coding_word_k(p, n, -j * p % n).letters == first[j:] + first[:j], (p, n, j)
+            assert is_balanced(word + word), (p, n)
+
 
 class TestThreeIETCode:
     def test_rational_example(self):

@@ -37,13 +37,13 @@ from ietwords import (
     unimodular_matrices,
 )
 import ietwords.matrices
-from ietwords.amicability import _letters_int, _scan_b
+from ietwords.amicability import _letters_int
 from ietwords.matrices import _accepted, _packed, _packed_chain
 from ietwords.morphisms import _binary_morphism, _sturmian_images
 from ietwords.verification import run_suite
 from block_matrix import block_conjugated_matrix
 from conjugate_step import right_conjugate_step
-from scan_loop import scan_loop, scan_loop_b
+from scan_loop import scan_b, scan_loop, scan_loop_b
 
 EXAMPLE = IntMatrix2(2, 1, 3, 2)
 IDENTITY_2 = IntMatrix2(1, 0, 0, 1)
@@ -163,9 +163,9 @@ def three_scan_decisions(matrix):
     for k, phi, x0, x1, x01, _ in rows:
         for kbar, psi, y0, y1, _, y10 in rows:
             if (
-                _scan_b(x0, y0) is not None
-                and _scan_b(x1, y1) is not None
-                and (b := _scan_b(x01, y10)) is not None
+                scan_b(x0, y0) is not None
+                and scan_b(x1, y1) is not None
+                and (b := scan_b(x01, y10)) is not None
             ):
                 decisions.append((k, phi, kbar, psi, b))
     return decisions
@@ -226,7 +226,7 @@ class TestPackedDecisions:
                 if scan_loop_b(phi[0], psi[0]) is None or scan_loop_b(phi[1], psi[1]) is None:
                     b = None
                 x, y = packed_pair(phi, psi)
-                got = _scan_b(x, y)
+                got = scan_b(x, y)
                 assert (got is None) == (b is None), (phi, psi)
                 if b is not None:
                     assert ((~x & y) & ((1 << n0 + n1) - 1)).bit_count() == b
@@ -237,10 +237,10 @@ class TestPackedDecisions:
         # bit of the first from pairing with the second
         phi, psi = (b"\x00", b"\x01"), (b"\x01", b"\x00")
         assert scan_loop_b(phi[0] + phi[1], psi[1] + psi[0]) == 0
-        assert _scan_b(*packed_pair(phi, psi)) is None
+        assert scan_b(*packed_pair(phi, psi)) is None
         # the same three fields with no guard bits pass, as 0101 against 0110
         unguarded = phi[0] + phi[1] + phi[0] + phi[1], psi[1] + psi[0] + psi[0] + psi[1]
-        assert _scan_b(*map(_letters_int, unguarded)) == 1
+        assert scan_b(*map(_letters_int, unguarded)) == 1
 
     def test_pair_failing_only_the_image_of_01_is_rejected(self):
         # the conjugates 0->0,1->01 and 0->0,1->10 of the matrix 1,0;1,1:
@@ -250,7 +250,7 @@ class TestPackedDecisions:
         assert list(_sturmian_images(matrix)) == [phi, psi]
         assert scan_loop_b(phi[0], psi[0]) == 0 and scan_loop_b(phi[1], psi[1]) == 1
         assert scan_loop_b(phi[0] + phi[1], psi[1] + psi[0]) is None
-        assert _scan_b(*packed_pair(phi, psi)) is None
+        assert scan_b(*packed_pair(phi, psi)) is None
         assert (phi, psi) not in [(a, c) for _, a, _, c, _ in pair_decisions(matrix)]
 
     def test_each_matrix_reads_one_morphism(self, monkeypatch):

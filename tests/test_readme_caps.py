@@ -1,6 +1,8 @@
 """The caps README.md states are the caps of the source: each backticked
-``module.MAX_X = value`` names a module-level constant of that value, and
-every module-level ``MAX_*`` constant of the package is stated there."""
+``module.MAX_X = value`` names a module-level constant of that value,
+every module-level ``MAX_*`` constant of the package is stated there, and
+the command block's list of ``--max-norm`` caps names each command and
+suite with its cap."""
 
 import ast
 import importlib
@@ -8,6 +10,7 @@ import re
 from pathlib import Path
 
 import ietwords
+from ietwords import cli, verification
 
 PACKAGE = Path(ietwords.__file__).parent
 README = PACKAGE.parents[1] / "README.md"
@@ -62,3 +65,24 @@ def test_each_stated_cap_is_a_constant_of_that_value():
 
 def test_each_cap_of_the_source_is_stated():
     assert defined_caps() - {name for name, _ in stated_caps()} == set()
+
+
+def listed_norm_caps() -> dict[str, int]:
+    """Each command or suite and its ``--max-norm`` cap, as the comments
+    of README.md's command block list them: ``--max-norm below 2, or
+    above 300 for count, 125 for counting, ...;``."""
+    comments = " ".join(
+        line.lstrip("# ").strip() for line in README.read_text().splitlines()
+        if line.startswith("#")
+    )
+    listed = re.search(r"--max-norm below 2, or above (.*?);", comments)
+    assert listed, "README's command block lists no --max-norm caps"
+    return {name: int(cap) for cap, name in re.findall(r"(\d+) for ([\w-]+)", listed[1])}
+
+
+def test_the_command_block_lists_each_norm_cap():
+    suites = {
+        name: getattr(verification, f"MAX_{name.replace('-', '_').upper()}_NORM")
+        for name in verification.SUITES
+    }
+    assert listed_norm_caps() == {"count": cli.MAX_COUNT_NORM, **suites}
