@@ -33,8 +33,10 @@ from .errors import (
 )
 from .iet import MAX_CODING_LENGTH, ThreeIET, is_nondegenerate_params, three_iet_code
 from .morphisms import Morphism, is_sturmian_morphism
-from .quadratic import QuadNumber, _numerator_pairs, _partial_quotients
-from .words import Alphabet, FiniteWord, _is_sturmian_factor, _substitute, is_balanced
+from .quadratic import QuadNumber, _partial_quotients
+from .words import (
+    Alphabet, FiniteWord, _conjugates, _is_sturmian_factor, _substitute, is_balanced
+)
 
 # the letter images of each projection: A to 0, B to 01 or 10, C to 1
 _SIGMA = {"01": (b"\x00", b"\x00\x01", b"\x01"), "10": (b"\x00", b"\x01\x00", b"\x01")}
@@ -286,12 +288,12 @@ def _preservation_checker(
     Rotating each image of a key by their common first letter rotates its
     projection ``s`` by one letter, to ``s[1:] + s[:1]``, and keeps the
     slope.  So a new key is first looked up in its conjugation chain
-    (:func:`_chain` from :func:`_chain_start`): the ``r`` keys after the
-    chain's first, of projection ``s``, project to factors of ``s +
-    s[:r]``, and when that one word passes, so do they all (a factor of a
-    Sturmian factor of a slope is one too).  When it fails, or ``r``
-    exceeds ``len(s)``, each key is decided on its own, with its own
-    detail.
+    (``words._conjugates`` from :func:`_chain_start`): the ``r`` keys
+    after the chain's first, of projection ``s``, project to factors of
+    ``s + s[:r]``, and when that one word passes, so do they all (a
+    factor of a Sturmian factor of a slope is one too).  When it fails,
+    or ``r`` exceeds ``len(s)``, each key is decided on its own, with its
+    own detail.
 
     ``longest`` bounds the projected letter images of every ``eta`` the
     caller passes: ``n`` times it is checked against
@@ -308,30 +310,25 @@ def _preservation_checker(
             "parameters are degenerate: (1-alpha)/(1+beta) is rational"
         )
     prefix = three_iet_code(transform, x0, n)
-    # lambda over a common denominator, which cancels from the slope, as
-    # the numerator pairs (p, q) of p + q*sqrt(d)
     lengths = (transform.alpha, transform.beta, 1 - transform.alpha - transform.beta)
-    d, weights = _numerator_pairs(lengths)
     # pairs that share phi share the sigma01 projection of the image
     verdicts: dict[tuple[bytes, ...], str | None] = {}
     # the chains whose word has been decided, by their first key
     starts: set[tuple[bytes, ...]] = set()
 
     def slope(key: tuple[bytes, ...]) -> QuadNumber:
-        ones = [image.count(1) for image in key]
-        sizes = [len(image) for image in key]
-        p, q = (sum(w[i] * k for w, k in zip(weights, ones)) for i in (0, 1))
-        r, s = (sum(w[i] * k for w, k in zip(weights, sizes)) for i in (0, 1))
-        # (p + q*sqrt(d)) / (r + s*sqrt(d)), with r + s*sqrt(d) > 0 as some
-        # image is not empty; times the conjugate of the divisor over itself
-        return QuadNumber(p * r - q * s * d, q * r - p * s, d, r * r - s * s * d, _squarefree=True)
+        # the divisor is positive, as some image is not empty
+        ones = sum(length * image.count(1) for length, image in zip(lengths, key))
+        return ones / sum(length * len(image) for length, image in zip(lengths, key))
 
     def verdict(key: tuple[bytes, ...]) -> str | None:
         if key not in verdicts:
             start = _chain_start(key)
             if start not in starts:
                 starts.add(start)
-                chain = _chain(start)
+                # at most as many rotations as the longest image has
+                # letters: a chain word is at most that much longer than s
+                chain = _conjugates(start, max(map(len, start)))
                 s = _substitute(prefix.letters, start)
                 r = len(chain) - 1
                 if 0 < r <= len(s) and _projection_verdict(s + s[:r], slope(start)) is None:
@@ -363,20 +360,6 @@ def _chain_start(key: tuple[bytes, ...]) -> tuple[bytes, ...]:
             break
         key = tuple(image[-1:] + image[:-1] for image in key)
     return key
-
-
-def _chain(start: tuple[bytes, ...]) -> list[tuple[bytes, ...]]:
-    """``start`` and its forward rotations: each rotates every image by
-    their common first letter, at most as many steps as the longest image
-    has letters, so that a chain word is at most that much longer than a
-    projection."""
-    chain = [start]
-    for _ in range(max(map(len, start))):
-        key = chain[-1]
-        if not all(key) or len({image[0] for image in key}) != 1:
-            break
-        chain.append(tuple(image[1:] + image[:1] for image in key))
-    return chain
 
 
 def _projection_verdict(letters: bytes, slope: QuadNumber) -> str | None:

@@ -37,6 +37,7 @@ from .iet import (
     two_iet_code,
 )
 from .matrices import (
+    MAX_PAIRS_NORM,
     brute_force_pairs,
     classify_matrix3,
     conjecture_probe,
@@ -46,6 +47,7 @@ from .matrices import (
 )
 from .morphisms import (
     _chain_indices,
+    _require_matrix,
     IntMatrix2,
     IntMatrix3,
     Morphism,
@@ -123,7 +125,8 @@ def _cmd_pairs(args) -> Records:
         pairs = brute_force_pairs(matrix)
         expected = count_formula_total(matrix)
     else:
-        # a B-count is at most min(p, q) < N
+        # a B-count is at most min(p, q) < N, once the matrix is known good
+        _require_matrix(matrix, MAX_PAIRS_NORM)
         _require_range(args.b, 0, matrix.norm, "--b")
         pairs = tuple(pair for pair in brute_force_pairs(matrix) if pair.b == args.b)
         expected = count_formula_b(matrix, args.b)

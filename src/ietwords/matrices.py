@@ -42,7 +42,6 @@ from .errors import (
 from .morphisms import (
     _binary_morphism,
     _chain_indices,
-    _chain_place,
     _require_matrix,
     _require_unimodular,
     _standard_images,
@@ -51,7 +50,7 @@ from .morphisms import (
     Morphism,
     compose,
 )
-from .words import parikh
+from .words import _conjugates, parikh
 
 E_MATRIX = IntMatrix3(((0, 1, 1), (-1, 0, 1), (-1, -1, 0)))
 
@@ -207,7 +206,8 @@ def brute_force_pairs(matrix: IntMatrix2) -> tuple[AmicablePair, ...]:
     decided by the ternarization scan alone, through its bit test in
     :func:`_accepted`; the scan itself runs on the accepted pairs only,
     to build ``eta``.  The chain places are indexed from the first one
-    by a single search, in ``morphisms._chain_indices``.
+    by a single search, in ``morphisms._chain_indices``, and their
+    morphisms built once each, by ``words._conjugates``.
     """
     lefts, rights, accepted, standard = _accepted(matrix)
     ks = _chain_indices(matrix, standard, len(lefts))
@@ -219,14 +219,10 @@ def brute_force_pairs(matrix: IntMatrix2) -> tuple[AmicablePair, ...]:
         for i, (k, x, ds) in enumerate(zip(ks, lefts, accepted))
         for d in ds
     )
-    # each morphism in an accepted pair, built once, by its chain place
-    built: dict[int, Morphism] = {}
+    chain = [_binary_morphism(images) for images in _conjugates(standard, len(lefts) - 1)]
     pairs = []
     for k, kbar, j, i in labelled:
-        for index in (i, j):
-            if index not in built:
-                built[index] = _binary_morphism(_chain_place(standard, index))
-        phi, psi = built[i], built[j]
+        phi, psi = chain[i], chain[j]
         eta = ternarize_morphisms(phi, psi)
         b0, b1, b = b_counts(eta)
         pairs.append(

@@ -11,7 +11,6 @@ rotation of the standard pair.
 from __future__ import annotations
 
 import re
-from typing import Iterator
 
 from ._value import Value
 from .errors import (
@@ -26,7 +25,7 @@ from .errors import (
     _require_range,
 )
 from .iet import MAX_CODING_LENGTH, coding_word_k
-from .words import Alphabet, FiniteWord, _substitute, parikh
+from .words import Alphabet, FiniteWord, _conjugates, _substitute, parikh
 
 
 class IntMatrix2(Value):
@@ -293,27 +292,16 @@ def _standard_images(matrix: IntMatrix2) -> tuple[bytes, bytes]:
     return (x, y) if matrix.det == 1 else (y, x)
 
 
-def _chain_place(images: tuple[bytes, bytes], i: int) -> tuple[bytes, bytes]:
-    """Place ``i`` of the conjugation chain of the standard pair ``images``:
-    both images rotated by ``i`` letters, as ``i`` right conjugations
-    rotate them, each by their shared first letter."""
-    x, y = images
-    i, j = i % len(x), i % len(y)
-    return x[i:] + x[:i], y[j:] + y[:j]
-
-
-def _sturmian_images(matrix: IntMatrix2) -> Iterator[tuple[bytes, bytes]]:
+def _sturmian_images(matrix: IntMatrix2) -> list[tuple[bytes, bytes]]:
     """The letter strings of the images of 0 and 1 of every Sturmian
     morphism with this matrix, in the order of :func:`enumerate_sturmian`:
-    the chain places of its standard pair, up to the first whose images
-    start with different letters."""
-    standard = _standard_images(matrix)
-    for i in range(matrix.norm):
-        x, y = _chain_place(standard, i)
-        yield x, y
-        if x[0] != y[0]:
-            return
-    raise MatrixDecompositionError(f"conjugation chain for {matrix} exceeded expected length")
+    the right conjugates of its standard pair, up to the first whose
+    images start with different letters."""
+    chain = _conjugates(_standard_images(matrix), matrix.norm - 1)
+    x, y = chain[-1]
+    if x[0] == y[0]:
+        raise MatrixDecompositionError(f"conjugation chain for {matrix} exceeded expected length")
+    return chain
 
 
 def _binary_morphism(images: tuple[bytes, bytes]) -> Morphism:

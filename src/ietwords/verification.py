@@ -48,26 +48,13 @@ SuiteRecords = Generator[dict, None, tuple[bool, dict]]
 
 
 class SuiteResult(Value):
-    """A suite's records and summary; unlike the other value classes it
-    is mutable, and so unhashable."""
+    """A suite's records and summary."""
 
     __slots__ = ("name", "ok", "records", "summary")
     name: str
     ok: bool
     records: list[dict]
     summary: dict
-
-    def __init__(
-        self, name: str, ok: bool, records: list[dict] | None = None, summary: dict | None = None
-    ) -> None:
-        self.name = name
-        self.ok = ok
-        self.records = [] if records is None else records
-        self.summary = {} if summary is None else summary
-
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
 
 def drain(records: Generator[dict, None, tuple], emit: Callable[[dict], None]) -> tuple:
@@ -238,6 +225,7 @@ def monoid_suite(
     a deterministic random sample of pairs of ternarizations."""
     _require_range(max_norm, 2, MAX_MONOID_NORM, "--max-norm")
     _require_range(samples, 1, MAX_MONOID_SAMPLES, "--samples")
+    _require_int(seed, "--seed")
     pool = [
         pair
         for matrix in matrices.unimodular_matrices(max_norm)

@@ -143,6 +143,20 @@ def _substitute(letters: bytes, images: Sequence[bytes]) -> bytes:
     return letters
 
 
+def _conjugates(images: tuple[bytes, ...], steps: int) -> list[tuple[bytes, ...]]:
+    """``images`` and its right conjugates in turn, each rotating every
+    image by their shared first letter: up to the first whose images are
+    not all non-empty with one first letter, and at most ``steps``
+    rotations."""
+    chain = [images]
+    for _ in range(steps):
+        if not all(images) or len({image[0] for image in images}) != 1:
+            break
+        images = tuple(image[1:] + image[:1] for image in images)
+        chain.append(images)
+    return chain
+
+
 _SWAP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 # a derived word's letters: a short block ``0^lo 1`` (1 once its zeros
 # are deleted) gives 0, and a long one (replaced by 2) gives 1

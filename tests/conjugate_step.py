@@ -1,5 +1,6 @@
-"""The letter-level right conjugation that the chain places of
-``morphisms._chain_place`` replaced, kept as their oracle."""
+"""The letter-level right conjugation of a morphism, built on the
+``Morphism`` type: the oracle of the bytes-level chain walk
+``words._conjugates`` and so of ``morphisms._sturmian_images``."""
 
 from ietwords import DomainError, FiniteWord, Morphism
 

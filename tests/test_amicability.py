@@ -38,14 +38,13 @@ from ietwords import (
 from ietwords import amicability, matrices, verification
 from ietwords.amicability import (
     _SIGMA,
-    _chain,
     _chain_start,
     _letters_int,
     _projection_verdict,
     _scan,
 )
 from ietwords.matrices import _accepted_sets
-from ietwords.words import _substitute
+from ietwords.words import _conjugates, _substitute
 from ietwords.verification import (
     PRESERVE_ALPHA,
     PRESERVE_BETA,
@@ -562,7 +561,8 @@ def test_rotating_a_key_rotates_its_projection(prefix, first, tails):
 @settings(max_examples=200, deadline=None)
 @given(ternary_letter_strings, keys)
 def test_a_chain_word_holds_every_projection_of_its_chain(prefix, key):
-    chain = _chain(_chain_start(key))
+    start = _chain_start(key)
+    chain = _conjugates(start, max(map(len, start)))
     s = _substitute(prefix, chain[0])
     r = len(chain) - 1
     for j, link in enumerate(chain):

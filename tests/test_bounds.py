@@ -188,6 +188,7 @@ TRANSFORM = ThreeIET(PRESERVE_ALPHA, PRESERVE_BETA)
         *(("--max-norm", lambda v, name=name: run_suite(name, max_norm=v))
           for name in sorted(SUITES)),
         ("--samples", lambda v: run_suite("monoid", samples=v)),
+        ("--seed", lambda v: run_suite("monoid", seed=v)),
         ("coding length", lambda n: run_suite("preserve", n=n)),
         ("coding length", lambda n: coding_word_k(1, n, 0)),
         ("p", lambda p: coding_word_k(p, 3, 0)),
@@ -196,7 +197,8 @@ TRANSFORM = ThreeIET(PRESERVE_ALPHA, PRESERVE_BETA)
     ],
     ids=[
         "two_iet_code", "three_iet_code", "check_3iet_preservation",
-        *(f"{name}-max_norm" for name in sorted(SUITES)), "monoid-samples", "preserve-n",
+        *(f"{name}-max_norm" for name in sorted(SUITES)), "monoid-samples", "monoid-seed",
+        "preserve-n",
         "coding_word_k-n_total", "coding_word_k-p", "coding_word_k-k",
         "preserve-kmax",
     ],

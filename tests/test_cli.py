@@ -675,6 +675,20 @@ class TestInvalidInput:
             "status": "invalid-input",
         }]
 
+    @pytest.mark.parametrize(
+        "matrix, error",
+        [
+            ("2,2;2,2", "matrix 2,2;2,2 has determinant 0"),
+            ("300,1;299,1", f"matrix norm must be at most {MAX_PAIRS_NORM}, got 601"),
+        ],
+    )
+    def test_matrix_is_named_before_the_b_count(self, capsys, matrix, error):
+        # a --b above the norm would be named first, against a bound
+        # that no valid matrix has
+        code, records, _ = run(capsys, "pairs", "--matrix", matrix, "--b", "700")
+        assert code == 2
+        assert records == [{"command": "pairs", "error": error, "status": "invalid-input"}]
+
     def test_unknown_command_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

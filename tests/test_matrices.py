@@ -341,7 +341,7 @@ class TestCandidateWindow:
         # the core's windowed test against the same test on every right
         # member of the chain, each a different morphism
         lefts, rights, accepted, standard = _accepted(matrix)
-        assert standard == next(_sturmian_images(matrix))
+        assert standard == _sturmian_images(matrix)[0]
         assert len(set(rights)) == len(rights) == len(lefts)
         assert [[x - d for d in ds] for x, ds in zip(lefts, accepted)] == [
             sorted(y for y in rights if x - y == ~x & y) for x in lefts
@@ -413,7 +413,7 @@ class TestBruteForcePairs:
 
     def test_morphisms_built(self, monkeypatch):
         # brute_force_b_counts builds none; brute_force_pairs builds each
-        # morphism of an accepted pair once, plus one eta per pair
+        # morphism of the chain once, plus one eta per pair
         built = []
         init = Morphism.__init__
 
@@ -426,7 +426,7 @@ class TestBruteForcePairs:
             brute_force_b_counts(matrix)
         assert built == []
         pairs = brute_force_pairs(EXAMPLE)
-        assert len(built) == len({p.k for p in pairs} | {p.kbar for p in pairs}) + len(pairs)
+        assert len(built) == EXAMPLE.norm - 1 + len(pairs)
 
     def test_b_counts_reject_non_unimodular(self):
         with pytest.raises(NotUnimodularError):

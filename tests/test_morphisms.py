@@ -3,12 +3,14 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
+from ietwords import morphisms
 from ietwords import (
     Alphabet,
     AlphabetError,
     FiniteWord,
     IntMatrix2,
     IntMatrix3,
+    MatrixDecompositionError,
     Morphism,
     NotSturmianError,
     NotUnimodularError,
@@ -29,7 +31,6 @@ from ietwords import (
 )
 from ietwords.morphisms import (
     _chain_indices,
-    _chain_place,
     _standard_images,
     _sturmian_images,
 )
@@ -265,20 +266,34 @@ class TestEnumeration:
             assert enumerate_sturmian(matrix) == tuple(chain), str(matrix)
 
     def test_chain_places_are_rotations_of_the_standard_pair(self):
-        # each place against right_conjugate_step walked from the standard
-        # morphism, as the brute force builds an accepted pair's members
+        # the chain against right_conjugate_step walked from the standard
+        # morphism; place i rotates both standard images by i letters
         checked = 0
         for matrix in unimodular_matrices(40):
-            standard = _standard_images(matrix)
+            walked = []
             m = standard_morphism(matrix)
-            i = 0
             while m is not None:
-                images = tuple(image.letters for image in m.images)
-                assert _chain_place(standard, i) == images, (str(matrix), i)
+                walked.append(tuple(image.letters for image in m.images))
                 m = right_conjugate_step(m)
-                i += 1
-            checked += i
+            chain = _sturmian_images(matrix)
+            assert chain == walked, str(matrix)
+            x, y = chain[0]
+            assert chain == [
+                (x[i % len(x):] + x[:i % len(x)], y[i % len(y):] + y[:i % len(y)])
+                for i in range(len(chain))
+            ], str(matrix)
+            checked += len(chain)
         assert checked == 25_242
+
+    def test_a_chain_past_its_length_is_rejected(self, monkeypatch):
+        # images that always start with the same letter never end the
+        # chain: it stops after norm places, and raises
+        monkeypatch.setattr(
+            morphisms, "_standard_images", lambda matrix: (b"\x00" * 3, b"\x00" * 5)
+        )
+        for call in (_sturmian_images, enumerate_sturmian):
+            with pytest.raises(MatrixDecompositionError, match="exceeded expected length"):
+                call(IntMatrix2(2, 1, 3, 2))
 
     def test_census_small(self):
         for matrix in unimodular_matrices(9):

@@ -180,7 +180,7 @@ def test_pickle_round_trip(name):
         ),
         (TwoIET(QuadNumber(1, 0, 0, 2)), f"TwoIET(slope={QuadNumber(1, 0, 0, 2)!r})"),
         (
-            SuiteResult("counting", True),
+            SuiteResult("counting", True, [], {}),
             "SuiteResult(name='counting', ok=True, records=[], summary={})",
         ),
         (binary_word("0110"), "FiniteWord(BINARY, '0110')"),
@@ -252,16 +252,19 @@ def test_matrix3_rows_become_tuples():
         IntMatrix3(((1, 0, 0), (0, 1, 0)))
 
 
-def test_suite_result_is_mutable_and_unhashable():
-    result = SuiteResult("counting", True)
-    assert result == SuiteResult("counting", True, [], {})
-    assert result.records is not SuiteResult("counting", True).records
-    result.ok = False
-    result.records.append({"match": False})
+def test_suite_result_is_immutable_and_unhashable():
+    # run_suite builds a result whole; its record list makes it unhashable
+    result = SuiteResult("counting", False, [{"match": False}], {})
     assert result == SuiteResult("counting", False, [{"match": False}], {})
     assert result != ("counting", False, [{"match": False}], {})
+    with pytest.raises(AttributeError):
+        result.ok = True
+    with pytest.raises(AttributeError):
+        del result.records
     with pytest.raises(TypeError):
         hash(result)
+    with pytest.raises(TypeError):
+        SuiteResult("counting", True)
 
 
 def test_cli_import_leaves_dataclasses_and_inspect_unloaded():

@@ -24,7 +24,7 @@ from ietwords import (
 )
 from ietwords.iet import coding_word_k, two_iet_code
 from ietwords.quadratic import _partial_quotients
-from ietwords.words import _is_sturmian_factor, _substitute
+from ietwords.words import _conjugates, _is_sturmian_factor, _substitute
 from sturmian_loop import sturmian_loop
 from word_oracles import factor_complexity, is_conjugate_word
 
@@ -218,6 +218,35 @@ class TestSubstitute:
     def test_against_join(self, case):
         letters, images = case
         assert _substitute(letters, images) == join_substitute(letters, images)
+
+
+def letter_images(*texts: str) -> tuple[bytes, ...]:
+    return tuple(binary_word(text).letters for text in texts)
+
+
+class TestConjugates:
+    def test_stops_after_the_first_place_whose_first_letters_differ(self):
+        # 0->0,1->01 and its conjugate 0->0,1->10, whose images start
+        # with different letters
+        assert _conjugates(letter_images("0", "01"), 5) == [
+            letter_images("0", "01"), letter_images("0", "10")
+        ]
+        assert _conjugates(letter_images("1", "01"), 5) == [letter_images("1", "01")]
+
+    def test_stops_at_an_empty_image(self):
+        assert _conjugates(letter_images("01", ""), 5) == [letter_images("01", "")]
+        assert _conjugates(letter_images("", ""), 5) == [letter_images("", "")]
+
+    def test_stops_after_steps_rotations(self):
+        # images that always share their first letter never end the chain
+        start = letter_images("00", "0", "000")
+        assert _conjugates(start, 0) == [start]
+        assert _conjugates(start, 3) == [start] * 4
+        assert _conjugates(letter_images("001", "00101"), 2) == [
+            letter_images("001", "00101"),
+            letter_images("010", "01010"),
+            letter_images("100", "10100"),
+        ]
 
 
 class TestBalance:
