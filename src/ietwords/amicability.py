@@ -35,7 +35,7 @@ from .iet import MAX_CODING_LENGTH, ThreeIET, is_nondegenerate_params, three_iet
 from .morphisms import Morphism, is_sturmian_morphism
 from .quadratic import QuadNumber, _partial_quotients
 from .words import (
-    Alphabet, FiniteWord, _conjugates, _is_sturmian_factor, _substitute, is_balanced
+    Alphabet, FiniteWord, _is_sturmian_factor, _rotated, _substitute, _turns, is_balanced
 )
 
 # the letter images of each projection: A to 0, B to 01 or 10, C to 1
@@ -45,8 +45,9 @@ _SIGMA = {"01": (b"\x00", b"\x00\x01", b"\x01"), "10": (b"\x00", b"\x01\x00", b"
 # as the longest projected letter image of ``eta`` (``|sigma(eta(x))|``),
 # and a preservation check is bounded by that count.  A verdict is linear
 # in it: the slowest inputs found at the cap take 0.2 s on a 2-core x86-64
-# host, the identity at ``-n 1000000`` passing and ``A->AAB,B->AAB,C->AAAC``
-# at ``-n 500000`` failing on its rational slope
+# host, the identity at ``-n 1000000`` passing, ``A->AAB,B->AAB,C->AAAC``
+# at ``-n 500000`` failing on its rational slope, and one periodic key,
+# ``A->A^1999996 BC`` for all three letters at ``n = 1``, failing on balance
 MAX_PROJECTION_LETTERS = 2 * 10**6
 
 
@@ -287,12 +288,13 @@ def _preservation_checker(
 
     Rotating each image of a key by their common first letter rotates its
     projection ``s`` by one letter, to ``s[1:] + s[:1]``, and keeps the
-    slope.  So a new key is first looked up in its conjugation chain
-    (``words._conjugates`` from :func:`_chain_start`): the ``r`` keys
-    after the chain's first, of projection ``s``, project to factors of
-    ``s + s[:r]``, and when that one word passes, so do they all (a
-    factor of a Sturmian factor of a slope is one too).  When it fails,
-    or ``r`` exceeds ``len(s)``, each key is decided on its own, with its
+    slope.  So a new key is placed in its conjugation chain, which
+    ``words._turns`` counts and nothing builds: ``back`` rotations after
+    the chain's start.  The ``j``-th of the ``r`` keys after a start of
+    projection ``s`` projects to ``s`` rotated by ``j mod len(s)``, a
+    factor of ``s + s[:r]``, and when that one word passes, so do they all
+    (a factor of a Sturmian factor of a slope is one too).  When it fails,
+    or ``back`` exceeds ``r``, the key is decided on its own, with its
     own detail.
 
     ``longest`` bounds the projected letter images of every ``eta`` the
@@ -313,28 +315,33 @@ def _preservation_checker(
     lengths = (transform.alpha, transform.beta, 1 - transform.alpha - transform.beta)
     # pairs that share phi share the sigma01 projection of the image
     verdicts: dict[tuple[bytes, ...], str | None] = {}
-    # the chains whose word has been decided, by their first key
-    starts: set[tuple[bytes, ...]] = set()
+    # the r of each chain start, or -1 when its chain word fails
+    passing: dict[tuple[bytes, ...], int] = {}
+    # one slope per count signature: sigma01 and sigma10 keys share theirs
+    slopes: dict[tuple[tuple[int, int], ...], QuadNumber] = {}
 
     def slope(key: tuple[bytes, ...]) -> QuadNumber:
-        # the divisor is positive, as some image is not empty
-        ones = sum(length * image.count(1) for length, image in zip(lengths, key))
-        return ones / sum(length * len(image) for length, image in zip(lengths, key))
+        counts = tuple((image.count(1), len(image)) for image in key)
+        if counts not in slopes:
+            # the divisor is positive, as some image is not empty
+            ones = sum(length * c for length, (c, _) in zip(lengths, counts))
+            slopes[counts] = ones / sum(length * m for length, (_, m) in zip(lengths, counts))
+        return slopes[counts]
 
     def verdict(key: tuple[bytes, ...]) -> str | None:
         if key not in verdicts:
-            start = _chain_start(key)
-            if start not in starts:
-                starts.add(start)
+            # rotating the reversed images left rotates the key right
+            back = _turns(tuple(image[::-1] for image in key), sum(map(len, key)))
+            start = _rotated(key, -back)
+            if start not in passing:
                 # at most as many rotations as the longest image has
                 # letters: a chain word is at most that much longer than s
-                chain = _conjugates(start, max(map(len, start)))
+                r = _turns(start, max(map(len, start)))
                 s = _substitute(prefix.letters, start)
-                r = len(chain) - 1
-                if 0 < r <= len(s) and _projection_verdict(s + s[:r], slope(start)) is None:
-                    verdicts.update(dict.fromkeys(chain))
-            if key not in verdicts:
-                verdicts[key] = _projection_verdict(_substitute(prefix.letters, key), slope(key))
+                passing[start] = r if _projection_verdict(s + s[:r], slope(start)) is None else -1
+            verdicts[key] = None if back <= passing[start] else _projection_verdict(
+                _substitute(prefix.letters, key), slope(key)
+            )
         return verdicts[key]
 
     def check(eta: Morphism) -> PreservationResult:
@@ -349,17 +356,6 @@ def _preservation_checker(
         return PreservationResult(True, None)
 
     return check
-
-
-def _chain_start(key: tuple[bytes, ...]) -> tuple[bytes, ...]:
-    """The first key of the conjugation chain of ``key``: ``key`` rotated
-    back while its images are non-empty and end with one letter, at most
-    as many steps as its letters, so that a periodic key stops too."""
-    for _ in range(sum(map(len, key))):
-        if not all(key) or len({image[-1] for image in key}) != 1:
-            break
-        key = tuple(image[-1:] + image[:-1] for image in key)
-    return key
 
 
 def _projection_verdict(letters: bytes, slope: QuadNumber) -> str | None:

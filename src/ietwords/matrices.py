@@ -50,7 +50,7 @@ from .morphisms import (
     Morphism,
     compose,
 )
-from .words import _conjugates, parikh
+from .words import _rotated, parikh
 
 E_MATRIX = IntMatrix3(((0, 1, 1), (-1, 0, 1), (-1, -1, 0)))
 
@@ -68,9 +68,9 @@ PRESERVING_NONMEMBER = Morphism.parse("A->B,B->CAC,C->C")
 
 # the largest norm N of a matrix whose amicable pairs are brute-forced
 # (``pairs --matrix``): up to about N*N/2 pairs, each with a ternarization
-# of about N letters.  On a 2-core x86-64 host ``pairs --matrix
-# 124,125;125,126`` (norm 500, the most pairs there) takes 9 s and
-# 0.13 GB, and prints 180 MB
+# of about N letters.  On a shared 2-core x86-64 host ``pairs --matrix
+# 124,125;125,126`` (norm 500, the most pairs there) takes 6.6-9.6 s and
+# 150 MB in a fresh process, and prints 180 MB
 MAX_PAIRS_NORM = 500
 
 
@@ -207,7 +207,7 @@ def brute_force_pairs(matrix: IntMatrix2) -> tuple[AmicablePair, ...]:
     :func:`_accepted`; the scan itself runs on the accepted pairs only,
     to build ``eta``.  The chain places are indexed from the first one
     by a single search, in ``morphisms._chain_indices``, and their
-    morphisms built once each, by ``words._conjugates``.
+    morphisms built once each, by ``words._rotated``.
     """
     lefts, rights, accepted, standard = _accepted(matrix)
     ks = _chain_indices(matrix, standard, len(lefts))
@@ -219,7 +219,7 @@ def brute_force_pairs(matrix: IntMatrix2) -> tuple[AmicablePair, ...]:
         for i, (k, x, ds) in enumerate(zip(ks, lefts, accepted))
         for d in ds
     )
-    chain = [_binary_morphism(images) for images in _conjugates(standard, len(lefts) - 1)]
+    chain = [_binary_morphism(_rotated(standard, i)) for i in range(len(lefts))]
     pairs = []
     for k, kbar, j, i in labelled:
         phi, psi = chain[i], chain[j]

@@ -25,7 +25,7 @@ from .errors import (
     _require_range,
 )
 from .iet import MAX_CODING_LENGTH, coding_word_k
-from .words import Alphabet, FiniteWord, _conjugates, _substitute, parikh
+from .words import Alphabet, FiniteWord, _rotated, _substitute, _turns, parikh
 
 
 class IntMatrix2(Value):
@@ -295,13 +295,13 @@ def _standard_images(matrix: IntMatrix2) -> tuple[bytes, bytes]:
 def _sturmian_images(matrix: IntMatrix2) -> list[tuple[bytes, bytes]]:
     """The letter strings of the images of 0 and 1 of every Sturmian
     morphism with this matrix, in the order of :func:`enumerate_sturmian`:
-    the right conjugates of its standard pair, up to the first whose
-    images start with different letters."""
-    chain = _conjugates(_standard_images(matrix), matrix.norm - 1)
-    x, y = chain[-1]
-    if x[0] == y[0]:
+    its standard pair rotated left by ``i`` letters, for each ``i`` up to
+    the first place whose images start with different letters."""
+    standard = _standard_images(matrix)
+    turns = _turns(standard, matrix.norm)
+    if turns == matrix.norm:
         raise MatrixDecompositionError(f"conjugation chain for {matrix} exceeded expected length")
-    return chain
+    return [_rotated(standard, i) for i in range(turns + 1)]
 
 
 def _binary_morphism(images: tuple[bytes, bytes]) -> Morphism:
@@ -402,11 +402,12 @@ def is_sturmian_morphism(morphism: Morphism) -> bool:
     """Membership in the Sturmian monoid: unimodular non-negative matrix
     and occurrence in the conjugation chain of its standard morphism.
 
-    Place ``i`` rotates the standard images, of coprime lengths ``a`` and
-    ``b`` (the row sums of a unimodular matrix), by ``i``.  The first with
-    rotations ``r`` and ``s`` is the ``i < a*b`` with ``i = r (mod a)``
-    and ``i = s (mod b)``; it is in the chain if no earlier place has
-    images that start with different letters.
+    Each step of the chain rotates both images by their shared first
+    letter, which rotates their concatenation, the image of 01, by one
+    letter.  So the first rotation by ``i`` letters of the standard image
+    of 01 that is the morphism's image of 01 is the place to test, and it
+    is in the chain when the standard images rotate ``i`` times by a
+    shared first letter (``words._turns``).
     """
     if morphism.alphabet is not Alphabet.BINARY:
         raise AlphabetError("Sturmian morphisms are binary")
@@ -417,10 +418,5 @@ def is_sturmian_morphism(morphism: Morphism) -> bool:
         return False
     x, y = (image.letters for image in morphism.images)
     x0, y0 = _standard_images(matrix)
-    a, b = len(x0), len(y0)
-    r, s = (x0 + x0).find(x), (y0 + y0).find(y)
-    i = r + a * ((s - r) * pow(a, -1, b) % b)
-    # then the first letters of the images at the places before i
-    return min(r, s) >= 0 and i < matrix.norm and (
-        (x0 * (i // a + 1))[:i] == (y0 * (i // b + 1))[:i]
-    )
+    i = (x0 + y0 + x0 + y0).find(x + y)
+    return i >= 0 and _turns((x0, y0), i) == i

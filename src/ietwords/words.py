@@ -143,18 +143,24 @@ def _substitute(letters: bytes, images: Sequence[bytes]) -> bytes:
     return letters
 
 
-def _conjugates(images: tuple[bytes, ...], steps: int) -> list[tuple[bytes, ...]]:
-    """``images`` and its right conjugates in turn, each rotating every
-    image by their shared first letter: up to the first whose images are
-    not all non-empty with one first letter, and at most ``steps``
-    rotations."""
-    chain = [images]
-    for _ in range(steps):
-        if not all(images) or len({image[0] for image in images}) != 1:
-            break
-        images = tuple(image[1:] + image[:1] for image in images)
-        chain.append(images)
-    return chain
+def _turns(images: Sequence[bytes], limit: int) -> int:
+    """How many times ``images`` rotate by a shared first letter, at most
+    ``limit`` (0 when an image is empty): the first ``i`` at which their
+    periodic extensions differ.  Read as big-endian integers and XORed
+    against the first, the extensions differ first in the byte of the
+    highest set bit."""
+    if not all(images):
+        return 0
+    first, *rest = (
+        int.from_bytes((image * (limit // len(image) + 1))[:limit], "big") for image in images
+    )
+    return limit - (max((first ^ other for other in rest), default=0).bit_length() + 7) // 8
+
+
+def _rotated(images: Sequence[bytes], i: int) -> tuple[bytes, ...]:
+    """Every image rotated left by ``i`` letters, or right for ``i < 0``."""
+    shifts = [i % len(image) if image else 0 for image in images]
+    return tuple(image[j:] + image[:j] for image, j in zip(images, shifts))
 
 
 _SWAP = bytes.maketrans(b"\x00\x01", b"\x01\x00")

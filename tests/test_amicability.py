@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from ietwords import (
     AlphabetError,
     DegenerateParametersError,
     DomainError,
+    FIBONACCI_TERNARY,
     FiniteWord,
     Morphism,
     NotAmicableError,
@@ -38,19 +40,19 @@ from ietwords import (
 from ietwords import amicability, matrices, verification
 from ietwords.amicability import (
     _SIGMA,
-    _chain_start,
     _letters_int,
     _projection_verdict,
     _scan,
 )
 from ietwords.matrices import _accepted_sets
-from ietwords.words import _conjugates, _substitute
+from ietwords.words import _substitute
 from ietwords.verification import (
     PRESERVE_ALPHA,
     PRESERVE_BETA,
     preserve_suite,
     run_suite,
 )
+from conjugate_step import back_walk, forward_walk
 from scan_loop import scan_b, scan_loop, scan_loop_b
 
 PHI = Morphism.parse("0->001,1->00101")
@@ -414,6 +416,13 @@ class TestTernarizationMembership:
             ternarization_membership(Morphism.parse("A->,B->B,C->C"))
 
 
+def fibonacci_power(k):
+    eta = FIBONACCI_TERNARY
+    for _ in range(k - 1):
+        eta = compose(eta, FIBONACCI_TERNARY)
+    return eta
+
+
 class TestPreservation:
     def test_identity_preserves(self):
         t = ThreeIET(ALPHA, QUARTER)
@@ -529,6 +538,29 @@ class TestPreservation:
         with pytest.raises(DegenerateParametersError):
             check_3iet_preservation(TERNARY_IDENTITY, trap, ZERO, 100)
 
+    @pytest.mark.parametrize(
+        ("eta", "n", "ok"),
+        [
+            # one image for all three letters: every key is periodic, so
+            # its chain has as many places as letters
+            (Morphism.parse(",".join(f"{x}->{'A' * 5998}BC" for x in "ABC")), 1, False),
+            (fibonacci_power(18), 20, True),
+        ],
+        ids=["periodic", "fibonacci-18"],
+    )
+    def test_a_chain_is_counted_not_built(self, eta, n, ok):
+        # a chain of keys built place by place held every rotation of a
+        # key, quadratic in its letters: peaks of 109 MB and 486 MB here
+        t = ThreeIET(PRESERVE_ALPHA, PRESERVE_BETA)
+        tracemalloc.start()
+        try:
+            result = check_3iet_preservation(eta, t, ZERO, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.ok is ok
+        assert peak < 4 * 10**6, peak
+
     def test_preserving_nonmember_separates_the_monoids(self):
         # preserves 3iet words at prefix scale yet is no ternarization
         t = ThreeIET(ALPHA, QUARTER)
@@ -561,14 +593,15 @@ def test_rotating_a_key_rotates_its_projection(prefix, first, tails):
 @settings(max_examples=200, deadline=None)
 @given(ternary_letter_strings, keys)
 def test_a_chain_word_holds_every_projection_of_its_chain(prefix, key):
-    start = _chain_start(key)
-    chain = _conjugates(start, max(map(len, start)))
+    start = back_walk(key, sum(map(len, key)))[-1]
+    chain = forward_walk(start, max(map(len, start)))
     s = _substitute(prefix, chain[0])
     r = len(chain) - 1
     for j, link in enumerate(chain):
         assert sorted(map(len, link)) == sorted(map(len, chain[0]))
-        if r <= len(s):
-            assert _substitute(prefix, link) == (s + s[:r])[j : j + len(s)]
+        # r may exceed len(s): link j projects to s rotated by j mod len(s)
+        i = j % len(s) if s else 0
+        assert _substitute(prefix, link) == (s + s[:r])[i : i + len(s)]
 
 
 class TestPreserveSuite:

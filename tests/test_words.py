@@ -24,7 +24,8 @@ from ietwords import (
 )
 from ietwords.iet import coding_word_k, two_iet_code
 from ietwords.quadratic import _partial_quotients
-from ietwords.words import _conjugates, _is_sturmian_factor, _substitute
+from ietwords.words import _is_sturmian_factor, _rotated, _substitute, _turns
+from conjugate_step import back_walk, forward_walk
 from sturmian_loop import sturmian_loop
 from word_oracles import factor_complexity, is_conjugate_word
 
@@ -224,29 +225,63 @@ def letter_images(*texts: str) -> tuple[bytes, ...]:
     return tuple(binary_word(text).letters for text in texts)
 
 
+@st.composite
+def image_tuples(draw):
+    """1-4 images of 0-12 letters: free ones, or powers of one root,
+    whose periodic extensions agree forever."""
+    if draw(st.booleans()):
+        letters = st.lists(st.integers(0, 2), max_size=12).map(bytes)
+        return tuple(draw(st.lists(letters, min_size=1, max_size=4)))
+    root = draw(st.lists(st.integers(0, 2), min_size=1, max_size=4).map(bytes))
+    powers = st.integers(0, 12 // len(root)).map(lambda k: root * k)
+    return tuple(draw(st.lists(powers, min_size=1, max_size=4)))
+
+
+def counted_chain(images: tuple[bytes, ...], steps: int) -> list[tuple[bytes, ...]]:
+    """The places counted by ``_turns`` and built by ``_rotated``, which
+    must be those of the forward walk."""
+    chain = [_rotated(images, i) for i in range(_turns(images, steps) + 1)]
+    assert chain == forward_walk(images, steps)
+    return chain
+
+
 class TestConjugates:
     def test_stops_after_the_first_place_whose_first_letters_differ(self):
         # 0->0,1->01 and its conjugate 0->0,1->10, whose images start
         # with different letters
-        assert _conjugates(letter_images("0", "01"), 5) == [
+        assert counted_chain(letter_images("0", "01"), 5) == [
             letter_images("0", "01"), letter_images("0", "10")
         ]
-        assert _conjugates(letter_images("1", "01"), 5) == [letter_images("1", "01")]
+        assert counted_chain(letter_images("1", "01"), 5) == [letter_images("1", "01")]
 
     def test_stops_at_an_empty_image(self):
-        assert _conjugates(letter_images("01", ""), 5) == [letter_images("01", "")]
-        assert _conjugates(letter_images("", ""), 5) == [letter_images("", "")]
+        assert counted_chain(letter_images("01", ""), 5) == [letter_images("01", "")]
+        assert counted_chain(letter_images("", ""), 5) == [letter_images("", "")]
 
     def test_stops_after_steps_rotations(self):
         # images that always share their first letter never end the chain
         start = letter_images("00", "0", "000")
-        assert _conjugates(start, 0) == [start]
-        assert _conjugates(start, 3) == [start] * 4
-        assert _conjugates(letter_images("001", "00101"), 2) == [
+        assert counted_chain(start, 0) == [start]
+        assert counted_chain(start, 3) == [start] * 4
+        assert counted_chain(letter_images("001", "00101"), 2) == [
             letter_images("001", "00101"),
             letter_images("010", "01010"),
             letter_images("100", "10100"),
         ]
+
+    @given(image_tuples(), st.integers(0, 30))
+    def test_against_the_forward_walk(self, images, limit):
+        walk = forward_walk(images, limit)
+        assert _turns(images, limit) == len(walk) - 1
+        assert [_rotated(images, i) for i in range(len(walk))] == walk
+
+    @given(image_tuples())
+    def test_reversed_images_count_the_back_walk(self, images):
+        steps = sum(map(len, images))
+        walk = back_walk(images, steps)
+        back = _turns(tuple(image[::-1] for image in images), steps)
+        assert back == len(walk) - 1
+        assert [_rotated(images, -i) for i in range(len(walk))] == walk
 
 
 class TestBalance:
