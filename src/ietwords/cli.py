@@ -38,7 +38,8 @@ from .iet import (
 )
 from .matrices import (
     MAX_PAIRS_NORM,
-    brute_force_pairs,
+    _labelled,
+    _pair,
     classify_matrix3,
     conjecture_probe,
     count_formula_b,
@@ -121,18 +122,19 @@ def _cmd_enum(args) -> Records:
 
 def _cmd_pairs(args) -> Records:
     matrix = IntMatrix2.parse(args.matrix)
+    _require_matrix(matrix, MAX_PAIRS_NORM)
     if args.b is None:
-        pairs = brute_force_pairs(matrix)
         expected = count_formula_total(matrix)
     else:
         # a B-count is at most min(p, q) < N, once the matrix is known good
-        _require_matrix(matrix, MAX_PAIRS_NORM)
         _require_range(args.b, 0, matrix.norm, "--b")
-        pairs = tuple(pair for pair in brute_force_pairs(matrix) if pair.b == args.b)
         expected = count_formula_b(matrix, args.b)
-    yield from map(_pair_record, pairs)
-    status = "ok" if len(pairs) == expected else "property-false"
-    return status, {"matrix": str(matrix), "total": len(pairs), "formula": expected}
+    chain, labels = _labelled(matrix)
+    # a label ends with its B-count: only the pairs printed are built
+    labels = [label for label in labels if args.b is None or label[-1] == args.b]
+    yield from (_pair_record(_pair(chain, *label)) for label in labels)
+    status = "ok" if len(labels) == expected else "property-false"
+    return status, {"matrix": str(matrix), "total": len(labels), "formula": expected}
 
 
 def _cmd_count(args) -> Records:

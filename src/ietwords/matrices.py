@@ -28,7 +28,6 @@ from ._value import Value
 from .amicability import (
     _letters_int,
     AmicablePair,
-    b_counts,
     ternarization_membership,
     ternarize_morphisms,
     TernarizationMembership,
@@ -68,9 +67,9 @@ PRESERVING_NONMEMBER = Morphism.parse("A->B,B->CAC,C->C")
 
 # the largest norm N of a matrix whose amicable pairs are brute-forced
 # (``pairs --matrix``): up to about N*N/2 pairs, each with a ternarization
-# of about N letters.  On a shared 2-core x86-64 host ``pairs --matrix
-# 124,125;125,126`` (norm 500, the most pairs there) takes 6.6-9.6 s and
-# 150 MB in a fresh process, and prints 180 MB
+# of about N letters, built as it is printed.  On a shared 2-core x86-64
+# host ``pairs --matrix 124,125;125,126`` (norm 500, the most pairs there)
+# takes 5.8 s and 39 MB in a fresh process, and prints 180 MB
 MAX_PAIRS_NORM = 500
 
 
@@ -122,7 +121,7 @@ def _packed(x0: int, x1: int, n0: int, n1: int) -> tuple[int, int]:
     of 0 and 1, each field followed by a zero guard bit.  The test of
     :func:`_accepted_sets` on the two packed integers is then the pair's
     three scans at once, as an unpaired final block shifts its bit into
-    its own field's guard bit; the B-count is that of bits ``[0, n0+n1)``."""
+    its own field's guard bit; :func:`_labelled` reads each field's B-count."""
     fields = x0 << (n0 + n1 + 1) | x1 << (2 * n0 + n1 + 2)
     return x0 | x1 << n0 | fields, x1 | x0 << n1 | fields
 
@@ -198,44 +197,55 @@ def _accepted(
     return lefts, rights, _accepted_sets(lefts, rights, 2 * matrix.norm + 2), standard
 
 
-def brute_force_pairs(matrix: IntMatrix2) -> tuple[AmicablePair, ...]:
-    """Every ordered amicable pair drawn from the full enumeration of
-    Sturmian morphisms with this matrix, sorted by (k, kbar).
-
-    Independent of the closed formulas above: each candidate pair is
-    decided by the ternarization scan alone, through its bit test in
-    :func:`_accepted`; the scan itself runs on the accepted pairs only,
-    to build ``eta``.  The chain places are indexed from the first one
-    by a single search, in ``morphisms._chain_indices``, and their
-    morphisms built once each, by ``words._rotated``.
-    """
+def _labelled(matrix: IntMatrix2) -> tuple[list[Morphism], list[tuple[int, ...]]]:
+    """The chain's morphisms, each built once by ``words._rotated``, and
+    the label ``(k, kbar, j, i, b0, b1, b)`` of each ordered amicable pair
+    with this matrix, sorted by (k, kbar): its indices, the chain places of
+    ``psi`` and ``phi`` and its B-counts, the bit counts of the fields of
+    its B-position set ``d = x - y`` (see :func:`_packed`).  No pair is
+    built: :func:`_pair` builds one."""
     lefts, rights, accepted, standard = _accepted(matrix)
+    norm, n0 = matrix.norm, len(standard[0])
+    # in d, the image of 01 is bits [0, N), that of 0 bits [N+1, N+1+n0)
+    # and that of 1 every bit from N+n0+2 on
+    m01, m0, s1 = (1 << norm) - 1, (1 << n0) - 1 << norm + 1, norm + n0 + 2
     ks = _chain_indices(matrix, standard, len(lefts))
     columns = {y: (kbar, j) for j, (kbar, y) in enumerate(zip(ks, rights))}
     # k is one-to-one on the chain places, so this sort never compares
     # two places and the pairs come out in (k, kbar) order
-    labelled = sorted(
-        (k, *columns[x - d], i)
+    labels = sorted(
+        (k, *columns[x - d], i, (d & m0).bit_count(), (d >> s1).bit_count(), (d & m01).bit_count())
         for i, (k, x, ds) in enumerate(zip(ks, lefts, accepted))
         for d in ds
     )
     chain = [_binary_morphism(_rotated(standard, i)) for i in range(len(lefts))]
-    pairs = []
-    for k, kbar, j, i in labelled:
-        phi, psi = chain[i], chain[j]
-        eta = ternarize_morphisms(phi, psi)
-        b0, b1, b = b_counts(eta)
-        pairs.append(
-            AmicablePair(phi=phi, psi=psi, eta=eta, b0=b0, b1=b1, b=b, k=k, kbar=kbar)
-        )
-    return tuple(pairs)
+    return chain, labels
+
+
+def _pair(chain: list[Morphism], *label: int) -> AmicablePair:
+    """The pair of a :func:`_labelled` label: ``eta`` from the scan, which
+    raises on a pair that is not amicable, and the label's B-counts."""
+    k, kbar, j, i, b0, b1, b = label
+    phi, psi = chain[i], chain[j]
+    eta = ternarize_morphisms(phi, psi)
+    return AmicablePair(phi=phi, psi=psi, eta=eta, b0=b0, b1=b1, b=b, k=k, kbar=kbar)
+
+
+def brute_force_pairs(matrix: IntMatrix2) -> tuple[AmicablePair, ...]:
+    """Every ordered amicable pair drawn from the full enumeration of
+    Sturmian morphisms with this matrix, sorted by (k, kbar): each
+    :func:`_labelled` label built by :func:`_pair`, so each pair is
+    decided by the scan's bit test alone, independent of the formulas."""
+    chain, labels = _labelled(matrix)
+    return tuple(_pair(chain, *label) for label in labels)
 
 
 def brute_force_b_counts(matrix: IntMatrix2) -> Counter[int]:
     """The number of ordered amicable pairs with this matrix per B-count,
     the pairs of :func:`brute_force_pairs`, building no morphism and
     indexing none: the B-count of an accepted pair is that of the bits
-    ``[0, norm)`` of its B-position set ``x - y``."""
+    ``[0, norm)`` of its B-position set ``x - y``, the ``b`` of its
+    :func:`_labelled` label, read here at under a third of that cost."""
     accepted = _accepted(matrix)[2]
     mask = (1 << matrix.norm) - 1
     return Counter([(d & mask).bit_count() for ds in accepted for d in ds])

@@ -213,8 +213,9 @@ def _intertwining_ok(eta: Morphism, phi: Morphism, psi: Morphism) -> bool:
     )
 
 
-# at both caps 30 s and 0.37 GB: the pool of pairs is most of both
-MAX_MONOID_NORM = 56
+# at both caps 22-23 s and 0.38 GB in a fresh process (2-core x86-64):
+# the pool of labels is nearly all of the memory, and norm 85 takes 0.49 GB
+MAX_MONOID_NORM = 80
 MAX_MONOID_SAMPLES = 50_000
 
 
@@ -226,16 +227,17 @@ def monoid_suite(
     _require_range(max_norm, 2, MAX_MONOID_NORM, "--max-norm")
     _require_range(samples, 1, MAX_MONOID_SAMPLES, "--samples")
     _require_int(seed, "--seed")
+    # the pairs of brute_force_pairs as chains and labels: only drawn pairs are built
     pool = [
-        pair
-        for matrix in matrices.unimodular_matrices(max_norm)
-        for pair in matrices.brute_force_pairs(matrix)
+        (chain, *label)
+        for chain, labels in map(matrices._labelled, matrices.unimodular_matrices(max_norm))
+        for label in labels
     ]
     rng = random.Random(seed)
     ok = True
     for i in range(samples):
-        first = rng.choice(pool)
-        second = rng.choice(pool)
+        first = matrices._pair(*rng.choice(pool))
+        second = matrices._pair(*rng.choice(pool))
         phi = compose(first.phi, second.phi)
         psi = compose(first.psi, second.psi)
         composed = compose(first.eta, second.eta)

@@ -29,6 +29,8 @@ class Alphabet(Enum):
         self.size = len(chars)
         self.indices = bytes(range(self.size))  # the valid letter bytes
         self.char_table = bytes.maketrans(self.indices, chars.encode("ascii"))
+        # the inverse, with every other byte at 0xFF, which no letter is
+        self.parse_table = bytes(chars.find(chr(i)) & 0xFF for i in range(256))
 
 
 ParikhVector = tuple[int, ...]
@@ -76,14 +78,12 @@ class FiniteWord(Value):
                 if bad is None:
                     raise ParseError(f"word literal {text!r} mixes binary and ternary letters")
                 raise ParseError(f"invalid word letter {bad!r} in {text!r}")
-        chars = alphabet.chars
-        try:
-            return cls(alphabet, bytes(chars.index(ch) for ch in text))
-        except ValueError:
-            bad = next(ch for ch in text if ch not in chars)
-            raise ParseError(
-                f"letter {bad!r} is not in the {alphabet.name} alphabet"
-            ) from None
+        # a character outside ASCII encodes as "?", which no alphabet holds
+        letters = text.encode("ascii", "replace").translate(alphabet.parse_table)
+        if 0xFF in letters:
+            bad = next(ch for ch in text if ch not in alphabet.chars)
+            raise ParseError(f"letter {bad!r} is not in the {alphabet.name} alphabet")
+        return cls(alphabet, letters)
 
     def __len__(self) -> int:
         return len(self.letters)

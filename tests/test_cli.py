@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -137,6 +138,24 @@ class TestEnumerationCommands:
         rows, summary = records[:-1], records[-1]
         assert summary["total"] == summary["formula"] == 7
         assert all(row["b"] == 1 for row in rows)
+
+    def test_pairs_b_builds_only_the_printed_pairs(self, capsys, monkeypatch):
+        # the chain's N - 1 morphisms, then one eta per printed pair: a pair
+        # of another B-count is never built
+        built = []
+        init = Morphism.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(Morphism, "__init__", counted)
+        code, records, _ = run(capsys, "pairs", "--matrix", "24,25;25,26", "--b", "3")
+        assert code == 0
+        rows, summary = records[:-1], records[-1]
+        matrix = IntMatrix2.parse("24,25;25,26")
+        assert 0 < len(rows) == summary["total"] < count_formula_total(matrix)
+        assert len(built) == matrix.norm - 1 + len(rows)
 
     def test_count_total_is_sum_of_formulas(self, capsys):
         # the brute-force cross-check of these counts is verify --suite counting
@@ -723,19 +742,39 @@ class TestVerifyCommand:
         assert code == 0
         assert records[-1]["seed"] == 7
 
+    def test_monoid_builds_only_the_drawn_pairs(self):
+        # a pool of built pairs, each with its eta, peaked at 28 MB
+        tracemalloc.start()
+        try:
+            result = verification.run_suite("monoid", max_norm=30, samples=50)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.ok
+        assert peak < 15 * 10**6, peak
+
     def test_monoid_closure_failure_is_a_failing_record(self, capsys, monkeypatch):
-        # each matrix's first pair gets psi = 0->1,1->0: a composed phi and
-        # psi can then have images of different lengths, so no scan passes
-        original = ietwords.matrices.brute_force_pairs
+        # each matrix's first pair gets psi = 0->1,1->0 when it is built: a
+        # composed phi and psi can then have images of different lengths,
+        # so no scan passes
+        labelled, build = ietwords.matrices._labelled, ietwords.matrices._pair
         swap = Morphism.parse("0->1,1->0")
+        firsts = {}
 
-        def faulty(matrix):
-            pairs = original(matrix)
-            return tuple(
-                AmicablePair(p.phi, swap, p.eta, p.b0, p.b1, p.b, p.k, p.kbar) for p in pairs[:1]
-            ) + pairs[1:]
+        def noting(matrix):
+            chain, labels = labelled(matrix)
+            # some matrices have no pair
+            firsts[id(chain)] = labels[:1]
+            return chain, labels
 
-        monkeypatch.setattr(ietwords.matrices, "brute_force_pairs", faulty)
+        def faulty(chain, *label):
+            p = build(chain, *label)
+            if [label] != firsts[id(chain)]:
+                return p
+            return AmicablePair(p.phi, swap, p.eta, p.b0, p.b1, p.b, p.k, p.kbar)
+
+        monkeypatch.setattr(ietwords.matrices, "_labelled", noting)
+        monkeypatch.setattr(ietwords.matrices, "_pair", faulty)
         result = verification.run_suite("monoid", max_norm=4, samples=50)
         assert not result.ok
         failing = [record for record in result.records if "closure_error" in record]

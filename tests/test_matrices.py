@@ -411,6 +411,18 @@ class TestBruteForcePairs:
                 pair.b for pair in brute_force_pairs(matrix)
             ), str(matrix)
 
+    def test_b_counts_are_the_b_letters_through_norm_40(self):
+        # the labels' bit read against the B letters of each built eta
+        for matrix in unimodular_matrices(40):
+            for pair in brute_force_pairs(matrix):
+                assert b_counts(pair.eta) == (pair.b0, pair.b1, pair.b), str(matrix)
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.sampled_from([m for m in unimodular_matrices(80) if m.norm > 40]))
+    def test_b_counts_are_the_b_letters_up_to_norm_80(self, matrix):
+        for pair in brute_force_pairs(matrix):
+            assert b_counts(pair.eta) == (pair.b0, pair.b1, pair.b)
+
     def test_morphisms_built(self, monkeypatch):
         # brute_force_b_counts builds none; brute_force_pairs builds each
         # morphism of the chain once, plus one eta per pair

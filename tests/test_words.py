@@ -27,7 +27,7 @@ from ietwords.quadratic import _partial_quotients
 from ietwords.words import _is_sturmian_factor, _rotated, _substitute, _turns
 from conjugate_step import back_walk, forward_walk
 from sturmian_loop import sturmian_loop
-from word_oracles import factor_complexity, is_conjugate_word
+from word_oracles import factor_complexity, is_conjugate_word, parse_by_char
 
 binary_texts = st.text(alphabet="01", max_size=48)
 ternary_texts = st.text(alphabet="ABC", max_size=48)
@@ -541,6 +541,18 @@ class TestWordType:
             FiniteWord.parse("0A", Alphabet.BINARY)
         with pytest.raises(ParseError, match="letter '0' is not in the TERNARY alphabet"):
             FiniteWord.parse("A0B", Alphabet.TERNARY)
+
+    # NUL, ASCII that is no letter, and characters outside ASCII, a lone
+    # surrogate among them
+    @given(st.text(alphabet="01ABC\x00x\u00e9\udc80"), st.sampled_from([None, *Alphabet]))
+    def test_parse_is_the_parse_by_character(self, text, alphabet):
+        def outcome(parse):
+            try:
+                return parse(text, alphabet)
+            except ParseError as exc:
+                return str(exc)
+
+        assert outcome(FiniteWord.parse) == outcome(parse_by_char)
 
     def test_concatenation_respects_alphabets(self):
         with pytest.raises(AlphabetError):
