@@ -17,7 +17,7 @@ Combinatorics on Words*, ch. 2).  Balance alone would accept a factor of
 any slope.  The projections of a conjugation chain of morphisms are
 rotations of one another, so one exact test of a word that holds them
 all as factors decides the whole chain when it passes: a factor of a
-Sturmian factor of a slope is one too.
+Sturmian factor of a slope is one too; the caller names each chain.
 """
 
 from __future__ import annotations
@@ -34,9 +34,7 @@ from .errors import (
 from .iet import MAX_CODING_LENGTH, ThreeIET, is_nondegenerate_params, three_iet_code
 from .morphisms import Morphism, is_sturmian_morphism
 from .quadratic import QuadNumber, _partial_quotients
-from .words import (
-    Alphabet, FiniteWord, _is_sturmian_factor, _rotated, _substitute, _turns, is_balanced
-)
+from .words import Alphabet, FiniteWord, _is_sturmian_factor, _substitute, is_balanced
 
 # the letter images of each projection: A to 0, B to 01 or 10, C to 1
 _SIGMA = {"01": (b"\x00", b"\x00\x01", b"\x01"), "10": (b"\x00", b"\x01\x00", b"\x01")}
@@ -269,35 +267,40 @@ def check_3iet_preservation(
     if eta.alphabet is not Alphabet.TERNARY:
         raise AlphabetError("3iet preservation is for ternary morphisms")
     longest = max(len(image) + image.count(1) for image in eta.images)
-    return _preservation_checker(transform, x0, n, longest)(eta)
+    decide = _preservation_checker(transform, x0, n, longest)
+    for letter, char in enumerate(Alphabet.TERNARY.chars):
+        if all(letter not in image.letters for image in eta.images):
+            return PreservationResult(False, f"letter {char} occurs in no image of eta")
+    for which in ("01", "10"):
+        key = tuple(_substitute(image.letters, _SIGMA[which]) for image in eta.images)
+        [detail] = decide([key])
+        if detail is not None:
+            return PreservationResult(False, f"sigma{which}: {detail}")
+    return PreservationResult(True, None)
 
 
 def _preservation_checker(
     transform: ThreeIET, x0: QuadNumber, n: int, longest: int
-) -> Callable[[Morphism], PreservationResult]:
-    """:func:`check_3iet_preservation` as a function of ``eta``, coding the
-    prefix once and deciding each conjugation chain of projections once.
+) -> Callable[[list[tuple[bytes, ...]]], list[str | None]]:
+    """``decide(keys)``: the projection verdict of each key of a
+    conjugation chain that the caller names in order, the prefix coded once.
 
-    A projection of ``eta(prefix)`` is fixed by the projections of the
-    three images of ``eta``, so those short words key the verdicts and,
-    substituted into the prefix, give a projection not decided yet.  They
-    fix its predicted slope too: a coding's letters have the frequencies
-    ``lambda = (alpha, beta, 1 - alpha - beta)``, so ``1`` has the
-    frequency ``sum(lambda_a * ones(key_a)) / sum(lambda_a *
-    len(key_a))``.
+    A key, the projections of the three images of an ``eta``, substituted
+    into the prefix gives a projection of ``eta(prefix)``.  It fixes the
+    predicted slope too: a coding's letters have the frequencies ``lambda
+    = (alpha, beta, 1 - alpha - beta)``, so ``1`` has the frequency
+    ``sum(lambda_a * ones(key_a)) / sum(lambda_a * len(key_a))``.
 
-    Rotating each image of a key by their common first letter rotates its
-    projection ``s`` by one letter, to ``s[1:] + s[:1]``, and keeps the
-    slope.  So a new key is placed in its conjugation chain, which
-    ``words._turns`` counts and nothing builds: ``back`` rotations after
-    the chain's start.  The ``j``-th of the ``r`` keys after a start of
-    projection ``s`` projects to ``s`` rotated by ``j mod len(s)``, a
-    factor of ``s + s[:r]``, and when that one word passes, so do they all
-    (a factor of a Sturmian factor of a slope is one too).  When it fails,
-    or ``back`` exceeds ``r``, the key is decided on its own, with its
-    own detail.
+    Each key of a chain is the one before with every image rotated by
+    their common first letter, which rotates its projection by one letter
+    and keeps the slope.  So when ``keys[0]`` projects to ``s``, the
+    ``j``-th key projects to ``s`` rotated by ``j mod len(s)``, a factor of
+    ``s + s[:r]`` with ``r = len(keys) - 1``, and when that one word
+    passes, so do they all (a factor of a Sturmian factor of a slope is
+    one too).  When it fails, each key is decided on its own, with its own
+    detail; a chain of one key is decided once.
 
-    ``longest`` bounds the projected letter images of every ``eta`` the
+    ``longest`` bounds the projected letter images of every key the
     caller passes: ``n`` times it is checked against
     :data:`MAX_PROJECTION_LETTERS`.  ``n`` is checked first, against
     :data:`iet.MAX_CODING_LENGTH`, so that a bad one is named as the
@@ -311,51 +314,25 @@ def _preservation_checker(
         raise DegenerateParametersError(
             "parameters are degenerate: (1-alpha)/(1+beta) is rational"
         )
-    prefix = three_iet_code(transform, x0, n)
+    prefix = three_iet_code(transform, x0, n).letters
     lengths = (transform.alpha, transform.beta, 1 - transform.alpha - transform.beta)
-    # pairs that share phi share the sigma01 projection of the image
-    verdicts: dict[tuple[bytes, ...], str | None] = {}
-    # the r of each chain start, or -1 when its chain word fails
-    passing: dict[tuple[bytes, ...], int] = {}
     # one slope per count signature: sigma01 and sigma10 keys share theirs
     slopes: dict[tuple[tuple[int, int], ...], QuadNumber] = {}
 
-    def slope(key: tuple[bytes, ...]) -> QuadNumber:
-        counts = tuple((image.count(1), len(image)) for image in key)
+    def decide(keys: list[tuple[bytes, ...]]) -> list[str | None]:
+        counts = tuple((image.count(1), len(image)) for image in keys[0])
         if counts not in slopes:
             # the divisor is positive, as some image is not empty
             ones = sum(length * c for length, (c, _) in zip(lengths, counts))
             slopes[counts] = ones / sum(length * m for length, (_, m) in zip(lengths, counts))
-        return slopes[counts]
+        slope, r = slopes[counts], len(keys) - 1
+        s = _substitute(prefix, keys[0])
+        detail = _projection_verdict(s + s[:r], slope)
+        if detail is None or r == 0:
+            return [detail] * len(keys)
+        return [_projection_verdict(_substitute(prefix, key), slope) for key in keys]
 
-    def verdict(key: tuple[bytes, ...]) -> str | None:
-        if key not in verdicts:
-            # rotating the reversed images left rotates the key right
-            back = _turns(tuple(image[::-1] for image in key), sum(map(len, key)))
-            start = _rotated(key, -back)
-            if start not in passing:
-                # at most as many rotations as the longest image has
-                # letters: a chain word is at most that much longer than s
-                r = _turns(start, max(map(len, start)))
-                s = _substitute(prefix.letters, start)
-                passing[start] = r if _projection_verdict(s + s[:r], slope(start)) is None else -1
-            verdicts[key] = None if back <= passing[start] else _projection_verdict(
-                _substitute(prefix.letters, key), slope(key)
-            )
-        return verdicts[key]
-
-    def check(eta: Morphism) -> PreservationResult:
-        for letter, char in enumerate(Alphabet.TERNARY.chars):
-            if all(letter not in image.letters for image in eta.images):
-                return PreservationResult(False, f"letter {char} occurs in no image of eta")
-        for which in ("01", "10"):
-            key = tuple(_substitute(image.letters, _SIGMA[which]) for image in eta.images)
-            detail = verdict(key)
-            if detail is not None:
-                return PreservationResult(False, f"sigma{which}: {detail}")
-        return PreservationResult(True, None)
-
-    return check
+    return decide
 
 
 def _projection_verdict(letters: bytes, slope: QuadNumber) -> str | None:

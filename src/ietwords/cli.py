@@ -205,13 +205,14 @@ def _cmd_word2(args) -> Records:
 
 def _cmd_word3(args) -> Records:
     transform = ThreeIET(QuadNumber.parse(args.alpha), QuadNumber.parse(args.beta))
+    word = three_iet_code(transform, QuadNumber.parse(args.start), args.n)
+    # warn only once the word is coded: a rejected input has no coding
     nondegenerate = is_nondegenerate_params(transform)
     if not nondegenerate:
         print(
             "warning: degenerate parameters, the coding is eventually periodic",
             file=sys.stderr,
         )
-    word = three_iet_code(transform, QuadNumber.parse(args.start), args.n)
     yield {
         "word": str(word),
         "length": len(word),

@@ -22,6 +22,7 @@ from ._value import Value
 from .amicability import (
     _letters_int,
     _preservation_checker,
+    b_counts,
     check_3iet_preservation,
     sigma,
     ternarize_morphisms,
@@ -152,18 +153,25 @@ def lemma_w_suite(max_norm: int = 24) -> SuiteRecords:
     return ok, {"max_n": max_norm, "cases": cases}
 
 
-MAX_MATRICES_NORM = 62  # 37 s
+MAX_MATRICES_NORM = 100  # 21 s: one eta is built per 3x3 matrix
 
 
 def matrices_suite(max_norm: int = 10) -> SuiteRecords:
     """Set equality between brute-forced ternarization matrices and the
     condition-(a)/(b) construction, classification round trips, and the
-    B*E*B^T necessity, plus its non-sufficiency witness."""
+    B*E*B^T necessity, plus its non-sufficiency witness.  The brute set
+    builds one ``eta`` per (b0, b1) class of ``matrices._labelled``'s
+    labels, which fixes its matrix; one with other B-counts fails, named."""
     _require_range(max_norm, 2, MAX_MATRICES_NORM, "--max-norm")
     ok = True
     checked = 0
     for matrix in matrices.unimodular_matrices(max_norm):
-        brute = {incidence_matrix(pair.eta) for pair in matrices.brute_force_pairs(matrix)}
+        chain, labels = matrices._labelled(matrix)
+        # the first label of each (b0, b1) class in (k, kbar) order
+        firsts = {label[4:6]: label for label in reversed(labels)}
+        etas = {label: matrices._pair(chain, *label).eta for label in firsts.values()}
+        brute = {incidence_matrix(eta) for eta in etas.values()}
+        wrong = [(label, eta) for label, eta in etas.items() if b_counts(eta) != label[4:]]
         generated = set()
         classify_ok = True
         for b0, b1, built in matrices.ternarization_matrices(matrix):
@@ -172,10 +180,10 @@ def matrices_suite(max_norm: int = 10) -> SuiteRecords:
             if witness != matrices.ClassificationWitness(matrix, b0, b1, matrix.det):
                 classify_ok = False
         e_ok = all(matrices.e_condition(built) is not None for built in brute)
-        match = brute == generated and classify_ok and e_ok
+        match = brute == generated and classify_ok and e_ok and not wrong
         ok = ok and match
         checked += 1
-        yield {
+        record = {
             "matrix": str(matrix),
             "brute_set": len(brute),
             "generated_set": len(generated),
@@ -184,6 +192,10 @@ def matrices_suite(max_norm: int = 10) -> SuiteRecords:
             "e_condition_ok": e_ok,
             "match": match,
         }
+        if wrong:
+            label, eta = min(wrong)
+            record["first_b_counts_mismatch"] = {"label": label, "eta": b_counts(eta)}
+        yield record
     swap_matrix = incidence_matrix(matrices.AC_SWAP)
     non_sufficient = (
         matrices.e_condition(swap_matrix) == -1
@@ -254,16 +266,20 @@ def monoid_suite(
     return ok, {"max_norm": max_norm, "samples": samples, "seed": seed, "pool": len(pool)}
 
 
-# 3.3-4.1 s and 23 MB with the default n in a fresh process (2-core
-# x86-64): the checker keeps a verdict, not a word, per distinct
-# projection, and derives one word per chain of them.  At the largest n
-# the projection cap admits here, 62 500, it takes 22 s and 30 MB
+# 1.0-1.2 s and 15 MB with the default n in a fresh process (2-core
+# x86-64), one derivation per chain of projections; 19 s and 22 MB at
+# n = 62 500, the largest the projection cap admits here
 MAX_PRESERVE_NORM = 32
 
 
 def preserve_suite(max_norm: int = 6, n: int = 1000, kmax: int = 20) -> SuiteRecords:
     """Prefix-scale 3iet preservation for every brute-forced
     ternarization, plus rejection of the degenerate parameter trap.
+
+    No pair is scanned or built: a label ``(k, kbar, j, i, ...)`` of
+    ``matrices._labelled`` reads its sigma01 verdict at chain place ``i``
+    (``phi``) and its sigma10 one at ``j`` (``psi``).  No image is checked
+    for a missing letter, which condition (b) rules out (README).
     The checker caps the letters it projects.  ``kmax`` must be an ``int``
     of at least 1 and is echoed in the summary, but no verdict reads it:
     it is the factor-count window of the prefix test that the exact slope
@@ -276,20 +292,26 @@ def preserve_suite(max_norm: int = 6, n: int = 1000, kmax: int = 20) -> SuiteRec
     # the projected letter images of a pair are phi(0), phi(01), phi(1) and
     # those of psi: at most the matrix norm of letters
     transform = ThreeIET(PRESERVE_ALPHA, PRESERVE_BETA)
-    check = _preservation_checker(transform, ZERO, n, max_norm)
+    decide = _preservation_checker(transform, ZERO, n, max_norm)
     ok = True
     checked = 0
     for matrix in matrices.unimodular_matrices(max_norm):
-        for pair in matrices.brute_force_pairs(matrix):
-            result = check(pair.eta)
-            ok = ok and result.ok
+        chain, labels = matrices._labelled(matrix)
+        if not labels:
+            continue
+        images = [(a.letters, b.letters) for a, b in (place.images for place in chain)]
+        sigma01 = [d and f"sigma01: {d}" for d in decide([(a, a + b, b) for a, b in images])]
+        sigma10 = [d and f"sigma10: {d}" for d in decide([(a, b + a, b) for a, b in images])]
+        for k, kbar, j, i, *_ in labels:
+            detail = sigma01[i] or sigma10[j]
+            ok = ok and detail is None
             checked += 1
             yield {
                 "matrix": str(matrix),
-                "k": pair.k,
-                "kbar": pair.kbar,
-                "preserved": result.ok,
-                "detail": result.detail,
+                "k": k,
+                "kbar": kbar,
+                "preserved": detail is None,
+                "detail": detail,
             }
     try:
         check_3iet_preservation(

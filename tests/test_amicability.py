@@ -26,10 +26,12 @@ from ietwords import (
     check_3iet_preservation,
     coding_word_k,
     compose,
+    count_formula_total,
     enumerate_sturmian,
     incidence_matrix,
     parikh,
     sigma,
+    ternarization_matrix,
     ternarization_membership,
     ternarize_morphisms,
     ternarize_words,
@@ -39,7 +41,6 @@ from ietwords import (
 )
 from ietwords import amicability, matrices, verification
 from ietwords.amicability import (
-    _SIGMA,
     _letters_int,
     _projection_verdict,
     _scan,
@@ -569,6 +570,14 @@ class TestPreservation:
         assert PRESERVING_NONMEMBER == Morphism.parse("A->B,B->CAC,C->C")
 
 
+def chain_keys(chain):
+    """The sigma01 and sigma10 keys of each place of a chain of Sturmian
+    morphisms, in chain order: ``(phi(0), phi(01), phi(1))`` and
+    ``(psi(0), psi(10), psi(1))``."""
+    images = [tuple(image.letters for image in place.images) for place in chain]
+    return [(a, a + b, b) for a, b in images], [(a, b + a, b) for a, b in images]
+
+
 def last_letter_changed(transform, x0, n):
     """The coding prefix with its last letter ``x`` read as ``x + 1``
     modulo 3: no longer a 3iet factor in general."""
@@ -661,26 +670,75 @@ class TestPreserveSuite:
         transform = ThreeIET(PRESERVE_ALPHA, PRESERVE_BETA)
         prefix = amicability.three_iet_code(transform, ZERO, n).letters
         lengths = (transform.alpha, transform.beta, 1 - transform.alpha - transform.beta)
-        check = amicability._preservation_checker(transform, ZERO, n, 10)
+        decide = amicability._preservation_checker(transform, ZERO, n, 10)
 
-        def oracle(eta):
-            for which in ("01", "10"):
-                key = tuple(_substitute(image.letters, _SIGMA[which]) for image in eta.images)
-                ones = sum(x * image.count(1) for x, image in zip(lengths, key))
-                slope = ones / sum(x * len(image) for x, image in zip(lengths, key))
-                detail = _projection_verdict(_substitute(prefix, key), slope)
-                if detail is not None:
-                    return PreservationResult(False, f"sigma{which}: {detail}")
-            return PreservationResult(True, None)
+        def oracle(key):
+            ones = sum(x * image.count(1) for x, image in zip(lengths, key))
+            slope = ones / sum(x * len(image) for x, image in zip(lengths, key))
+            return _projection_verdict(_substitute(prefix, key), slope)
 
         results = []
         for matrix in unimodular_matrices(10):
-            for pair in brute_force_pairs(matrix):
-                results.append(check(pair.eta))
-                assert results[-1] == oracle(pair.eta), (matrix, pair.eta)
+            chain, labels = matrices._labelled(matrix)
+            sigma01, sigma10 = chain_keys(chain)
+            verdicts01, verdicts10 = decide(sigma01), decide(sigma10)
+            assert verdicts01 == [oracle(key) for key in sigma01], matrix
+            assert verdicts10 == [oracle(key) for key in sigma10], matrix
+            results += [verdicts01[i] is verdicts10[j] is None for _, _, j, i, *_ in labels]
         assert len(results) == 587
         # a prefix of one or two letters, changed or not, is a 3iet factor
-        assert any(not result.ok for result in results) == (changed and n > 2)
+        assert (not all(results)) == (changed and n > 2)
+
+    def test_a_failing_key_of_its_own_is_derived_once(self, monkeypatch):
+        # a chain of one key has one word, the key's own projection
+        decided = []
+        original = amicability._projection_verdict
+
+        def recording(letters, slope):
+            decided.append(letters)
+            return original(letters, slope)
+
+        monkeypatch.setattr(amicability, "_projection_verdict", recording)
+        eta = Morphism.parse("A->A,B->CBA,C->C")
+        result = check_3iet_preservation(eta, ThreeIET(ALPHA, QUARTER), ZERO, 500)
+        assert result.detail.startswith("sigma01: projection is no factor")
+        assert len(decided) == 1
+
+    def test_chain_keys_are_the_keys_of_each_built_eta(self):
+        # the suite reads each pair's keys at its chain places and builds
+        # no eta: the eta that the scan builds has those keys, uses all
+        # three letters and has the matrix its B-counts give
+        pairs = 0
+        for matrix in unimodular_matrices(20):
+            chain, labels = matrices._labelled(matrix)
+            sigma01, sigma10 = chain_keys(chain)
+            for (k, kbar, j, i, b0, b1, b), pair in zip(
+                labels, brute_force_pairs(matrix), strict=True
+            ):
+                assert (pair.k, pair.kbar) == (k, kbar)
+                images = pair.eta.images
+                for which, key in (("01", sigma01[i]), ("10", sigma10[j])):
+                    assert tuple(sigma(image, which).letters for image in images) == key
+                assert set(b"".join(image.letters for image in images)) == {0, 1, 2}
+                assert incidence_matrix(pair.eta) == ternarization_matrix(matrix, b0, b1)
+                pairs += 1
+        assert pairs == sum(map(count_formula_total, unimodular_matrices(20)))
+
+    def test_the_suite_builds_no_ternarization(self, monkeypatch):
+        calls = []
+        original = amicability.ternarize_morphisms
+
+        def counting(phi, psi):
+            calls.append((phi, psi))
+            return original(phi, psi)
+
+        for module in (amicability, matrices, verification):
+            monkeypatch.setattr(module, "ternarize_morphisms", counting)
+        assert run_suite("preserve", max_norm=8).ok
+        assert calls == []
+        # the monoid suite reads the same patched name
+        assert run_suite("monoid", max_norm=4, samples=1).ok
+        assert len(calls) == 3
 
     @pytest.mark.parametrize("max_norm, words", [(6, 42), (16, 314)])
     def test_each_distinct_projection_is_decided_once(self, monkeypatch, max_norm, words):

@@ -24,7 +24,9 @@ from ietwords import (
 from ietwords.cli import MAX_COUNT_NORM, main
 from ietwords.errors import IetWordsError
 from ietwords.iet import MAX_CODING_LENGTH
-from ietwords.matrices import MAX_PAIRS_NORM, MAX_PROBE_LETTERS
+from ietwords.matrices import (
+    MAX_PAIRS_NORM, MAX_PROBE_LETTERS, ternarization_matrices, unimodular_matrices
+)
 from ietwords.morphisms import MAX_ENUM_NORM
 from ietwords.verification import MAX_COUNTING_NORM, MAX_PRESERVE_NORM
 
@@ -238,6 +240,20 @@ class TestWordCommands:
         assert code == 0
         assert records[0]["nondegenerate"] is False
         assert "degenerate" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--alpha", "2/5", "--beta", "3/10", "-n", "1000001"],
+            ["--alpha", "1/3", "--beta", "1/3", "--start", "1", "-n", "5"],
+        ],
+    )
+    def test_word3_rejected_degenerate_input_does_not_warn(self, capsys, argv):
+        # the warning is about a coding, and a rejected input has none
+        code, records, err = run(capsys, "word3", *argv)
+        assert code == 2
+        assert records[0]["status"] == "invalid-input"
+        assert err == ""
 
     def test_rational_word3(self, capsys):
         code, records, _ = run(
@@ -793,6 +809,90 @@ class TestVerifyCommand:
         code, records, _ = run(capsys, "verify", "--suite", "matrices", "--max-norm", "6")
         assert code == 0
         assert records[-2]["non_sufficiency_witness"] is True
+
+    @staticmethod
+    def relabelled(monkeypatch, target, change):
+        """``matrices._labelled`` with ``change(labels)`` applied to the
+        labels of the matrix ``target`` alone."""
+        labelled = ietwords.matrices._labelled
+
+        def changed(matrix):
+            chain, labels = labelled(matrix)
+            return chain, change(labels) if str(matrix) == target else labels
+
+        monkeypatch.setattr(ietwords.matrices, "_labelled", changed)
+
+    def test_a_dropped_label_class_fails_the_matrices_suite(self, capsys, monkeypatch):
+        # with every pair of one (b0, b1) class gone, its matrix is missing
+        # from the brute set
+        def dropping(labels):
+            return [label for label in labels if label[4:6] != labels[0][4:6]]
+
+        self.relabelled(monkeypatch, "2,1;1,1", dropping)
+        code, records, _ = run(capsys, "verify", "--suite", "matrices", "--max-norm", "6")
+        assert code == 1
+        failing = [record for record in records[:-1] if not record["match"]]
+        assert [record["matrix"] for record in failing] == ["2,1;1,1"]
+        assert failing[0]["brute_set"] == failing[0]["generated_set"] - 1
+        assert not failing[0]["sets_equal"]
+
+    def test_a_label_of_a_class_of_its_own_is_named(self, capsys, monkeypatch):
+        # the last pair of 3,2;1,1 claims a b0 that no pair has: the eta
+        # built for that class has the pair's own B-counts
+        def moving(labels):
+            k, kbar, j, i, b0, b1, b = labels[-1]
+            return [*labels[:-1], (k, kbar, j, i, b0 + 5, b1, b)]
+
+        k, kbar, j, i, b0, b1, b = ietwords.matrices._labelled(IntMatrix2(3, 2, 1, 1))[1][-1]
+        self.relabelled(monkeypatch, "3,2;1,1", moving)
+        code, records, _ = run(capsys, "verify", "--suite", "matrices", "--max-norm", "7")
+        assert code == 1
+        failing = [record for record in records[:-1] if not record["match"]]
+        assert [record["matrix"] for record in failing] == ["3,2;1,1"]
+        assert failing[0]["first_b_counts_mismatch"] == {
+            "label": [k, kbar, j, i, b0 + 5, b1, b], "eta": [b0, b1, b]
+        }
+        assert failing[0]["sets_equal"]
+        # only a failing record names a witness
+        assert all("first_b_counts_mismatch" not in r for r in records if r not in failing)
+
+    def test_the_matrices_suite_builds_one_eta_per_class(self, monkeypatch):
+        built = []
+        original = ietwords.matrices.ternarize_morphisms
+
+        def counting(phi, psi):
+            built.append((phi, psi))
+            return original(phi, psi)
+
+        monkeypatch.setattr(ietwords.matrices, "ternarize_morphisms", counting)
+        monkeypatch.setattr(ietwords.amicability, "ternarize_morphisms", counting)
+        assert verification.run_suite("matrices", max_norm=12).ok
+        classes = sum(
+            len(list(ternarization_matrices(matrix))) for matrix in unimodular_matrices(12)
+        )
+        assert len(built) == classes < sum(map(count_formula_total, unimodular_matrices(12)))
+
+    def test_a_corrupted_chain_place_fails_the_preserve_suite(self, capsys, monkeypatch):
+        # the image of 1 at the first place of one matrix's chain gains
+        # its first letter again: the pairs that read that place fail, on
+        # the side that reads it
+        labelled = ietwords.matrices._labelled
+        target = "2,1;1,1"
+
+        def corrupting(matrix):
+            chain, labels = labelled(matrix)
+            if str(matrix) == target:
+                zero, one = chain[0].images
+                chain = [Morphism(zero.alphabet, (zero, one[:1] + one)), *chain[1:]]
+            return chain, labels
+
+        monkeypatch.setattr(ietwords.matrices, "_labelled", corrupting)
+        code, records, _ = run(capsys, "verify", "--suite", "preserve")
+        assert code == 1
+        assert records[-1]["status"] == "property-false"
+        failing = [record for record in records[:-2] if not record["preserved"]]
+        assert failing and {record["matrix"] for record in failing} == {target}
+        assert {record["detail"][:9] for record in failing} <= {"sigma01: ", "sigma10: "}
 
     def test_preserve_suite_with_scale_flags(self, capsys):
         code, records, _ = run(
